@@ -1,12 +1,12 @@
-"""Dev-only: min-of-N scalar-vs-batched timing of the quick bench cells.
+"""Dev-only: min-of-N timing of the quick bench cells.
 
-Not part of the harness — `repro bench` is the recorded measurement;
-this exists so perf work on the batch engine has a low-noise readout
-on the single-CPU CI box (min-of-N discards scheduler preemption).
+Not part of the harness — `repro bench` is the recorded measurement and
+`bench/run.py` the layered benchmark; this exists so perf work on the
+data plane has a low-noise readout (min-of-N discards scheduler
+preemption).  Usage: python scripts/_measure_quick.py [REPS]
 """
 import dataclasses
 import gc
-import json
 import sys
 import time
 
@@ -17,35 +17,21 @@ from repro.sim.config import default_config
 
 REPS = int(sys.argv[1]) if len(sys.argv) > 1 else 3
 base = default_config()
-cfgb = dataclasses.replace(base, batch_window=256)
-run_one("silc", "mcf", cfgb, misses_per_core=200, seed=99)  # warm imports
+run_one("silc", "mcf", base, misses_per_core=200, seed=99)  # warm imports
 
-tot_s = tot_b = 0.0
+total = 0.0
 # mirror the quick-bench variants: nonm/silc at the default (MLP-sized)
-# MSHR file, plus compat-mode silc (mshr_entries=0) as the reference
+# MSHR file, plus compat-mode silc (mshr_entries=0)
 for name in ["nonm", "silc", "silc-compat"]:
-    sch = "nonm" if name == "nonm" else "silc"
-    cs = base if "compat" not in name else dataclasses.replace(
+    scheme = "nonm" if name == "nonm" else "silc"
+    config = base if "compat" not in name else dataclasses.replace(
         base, mshr_entries=0)
-    cb = cfgb if "compat" not in name else dataclasses.replace(
-        cfgb, mshr_entries=0)
-    best_s = best_b = float("inf")
-    ident = True
+    best = float("inf")
     for _ in range(REPS):
         gc.collect()
         t0 = time.perf_counter()
-        rs = run_one(sch, "mcf", cs, misses_per_core=1500, seed=1234)
-        t1 = time.perf_counter()
-        gc.collect()
-        t2 = time.perf_counter()
-        rb = run_one(sch, "mcf", cb, misses_per_core=1500, seed=1234)
-        t3 = time.perf_counter()
-        best_s = min(best_s, t1 - t0)
-        best_b = min(best_b, t3 - t2)
-        ident &= (json.dumps(rs.to_dict(), sort_keys=True)
-                  == json.dumps(rb.to_dict(), sort_keys=True))
-    tot_s += best_s
-    tot_b += best_b
-    print(f"{name:12s} scalar {best_s:.3f}s batched {best_b:.3f}s "
-          f"speedup {best_s / best_b:.2f}x identical={ident}")
-print(f"total {tot_s:.3f}/{tot_b:.3f} = {tot_s / tot_b:.2f}x")
+        run_one(scheme, "mcf", config, misses_per_core=1500, seed=1234)
+        best = min(best, time.perf_counter() - t0)
+    total += best
+    print(f"{name:12s} {best:.3f}s")
+print(f"total {total:.3f}s")

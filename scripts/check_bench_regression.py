@@ -28,13 +28,6 @@ run measured no tails anywhere (since schema v4, quick runs skip the
 tail pass unless the config enables span sampling); a ``null`` tail in
 a run that measured others still fails as a histogram overflow.
 
-Schema-v4 baselines also carry the **batch engine's** throughput
-(``batched_accesses_per_sec``, per cell and in total).  It is gated
-with the same ``--threshold`` as the scalar column, and skipped when
-the baseline predates schema v4 — so one gate run holds both engines
-to their baselines, and a change that quietly de-optimizes only the
-batched path cannot hide behind a healthy scalar number.
-
 Schema-v5 payloads carry a ``silc-compat`` cell (``mshr_entries=0``)
 next to the default-MSHR ``silc`` cell, and the gate additionally
 checks the **MSHR dominance figure of merit** on the *current* run:
@@ -45,25 +38,15 @@ tax — deterministically (simulation cycles, not wall clock), so an
 MSHR policy regression cannot ride in behind healthy throughput
 numbers.  Skipped for payloads that predate the v5 suite.
 
-Schema-v7 payloads carry a ``batch_curve`` section: the closed-form
-window evaluator's speedup across pinned ``batch_window`` sizes, each
-point digest-checked against the scalar engine before the bench reports
-it.  The gate holds every baseline point's speedup to the shared
-``--threshold``, matched by window size.  Like the batched column, the
-closed-form column is load-bearing once measured: a baseline with a
-curve and a current run without one (or missing a baseline window) is a
-**failure**, not a skip — only baselines that predate schema v7 skip
-the gate.
-
 Schema-v6 payloads carry a ``service`` section: the multi-tenant sweep
 service under a pinned concurrent load.  The gate holds its cold and
 hot ``cells_per_sec`` to the baseline with the same ``--threshold`` as
-the simulator columns, and — like the batched column — a baseline with
-a service section and a current run without one is a failure, not a
-skip.  The section's correctness witnesses are gated on the *current*
-run alone and **hard-fail regardless of thresholds**: ``exactly_once``
-false or ``max_executions_per_key > 1`` means single-flight dedup
-broke, ``fanned_out``/``conserved`` false means tenants lost results.
+the simulator columns, and a baseline with a service section and a
+current run without one is a failure, not a skip.  The section's
+correctness witnesses are gated on the *current* run alone and
+**hard-fail regardless of thresholds**: ``exactly_once`` false or
+``max_executions_per_key > 1`` means single-flight dedup broke,
+``fanned_out``/``conserved`` false means tenants lost results.
 Skipped (with a note) when *both* files predate schema v6.
 """
 
@@ -85,14 +68,9 @@ def load_cells(path: str):
         key = (cell.get("key", cell["scheme"]), cell["workload"])
         cells[key] = {
             "accesses_per_sec": cell["accesses_per_sec"],
-            "batched_accesses_per_sec": cell.get("batched_accesses_per_sec"),
             "tails": {field: cell.get(field) for field in TAIL_FIELDS},
         }
-    totals = payload["throughput"]
-    total = {
-        "accesses_per_sec": totals["accesses_per_sec"],
-        "batched_accesses_per_sec": totals.get("batched_accesses_per_sec"),
-    }
+    total = payload["throughput"]["accesses_per_sec"]
     # Did this run measure tails at all?  Since schema v4, quick runs
     # skip the span-sampled tail pass unless the config opts in, so a
     # current run with *no* tails anywhere is "not measured" — only a
@@ -102,9 +80,7 @@ def load_cells(path: str):
                          for tail in cell["tails"].values())
     speedups = (payload.get("figures_of_merit") or {}).get(
         "speedup_over_nonm") or {}
-    service = payload.get("service")
-    curve = payload.get("batch_curve")
-    return cells, total, measured_tails, speedups, service, curve
+    return cells, total, measured_tails, speedups, payload.get("service")
 
 
 def check_mshr_dominance(speedups, failures):
@@ -126,48 +102,6 @@ def check_mshr_dominance(speedups, failures):
         marker = "  <-- REGRESSION"
     print(f"  silc speedup geomean: default-MSHR {silc['geomean']:.4f} "
           f"vs compat {compat['geomean']:.4f}{marker}")
-
-
-def check_curve(base, cur, threshold, failures):
-    """Gate the schema-v7 closed-form speedup curve.
-
-    Each baseline point's speedup (matched by ``batch_window``) is held
-    to the shared ``--threshold``.  A baseline with a curve and a
-    current run without one — or without one of the baseline's windows
-    — is a failure: the closed-form column must not silently drop out
-    of the bench.  Pre-v7 baselines (no curve) skip."""
-    if base is None:
-        if cur is not None:
-            print("  note: new batch_curve section (no baseline)")
-        else:
-            print("  note: no batch_curve in either file "
-                  "(pre-v7 payloads) — closed-form gate skipped")
-        return
-    if cur is None:
-        failures.append("curve:missing")
-        print("  batch_curve: baseline has a closed-form curve, current "
-              "run does not  <-- REGRESSION")
-        return
-    cur_points = {p["batch_window"]: p for p in cur.get("points", [])}
-    for point in base.get("points", []):
-        window = point["batch_window"]
-        label = f"curve:w{window}"
-        cur_point = cur_points.get(window)
-        if cur_point is None:
-            failures.append(label)
-            print(f"  batch_curve w={window}: {point['speedup']:.2f}x -> "
-                  f"missing  <-- REGRESSION")
-            continue
-        base_speedup = point["speedup"]
-        cur_speedup = cur_point["speedup"]
-        ratio = (cur_speedup / base_speedup if base_speedup
-                 else float("inf"))
-        marker = ""
-        if ratio < 1 - threshold:
-            failures.append(label)
-            marker = "  <-- REGRESSION"
-        print(f"  batch_curve w={window}: {base_speedup:.2f}x -> "
-              f"{cur_speedup:.2f}x ({ratio:.2f}x){marker}")
 
 
 def check_service(base, cur, threshold, failures):
@@ -218,29 +152,6 @@ def check_service(base, cur, threshold, failures):
               f"cells/s ({ratio:.2f}x){marker}")
 
 
-def check_batched(label, base, cur, threshold, failures):
-    """Gate one batched-throughput column (cell or total).  Pre-v4
-    baselines record no batched number — nothing to gate until the
-    baseline is regenerated."""
-    if base is None:
-        return
-    if cur is None:
-        # the baseline measured the batch engine but the current run
-        # has no batched column at all — the engine (or its digest
-        # check) was dropped, which the gate must not wave through.
-        failures.append(f"{label}:batched")
-        print(f"  {label} batched: {base:,.0f} -> missing acc/s"
-              f"  <-- REGRESSION")
-        return
-    ratio = cur / base if base else float("inf")
-    marker = ""
-    if ratio < 1 - threshold:
-        failures.append(f"{label}:batched")
-        marker = "  <-- REGRESSION"
-    print(f"  {label} batched: {base:,.0f} -> {cur:,.0f} acc/s "
-          f"({ratio:.2f}x){marker}")
-
-
 def check_tails(label, base_cell, cur_cell, threshold, failures):
     """Gate the deterministic latency tails of one matched cell."""
     for field in TAIL_FIELDS:
@@ -283,10 +194,9 @@ def main(argv=None) -> int:
     if args.tail_threshold <= 0:
         parser.error("--tail-threshold must be positive")
 
-    (base_cells, base_total, _, _,
-     base_service, base_curve) = load_cells(args.baseline)
-    (cur_cells, cur_total, cur_measured_tails,
-     cur_speedups, cur_service, cur_curve) = load_cells(args.current)
+    base_cells, base_scalar, _, _, base_service = load_cells(args.baseline)
+    (cur_cells, cur_scalar, cur_measured_tails,
+     cur_speedups, cur_service) = load_cells(args.current)
     if not cur_measured_tails:
         print("  note: current run measured no latency tails "
               "(quick run with span sampling off) — tail gate skipped")
@@ -306,9 +216,6 @@ def main(argv=None) -> int:
             marker = "  <-- REGRESSION"
         print(f"  {label}: {base:,.0f} -> {cur:,.0f} acc/s "
               f"({ratio:.2f}x){marker}")
-        check_batched(label, base_cells[key]["batched_accesses_per_sec"],
-                      cur_cells[key]["batched_accesses_per_sec"],
-                      args.threshold, failures)
         if cur_measured_tails:
             check_tails(label, base_cells[key], cur_cells[key],
                         args.tail_threshold, failures)
@@ -317,8 +224,6 @@ def main(argv=None) -> int:
               f"({cur_cells[key]['accesses_per_sec']:,.0f} acc/s, "
               "no baseline)")
 
-    base_scalar = base_total["accesses_per_sec"]
-    cur_scalar = cur_total["accesses_per_sec"]
     total_ratio = cur_scalar / base_scalar if base_scalar else float("inf")
     marker = ""
     if total_ratio < 1 - args.threshold:
@@ -326,12 +231,8 @@ def main(argv=None) -> int:
         marker = "  <-- REGRESSION"
     print(f"  total: {base_scalar:,.0f} -> {cur_scalar:,.0f} acc/s "
           f"({total_ratio:.2f}x){marker}")
-    check_batched("total", base_total["batched_accesses_per_sec"],
-                  cur_total["batched_accesses_per_sec"],
-                  args.threshold, failures)
     check_mshr_dominance(cur_speedups, failures)
     check_service(base_service, cur_service, args.threshold, failures)
-    check_curve(base_curve, cur_curve, args.threshold, failures)
 
     if failures:
         print(f"FAIL: regression past thresholds "

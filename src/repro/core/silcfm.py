@@ -135,119 +135,6 @@ class SilcFmScheme(MemoryScheme):
             self._release_stale_locks()
 
     # ------------------------------------------------------------------
-    # batch-engine fast path (repro.cpu.batch)
-    # ------------------------------------------------------------------
-    def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Table I rows 1 and 4 without plan construction.
-
-        Handles the steady-state majority shape — serviced from NM, the
-        remap entry in the SRAM metadata cache, no lock transition with
-        data movement, no bypass, no speculative FM read — applying
-        exactly the mutations :meth:`access` would.  Anything else
-        (swaps, installs, restores, metadata DRAM fetches, bypass
-        windows, lock fetches, aging boundaries) declines *before any
-        mutation* and takes the full :meth:`access` path.
-        """
-        monitor = self.monitor
-        config = self.config
-        # ---- pure-read decline checks --------------------------------
-        if self._pending_lock_ops:
-            return None  # drained into this plan's background by access()
-        if (monitor.accesses + 1) % monitor.aging_period == 0:
-            return None  # the tick would age counters / release locks
-        prediction = self.predictor.predict(pc, paddr)
-        has_pred = config.enable_predictor and prediction.way is not None
-        if has_pred and prediction.in_fm:
-            # NM-serviced outcome would add the wasted speculative FM
-            # read to background (or take the perfect-FM branch) — not
-            # a single-op shape.
-            return None
-        space = self.space
-        index = space.subblock_index(paddr)
-        meta_cache = self._meta_cache
-        if paddr < space.nm_bytes:
-            # ---- NM-space: row 4 ------------------------------------
-            way = space.nm_block_of(paddr)
-            frame = self.frames[way]
-            if frame.locked and frame.lock_owner == "fm":
-                return None  # nm-displaced-by-lock: serviced from FM
-            if frame.remap is not None and not frame.locked \
-                    and frame.bitvec >> index & 1:
-                return None  # row 3: swap-back background traffic
-            will_lock = (config.enable_locking and not self._bypassing
-                         and not frame.locked
-                         and min(COUNTER_MAX, frame.nm_count + 1)
-                         >= monitor.hot_threshold)
-            if will_lock and frame.remap is not None:
-                return None  # the lock would restore interleaving first
-            if way not in meta_cache:
-                return None  # metadata fetch stage
-            # ---- accept: apply access()'s mutations -----------------
-            monitor.accesses += 1
-            self._touch(frame)
-            frame.bump_nm()
-            if will_lock:
-                frame.lock("nm")
-                self.locks_acquired += 1
-                if self.telemetry is not None:
-                    self.telemetry.instant("lock", cat="lock", way=way,
-                                           owner="nm")
-            meta_cache.move_to_end(way)
-            self.meta_cache_hits += 1
-        else:
-            # ---- FM-space: row 1 ------------------------------------
-            block = space.block_of(paddr)
-            way = self._frame_of_block.get(block)
-            if way is None:
-                return None  # rows 5/6 (or bypass) — install machinery
-            frame = self.frames[way]
-            if not (frame.locked or frame.bitvec >> index & 1):
-                return None  # row 2: swap-in background traffic
-            if (config.enable_locking and not self._bypassing
-                    and not frame.locked and frame.remap is not None):
-                fm_count = min(COUNTER_MAX, frame.fm_count + 1)
-                if (fm_count >= monitor.hot_threshold
-                        and fm_count >= frame.nm_count
-                        and frame.nm_count < monitor.hot_threshold):
-                    return None  # lock acquisition fetches subblocks
-            if has_pred and prediction.way == way:
-                scan = (way,)
-            else:
-                scan = self._scan_order(way, True, prediction)
-            for w in scan:
-                if w not in meta_cache:
-                    return None  # at least one metadata fetch stage
-            # ---- accept: apply access()'s mutations -----------------
-            monitor.accesses += 1
-            self._touch(frame)
-            frame.bump_fm()
-            hits = 0
-            for w in scan:
-                meta_cache.move_to_end(w)
-                hits += 1
-            self.meta_cache_hits += hits
-        if config.enable_predictor:
-            self.predictor.record_outcome(prediction, way, False)
-            self.predictor.update(pc, paddr, way, False)
-        if config.enable_bypass:
-            self.balancer.record(True)
-        stats = self.stats
-        stats.misses += 1
-        stats.nm_serviced += 1
-        return (True, way * BLOCK_BYTES + index * SUBBLOCK_BYTES,
-                SUBBLOCK_BYTES, False)
-
-    def steady_window_certificate(self, now: float) -> float:
-        """Every SILC-FM state transition — swaps, lock grants/releases,
-        aging ticks, predictor and balancer updates — is driven by the
-        access stream itself (the aging clock counts *accesses*, not
-        cycles), so there is no timed event to fence and the certificate
-        is unbounded.  Accesses whose transition cannot be expressed as
-        the single-op fast shape already re-enter the full plan path via
-        ``access_fast`` returning None."""
-        return float("inf")
-
-    # ------------------------------------------------------------------
     # telemetry (pull-based probes + event hooks)
     # ------------------------------------------------------------------
     def attach_telemetry(self, hub) -> None:

@@ -19,14 +19,22 @@ The stage walk is an explicit state machine on the transaction itself
 ``MemoryRequest.op_done``) rather than a chain of nested closures: one
 transaction object per miss carries everything, and the oracle and
 telemetry hooks fire on its lifecycle events (dispatch, completion).
+The common plan shape — one critical-path op — skips the walk: the
+device completes the transaction directly (``MemoryRequest.fast_done``).
+
+Every placement decision goes through the scheme's ``access`` /
+``writeback`` / ``epoch`` and every device operation through
+``MemoryDevice.access``, looked up at call time, so wrapping any of them
+observes the whole run (the layered benchmark under ``bench/`` does).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from repro.cpu.mshr import COMPLETE, DISPATCHED, STAGING, MemoryRequest
+from repro.cpu.mshr import COMPLETE, DISPATCHED, QUEUED, STAGING, MemoryRequest
 from repro.dram.device import MemoryDevice
 from repro.dram.request import Priority
 from repro.schemes.base import AccessPlan, Level, MemoryScheme
@@ -35,6 +43,9 @@ from repro.telemetry.spans import stage_label
 
 if TYPE_CHECKING:
     from repro.validate.oracle import ValidationOracle
+
+#: recycled compat-mode transactions kept by the controller.
+_TXN_POOL_CAP = 64
 
 
 @dataclass
@@ -97,7 +108,14 @@ class FlatMemoryController:
         #: when span tracing is enabled; None keeps the hot path to
         #: ``is None`` checks on transaction lifecycle events.
         self.spans = None
+        #: scheme miss count at which the dispatch that reaches it halts
+        #: the engine (after the current event) and disarms — how
+        #: ``System.run`` stops exactly at the end of warmup.
+        self.halt_at_misses = math.inf
         self._stall_until = 0.0
+        #: recycled transactions for the compatibility front door
+        #: (``mshr_entries = 0``; with an MSHR file the file owns them).
+        self._pool: List[MemoryRequest] = []
         period = scheme.epoch_period_cycles()
         if period is not None:
             engine.schedule(period, self._run_epoch, period)
@@ -129,7 +147,17 @@ class FlatMemoryController:
                     on_done: Callable[[float], None]) -> None:
         """Compatibility front door (``mshr_entries = 0`` and the
         test-suite): wrap one miss in a single-waiter transaction."""
-        txn = MemoryRequest(paddr, is_write, pc, self._engine.now)
+        now = self._engine.now
+        pool = self._pool
+        if pool:
+            txn = pool.pop()
+            txn.paddr = paddr
+            txn.is_write = is_write
+            txn.pc = pc
+            txn.issue_time = now
+            txn.state = QUEUED
+        else:
+            txn = MemoryRequest(paddr, is_write, pc, now)
         txn.waiters.append(on_done)
         spans = self.spans
         if spans is not None and spans.arrival():
@@ -148,24 +176,36 @@ class FlatMemoryController:
         txn.state = DISPATCHED
         txn.dispatch_time = now
         txn.controller = self
+        scheme = self.scheme
         oracle = self.oracle
         if oracle is not None:
             oracle.before_access(txn.paddr, txn.is_write)
-        plan = self.scheme.access(txn.paddr, txn.is_write, txn.pc)
+        plan = scheme.access(txn.paddr, txn.is_write, txn.pc)
         if oracle is not None:
             oracle.after_access(txn.paddr, txn.is_write, plan)
+        if scheme.stats.misses >= self.halt_at_misses:
+            self.halt_at_misses = math.inf
+            self._engine.halt()
         span = txn.span
         if span is not None:
             span.dispatch(now)
-            span.decide(self.scheme.span_row(plan),
+            span.decide(scheme.span_row(plan),
                         plan.serviced_from.value, plan.bypassed, now)
         txn.plan = plan
-        txn.stages = plan.stages
+        stages = txn.stages = plan.stages
         self._account(plan)
         for op in plan.background:
-            self._issue(op, Priority.BACKGROUND, None)
+            (self._nm if op.level is Level.NM else self._fm).access(
+                op.addr, op.size, op.is_write, Priority.BACKGROUND)
         self.inflight += 1
         txn.state = STAGING
+        if span is None and len(stages) == 1 and len(stages[0]) == 1:
+            # one critical-path op: its completion completes the miss
+            op = stages[0][0]
+            (self._nm if op.level is Level.NM else self._fm).access(
+                op.addr, op.size, op.is_write, Priority.DEMAND,
+                txn.fast_done)
+            return
         txn.stage_index = -1
         self._advance(txn, now)
 
@@ -180,7 +220,8 @@ class FlatMemoryController:
         self.stats.writebacks += 1
         self._account(plan)
         for op in plan.background:
-            self._issue(op, Priority.BACKGROUND, None)
+            (self._nm if op.level is Level.NM else self._fm).access(
+                op.addr, op.size, op.is_write, Priority.BACKGROUND)
 
     # ------------------------------------------------------------------
     def _advance(self, txn: MemoryRequest, when: float) -> None:
@@ -229,13 +270,14 @@ class FlatMemoryController:
         mshr = txn.mshr
         if mshr is not None:
             mshr.release(txn, when)
-        else:
-            for waiter in txn.waiters:
-                waiter(when)
-
-    def _issue(self, op, priority: Priority, on_complete) -> None:
-        device = self._nm if op.level is Level.NM else self._fm
-        device.access(op.addr, op.size, op.is_write, priority, on_complete)
+            return
+        for waiter in txn.waiters:
+            waiter(when)
+        # nothing holds a completed compat transaction: recycle it
+        txn.waiters.clear()
+        pool = self._pool
+        if len(pool) < _TXN_POOL_CAP:
+            pool.append(txn)
 
     def _account(self, plan: AccessPlan) -> None:
         stats = self.stats
@@ -257,7 +299,8 @@ class FlatMemoryController:
         if self.oracle is not None:
             self.oracle.after_epoch(ops)
         for op in ops:
-            self._issue(op, Priority.BACKGROUND, None)
+            (self._nm if op.level is Level.NM else self._fm).access(
+                op.addr, op.size, op.is_write, Priority.BACKGROUND)
             if op.level is Level.NM:
                 self.stats.background_nm_bytes += op.size
             else:

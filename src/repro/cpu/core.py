@@ -74,6 +74,10 @@ class Core:
         #: list's ``pop(0)`` was O(depth) per dirty miss.
         self._dirty_fifo: deque = deque()
         self.stats = CoreStats()
+        #: callbacks bound once — ``self._miss_done`` at a call site
+        #: builds a fresh bound method per miss.
+        self._retire = self._miss_done
+        self._issue_bound = self._issue
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -81,15 +85,17 @@ class Core:
 
     def _advance(self) -> None:
         """Fetch the next trace record and schedule its issue after the
-        compute gap."""
+        compute gap.  The trace is looked up on the instance at every
+        fetch, so a wrapped ``_trace`` sees every record."""
         record = next(self._trace, None)
         if record is None:
             self._draining = True
             self._maybe_finish()
             return
-        self.stats.instructions += record.gap_instr
-        delay = record.gap_instr / self._issue_width
-        self._engine.schedule(delay, self._issue, record)
+        gap = record.gap_instr
+        self.stats.instructions += gap
+        self._engine.schedule(gap / self._issue_width, self._issue_bound,
+                              record)
 
     def _issue(self, record: MemoryAccess) -> None:
         self.stats.accesses += 1
@@ -106,15 +112,21 @@ class Core:
 
     def _issue_miss(self, paddr: int, record: MemoryAccess) -> None:
         self._outstanding += 1
-        self.stats.misses_issued += 1
-        if record.is_write:
-            self._track_dirty(paddr)
-        self._send_miss(paddr, record.is_write, record.pc, self._miss_done)
+        stats = self.stats
+        stats.misses_issued += 1
+        if record.is_write and self._classify is None:
+            # miss-stream mode: queue a future writeback for the dirtied
+            # line (reference mode gets real LLC evictions instead)
+            fifo = self._dirty_fifo
+            fifo.append(paddr)
+            if len(fifo) > DIRTY_FIFO_DEPTH:
+                self._send_writeback(fifo.popleft())
+        self._send_miss(paddr, record.is_write, record.pc, self._retire)
         if self._outstanding < self._max_outstanding:
             self._advance()
         else:
             self._blocked = True
-            self.stats.stall_events += 1
+            stats.stall_events += 1
 
     def _miss_done(self, when: float) -> None:
         self._outstanding -= 1
@@ -122,16 +134,8 @@ class Core:
         if self._blocked:
             self._blocked = False
             self._advance()
-        self._maybe_finish()
-
-    def _track_dirty(self, paddr: int) -> None:
-        """Queue a future writeback for a dirtied line (miss-stream mode;
-        reference mode gets real LLC evictions instead)."""
-        if self._classify is not None:
-            return
-        self._dirty_fifo.append(paddr)
-        if len(self._dirty_fifo) > DIRTY_FIFO_DEPTH:
-            self._send_writeback(self._dirty_fifo.popleft())
+        if self._draining:
+            self._maybe_finish()
 
     def _maybe_finish(self) -> None:
         if self._draining and self._outstanding == 0 and not self.finished:

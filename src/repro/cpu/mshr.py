@@ -126,24 +126,10 @@ class MemoryRequest:
             self.controller._advance(self, when)
 
     def fast_done(self, when: float) -> None:
-        """Device completion callback for the batch engine's single-op
-        fast path: the whole critical path was one device access, so
-        this is ``op_done`` + ``_advance`` + ``_complete`` fused (spans
-        and the oracle are never active on the fast path)."""
-        controller = self.controller
-        controller.inflight -= 1
-        stats = controller.stats
-        stats.misses_completed += 1
-        stats.total_miss_latency += when - self.dispatch_time
-        self.state = COMPLETE
-        self.finish_time = when
-        mshr = self.mshr
-        if mshr is not None:
-            mshr.release(self, when)
-        else:
-            for waiter in self.waiters:
-                waiter(when)
-            controller._recycle(self)
+        """Device completion callback for a plan whose whole critical
+        path is one device access: that access landing completes the
+        transaction (``op_done`` + the stage walk's final step, fused)."""
+        self.controller._complete(self, when)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MemoryRequest(paddr={self.paddr:#x}, "
@@ -228,11 +214,11 @@ class MSHRFile:
         #: (a second read joins the first instead of queueing).
         self._pending_reads: Dict[int, PendingMiss] = {}
         self._draining = False
-        #: recycled MemoryRequest transactions (batch engine only; None
-        #: keeps the scalar reference path's object lifecycle
-        #: untouched).  Enabled via :meth:`enable_pooling`.
-        self._pool: Optional[List[MemoryRequest]] = None
-        self._pool_cap = 0
+        #: recycled MemoryRequest transactions.  More than ``entries``
+        #: can never be live, so the pool never thrashes; the headroom
+        #: covers drains.
+        self._pool: List[MemoryRequest] = []
+        self._pool_cap = entries + 32
         self.stats = MSHRStats()
         #: span recorder (:class:`repro.telemetry.spans.SpanRecorder`)
         #: when span tracing is enabled; None keeps the hot path to one
@@ -247,23 +233,6 @@ class MSHRFile:
     @property
     def pending(self) -> int:
         return len(self._pending)
-
-    def enable_pooling(self, cap: Optional[int] = None) -> None:
-        """Recycle completed transactions through a free pool (batch
-        engine only).
-
-        A transaction is returned to the pool at :meth:`release`, after
-        its waiters have been woken and the pending queue drained —
-        nothing holds a completed transaction past that point (device
-        completions are scheduled, never synchronous, so no event can
-        still carry a stale reference).  Scalar runs never call this,
-        keeping the reference path's allocation behaviour — and thus the
-        honesty of the bench's scalar/batched ratio — unchanged.
-        """
-        self._pool = []
-        # sized to the file plus drain headroom: more than `entries`
-        # transactions can never be live, so the pool never thrashes.
-        self._pool_cap = cap if cap is not None else self.entries + 32
 
     def attach_telemetry(self, hub) -> None:
         """Coalescing/stall meters plus occupancy gauges."""
@@ -370,17 +339,17 @@ class MSHRFile:
             # a nested completion during admission skips this: the outer
             # drain loop re-checks capacity itself.
             self._drain_pending()
+        # nothing holds a completed transaction past this point (device
+        # completions are scheduled, never synchronous, so no event can
+        # still carry a stale reference): recycle it
         pool = self._pool
-        if pool is not None and len(pool) < self._pool_cap:
+        if len(pool) < self._pool_cap:
             txn.waiters.clear()
             txn.span = None
             pool.append(txn)
 
     def _drain_pending(self) -> None:
-        """Admit queued misses (FIFO) into freed entries.  Split out of
-        :meth:`release` so the closed-form evaluator — which inlines the
-        wake loop above — re-enters here only when the queue is actually
-        non-empty (it never is at the MLP-sized default file)."""
+        """Admit queued misses (FIFO) into freed entries."""
         self._draining = True
         try:
             while self._pending and self._occupied < self.entries:

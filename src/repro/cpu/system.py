@@ -18,6 +18,7 @@ Two trace modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -85,26 +86,10 @@ class RunResult:
     # ------------------------------------------------------------------
     # JSON round-trip (the experiment executor's on-disk result cache)
     # ------------------------------------------------------------------
-    #: extras keys that are *observations of the runtime*, not of the
-    #: simulated machine: the two-tier clock attribution counters
-    #: (``cf.*``) and the span-suppression flag.  They differ between
-    #: the scalar and batched twins by construction, so the canonical
-    #: wire/cache form excludes them — exactly like ``telemetry=None``
-    #: omission — keeping every golden and equivalence digest
-    #: byte-identical with observability enabled.
-    _OBSERVATION_PREFIX = "cf."
-    _OBSERVATION_KEYS = frozenset({"spans_suppressed"})
-
-    @classmethod
-    def _is_observation_key(cls, key: str) -> bool:
-        return (key.startswith(cls._OBSERVATION_PREFIX)
-                or key in cls._OBSERVATION_KEYS)
-
     def to_dict(self) -> Dict:
         """A JSON-serialisable dict that :meth:`from_dict` inverts exactly
         (every stats field is an int/float, which ``json`` round-trips
-        bit-identically).  Observation-only extras (``cf.*``,
-        ``spans_suppressed``) are in-memory only and excluded here."""
+        bit-identically)."""
         import dataclasses
 
         data = {
@@ -118,8 +103,7 @@ class RunResult:
             "fm_stats": dataclasses.asdict(self.fm_stats),
             "energy": dataclasses.asdict(self.energy),
             "edp": self.edp,
-            "extras": {k: v for k, v in self.extras.items()
-                       if not self._is_observation_key(k)},
+            "extras": dict(self.extras),
         }
         if self.telemetry is not None:
             data["telemetry"] = self.telemetry
@@ -187,37 +171,7 @@ class System:
 
             self.oracle = ValidationOracle(
                 self.scheme, check_every=config.check_interval)
-        #: batch engine (repro.cpu.batch): vectorized trace generation +
-        #: allocation-lean data plane, bit-identical to the scalar path
-        #: (miss mode only; reference mode always runs scalar).
-        use_batch = config.batch_window > 0 and mode == "miss"
-        self._use_batch = use_batch
-        #: set by the closed-form evaluator if it ever runs with span
-        #: tracing configured: spans would silently record nothing, so
-        #: the condition is surfaced as an explicit ``spans_suppressed``
-        #: extras flag (observation-only; excluded from ``to_dict``).
-        self._spans_suppressed = False
-        #: two-tier clock attribution counters (fused vs generic heap
-        #: dispatch), populated by ``repro.sim.window.run_closed_form``.
-        self.clock_stats = None
-        if use_batch:
-            from repro.cpu.batch import BatchCore, BatchFlatMemoryController
-            from repro.sim.window import ClockStats
-
-            self.clock_stats = ClockStats()
-
-            controller_cls = BatchFlatMemoryController
-            # fuse each channel's queued data plane (instance-level
-            # rebinding; the class-level scalar methods stay untouched,
-            # so scalar runs are unaffected)
-            for device in (self.nm_device, self.fm_device):
-                for channel in device.channels:
-                    channel.enable_turbo()
-                if device.meta_channel is not None:
-                    device.meta_channel.enable_turbo()
-        else:
-            controller_cls = FlatMemoryController
-        self.controller = controller_cls(
+        self.controller = FlatMemoryController(
             self.engine, self.scheme, self.nm_device, self.fm_device,
             oracle=self.oracle)
         #: MSHR file between the cores and the controller; None at the
@@ -228,10 +182,6 @@ class System:
         if config.mshr_entries > 0:
             self.mshr = MSHRFile(
                 self.engine, config.mshr_entries, self.controller)
-            if use_batch:
-                # batch data plane recycles transactions; the scalar
-                # reference path keeps its per-miss allocations.
-                self.mshr.enable_pooling()
         send_miss = (self.mshr.issue if self.mshr is not None
                      else self.controller.handle_miss)
         self.hierarchy = (
@@ -250,19 +200,6 @@ class System:
             table = PageTable(allocator, asid=core_id)
             self.page_tables.append(table)
             model = WorkloadModel(spec, seed=seed * 1000 + core_id)
-            if use_batch:
-                core = BatchCore(
-                    self.engine, core_id,
-                    model.miss_batches(misses_per_core, config.batch_window),
-                    issue_width=config.core.issue_width,
-                    max_outstanding=config.core.max_outstanding_misses,
-                    translate=table.translate,
-                    send_miss=send_miss,
-                    send_writeback=self.controller.handle_writeback,
-                    on_finished=self._core_finished,
-                )
-                self.cores.append(core)
-                continue
             if mode == "miss":
                 trace = model.miss_stream(misses_per_core)
                 classify = None
@@ -329,20 +266,6 @@ class System:
                   lambda: sum(c.stats.stall_events for c in cores))
         hub.gauge("cpu.finished_cores",
                   lambda: float(sum(c.finished for c in cores)))
-        if (self.clock_stats is not None and self.oracle is None
-                and self.config.span_sample_rate == 0):
-            # two-tier clock attribution, only when the closed-form
-            # evaluator can actually engage (batch mode, no spans, no
-            # oracle — the construction-time half of System.run's
-            # use_cf gate).  Span/oracle runs keep generic dispatch, so
-            # registering always-zero clock.* meters there would only
-            # break their telemetry digest against the scalar twin.
-            clock = self.clock_stats
-            ctrl = self.controller
-            hub.meter("clock.fused", lambda: clock.fused)
-            hub.meter("clock.generic", lambda: clock.generic)
-            hub.meter("clock.fast_accepted", lambda: ctrl.fast_accepted)
-            hub.meter("clock.fast_declined", lambda: ctrl.fast_declined)
         # sampler stops with the cores so it cannot keep a drained
         # simulation alive (or mask a lost-completion-callback bug)
         hub.attach(self.engine,
@@ -380,12 +303,18 @@ class System:
     def run(self, max_events: Optional[int] = None) -> RunResult:
         """Run the engine until every core retires its whole trace.
 
-        The warmup region steps event-by-event (the reset point depends
-        on a per-event miss-count check); the steady-state region runs
-        inside ``Engine.run``'s fast dispatch loop and halts the moment
-        the last core finishes.  ``max_events`` uses the engine's
-        watchdog semantics: exactly ``max_events`` dispatches are
-        allowed, dispatching one more raises.
+        Both regions run inside ``Engine.run``'s dispatch loop: the
+        warmup region halts right after the event whose scheme dispatch
+        reaches the warmup miss count (the count moves nowhere else, so
+        that is where a per-event check would fire), the steady-state
+        region the moment the last core finishes.  ``max_events`` uses
+        the engine's watchdog semantics: exactly ``max_events``
+        dispatches are allowed, dispatching one more raises.
+
+        Cyclic garbage collection is suspended for the run: the data
+        plane recycles its hot objects, so collector passes over the
+        event loop are pure overhead (reference counting still frees
+        everything, and no simulation state observes the collector).
         """
         import gc
 
@@ -393,88 +322,31 @@ class System:
             core.start()
         engine = self.engine
         total = len(self.cores)
-        dispatched = 0
-        warming = self._warmup_misses > 0
-        # the batch data plane recycles its hot objects, so cyclic-GC
-        # passes over the event loop are pure overhead; collection is
-        # suspended for the run (refcount frees are unaffected, and no
-        # simulation state observes the collector).
-        collecting = self._use_batch and gc.isenabled()
+        budget = max_events
+        collecting = gc.isenabled()
         if collecting:
             gc.disable()
-        #: two-tier clock (repro.sim.window): the closed-form window
-        #: evaluator replaces Engine.run's generic dispatch whenever the
-        #: dense-shape transcriptions apply — batch mode with no oracle,
-        #: no span tracing, and no watchdog (the evaluator has no
-        #: max_events accounting; validation runs keep generic dispatch).
-        use_cf = (self._use_batch and max_events is None
-                  and self.oracle is None and self.spans is None)
-        if use_cf:
-            from repro.sim.window import run_closed_form
-        elif self._use_batch:
-            from repro.obs import log as obs_log
-
-            obs_log.get_logger("repro.cpu.system").debug(
-                "closed_form_disabled",
-                scheme=self.scheme.name,
-                spans=self.spans is not None,
-                oracle=self.oracle is not None,
-                watchdog=max_events is not None,
-            )
         try:
-            if warming and self._use_batch and max_events is None:
-                # batch engine: the warmup reset point is a *miss-count*
-                # crossing, which only ever moves inside a demand-dispatch
-                # event — so the controller halts the fast loop at the
-                # crossing event instead of the per-event step-and-check
-                # loop.  The engine state at the reset is identical:
-                # Engine.run stops right after the event during which the
-                # count crossed, exactly where the step loop's check
-                # would have fired.
-                self.controller.arm_warmup_halt(self._warmup_misses)
-                if use_cf:
-                    # the evaluator performs the wrapper's check inline
-                    # on fused dispatches; the armed wrapper still
-                    # covers generically-dispatched ones.
-                    run_closed_form(self, self._warmup_misses)
-                else:
-                    engine.run()
-                self._check_warmup()
-                if self._warmup_done_at is None:
-                    raise SimulationError(
-                        f"event queue drained with {total - self._finished}"
-                        " cores unfinished (lost completion callback?)"
-                    )
-                warming = False
-            while warming and self._finished < total:
-                if max_events is not None and dispatched >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a livelock"
-                    )
-                if not engine.step():
-                    raise SimulationError(
-                        f"event queue drained with {total - self._finished}"
-                        " cores unfinished (lost completion callback?)"
-                    )
-                dispatched += 1
-                self._check_warmup()
-                warming = self._warmup_done_at is None
-            if self._finished < total:
-                self._halt_on_done = True
+            self._halt_on_done = True
+            if self._warmup_misses > 0:
+                self.controller.halt_at_misses = self._warmup_misses
+                before = engine.events_dispatched
                 try:
-                    if use_cf:
-                        run_closed_form(self)
-                    else:
-                        engine.run(max_events=(None if max_events is None
-                                               else max_events - dispatched))
+                    engine.run(max_events=budget)
                 finally:
-                    self._halt_on_done = False
-                if self._finished < total:
-                    raise SimulationError(
-                        f"event queue drained with {total - self._finished}"
-                        " cores unfinished (lost completion callback?)"
-                    )
+                    self.controller.halt_at_misses = math.inf
+                if budget is not None:
+                    budget -= engine.events_dispatched - before
+                self._check_warmup()
+            if self._finished < total:
+                engine.run(max_events=budget)
+            if self._finished < total:
+                raise SimulationError(
+                    f"event queue drained with {total - self._finished}"
+                    " cores unfinished (lost completion callback?)"
+                )
         finally:
+            self._halt_on_done = False
             if collecting:
                 gc.enable()
         finish = max(core.stats.finish_time for core in self.cores)
@@ -516,20 +388,6 @@ class System:
                 self.mshr.stats.structural_stalls)
             extras["mshr_peak_occupancy"] = float(
                 self.mshr.stats.peak_occupancy)
-        if self.clock_stats is not None:
-            # two-tier clock attribution (observation-only keys: the
-            # ``cf.`` prefix is excluded from ``to_dict``, so the cached
-            # wire form of a batched run still matches its scalar twin)
-            ctrl = self.controller
-            consults = ctrl.fast_accepted + ctrl.fast_declined
-            if self.clock_stats.dispatched or consults:
-                extras.update(self.clock_stats.as_extras())
-                extras["cf.fast_accepted"] = float(ctrl.fast_accepted)
-                extras["cf.fast_declined"] = float(ctrl.fast_declined)
-                if consults:
-                    extras["cf.decline_rate"] = ctrl.fast_declined / consults
-        if self._spans_suppressed:
-            extras["spans_suppressed"] = 1.0
         telemetry_snap = None
         if self.telemetry is not None:
             telemetry_snap = self.telemetry.snapshot()

@@ -33,7 +33,14 @@ class Bank:
     """
 
     def __init__(self, timings: DRAMTimings) -> None:
-        self._t = timings
+        cpm = timings.cpu_cycles_per_mem
+        # timing parameters in CPU cycles, scaled once: ``prepare`` runs
+        # per DRAM transfer
+        self._rcd = timings.t_rcd * cpm
+        self._ras = timings.t_ras * cpm
+        self._rp = timings.t_rp * cpm
+        self._ccd = timings.t_ccd * cpm
+        self._cas = timings.t_cas * cpm
         self.open_row: Optional[int] = None
         #: earliest CPU-cycle time the bank can accept its next command
         #: (successive CAS to an open row pipeline at the column-to-
@@ -51,89 +58,26 @@ class Bank:
         burst) later, so a hot row streams at bus rate.  Closed bank:
         tRCD + tCAS.  Conflict: wait out tRAS, then tRP + tRCD + tCAS.
         """
-        cpm = self._t.cpu_cycles_per_mem
-        start = max(now, self.ready)
-        if self.open_row == row:
+        ready = self.ready
+        start = now if now > ready else ready
+        open_row = self.open_row
+        if open_row == row:
             self.stats.row_hits += 1
             cas_at = start
-        elif self.open_row is None:
+        elif open_row is None:
             self.stats.row_closed += 1
             self._activated_at = start
-            cas_at = start + self._t.t_rcd * cpm
+            cas_at = start + self._rcd
         else:
             self.stats.row_conflicts += 1
-            precharge_at = max(start, self._activated_at + self._t.t_ras * cpm)
-            activate_at = precharge_at + self._t.t_rp * cpm
+            precharge_at = self._activated_at + self._ras
+            if start > precharge_at:
+                precharge_at = start
+            activate_at = precharge_at + self._rp
             self._activated_at = activate_at
-            cas_at = activate_at + self._t.t_rcd * cpm
+            cas_at = activate_at + self._rcd
         self.open_row = row
         # the bank can take its next CAS one column gap (tCCD) after
         # this one, so an open row streams at the bus rate.
-        self.ready = cas_at + self._t.t_ccd * cpm
-        return cas_at + self._t.t_cas * cpm
-
-    # ------------------------------------------------------------------
-    # two-tier clock support (repro.sim.window / repro.dram.batch): the
-    # closed-form window evaluator advances bank state in window-sized
-    # steps; these helpers make that an explicit, tested protocol
-    # instead of ad-hoc attribute pokes.
-    # ------------------------------------------------------------------
-    def snapshot(self) -> tuple:
-        """The complete timing state ``prepare`` reads or writes —
-        ``(open_row, ready, activated_at)``.  Counters are excluded:
-        they accumulate monotonically and are never rolled back."""
-        return (self.open_row, self.ready, self._activated_at)
-
-    def restore(self, state: tuple) -> None:
-        """Reinstate a :meth:`snapshot` — exact, including the float
-        bit patterns (the tuple holds the original objects)."""
-        self.open_row, self.ready, self._activated_at = state
-
-    def prepare_window(self, row: int, count: int, now: float) -> list:
-        """Advance-by-window: fold ``count`` same-row accesses arriving
-        together at ``now`` and return each access's data-ready time.
-
-        Bit-identical to ``count`` sequential :meth:`prepare` calls:
-        after the first access the row is open and the bank's ready
-        time (one tCCD past the last CAS) always exceeds ``now``, so
-        every later access is a row hit whose CAS is the previous CAS
-        plus one column gap.  That ``cas += ccd`` chain is replayed
-        with ``np.add.accumulate`` — a strictly left-to-right scan, so
-        the float rounding matches the scalar loop exactly (a closed
-        form ``cas1 + i*ccd`` would not, float addition being
-        non-associative).
-        """
-        cpm = self._t.cpu_cycles_per_mem
-        ccd = self._t.t_ccd * cpm
-        cas_extra = self._t.t_cas * cpm
-        start = max(now, self.ready)
-        if self.open_row == row:
-            self.stats.row_hits += 1
-            cas1 = start
-        elif self.open_row is None:
-            self.stats.row_closed += 1
-            self._activated_at = start
-            cas1 = start + self._t.t_rcd * cpm
-        else:
-            self.stats.row_conflicts += 1
-            precharge_at = max(start,
-                               self._activated_at + self._t.t_ras * cpm)
-            activate_at = precharge_at + self._t.t_rp * cpm
-            self._activated_at = activate_at
-            cas_at = activate_at + self._t.t_rcd * cpm
-            cas1 = cas_at
-        self.open_row = row
-        rest = count - 1
-        if rest == 0:
-            self.ready = cas1 + ccd
-            return [cas1 + cas_extra]
-        import numpy as np
-
-        self.stats.row_hits += rest
-        steps = np.empty(count, dtype=np.float64)
-        steps[0] = cas1
-        steps[1:] = ccd
-        cas = np.add.accumulate(steps)
-        ready = cas + cas_extra
-        self.ready = float(cas[rest]) + ccd
-        return [float(r) for r in ready]
+        self.ready = cas_at + self._ccd
+        return cas_at + self._cas

@@ -12,6 +12,14 @@ serialise on the bank — the two effects the evaluation depends on.
 Scheduling policy (FR-FCFS with priority classes): demand requests beat
 background (swap/migration) traffic; within a class, row-buffer hits are
 preferred; ties go to the oldest request.
+
+Every DRAM transfer of a run passes through here, so the data plane is
+written for the interpreter: submit, pick and issue share one frame
+with the hot state in locals, and queued requests are recycled through
+a small free pool.  An idle channel's transfer skips the queue
+altogether: :meth:`repro.dram.device.MemoryDevice.access` starts its
+burst directly (the FR-FCFS pick of a one-entry queue is that entry)
+and completes it through :meth:`Channel._complete_idle`.
 """
 
 from __future__ import annotations
@@ -19,12 +27,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.dram.bank import Bank
 from repro.dram.request import DRAMRequest, Priority
 from repro.dram.timing import DRAMTimings
-from repro.sim import faults
 from repro.sim.engine import Engine
 
 
@@ -77,9 +84,21 @@ class Channel:
     #: scheduler's window is similarly bounded; this also keeps the pick
     #: cost O(window) under deep backlogs).
     scheduler_window = 32
-    #: DRAMRequest free pool — a list on turbo channels (see
-    #: ``enable_turbo``), None on scalar channels.
-    _req_pool = None
+    #: how many demand requests are served for each background request
+    #: when both queues are non-empty.  Background (swap/migration/
+    #: writeback) traffic is deprioritised but NOT starved: migration
+    #: bandwidth competing with demand is the effect the paper's
+    #: PoM-vs-subblocking comparison rests on.
+    background_share = 4
+    #: oldest-request age (CPU cycles) beyond which FR-FCFS stops
+    #: reordering past it — the standard starvation cap that keeps an
+    #: endlessly row-hitting stream from blocking a row-miss forever.
+    #: Loose enough that it only fires on genuine starvation, not on
+    #: ordinary backlog (row batching is what keeps conflict-heavy
+    #: streams from spiralling).
+    starvation_cap = 2500.0
+    #: recycled DRAMRequest objects kept per channel.
+    _REQ_POOL_CAP = 64
 
     def __init__(self, engine: Engine, timings: DRAMTimings) -> None:
         self._engine = engine
@@ -93,10 +112,18 @@ class Channel:
         self.refreshes = 0
         self.stats = ChannelStats()
         #: conversion factor and per-size burst durations, cached off the
-        #: timing properties — ``_issue`` runs once per DRAM request and
-        #: the formulas are pure in ``size``.
+        #: timing properties — the formulas are pure in ``size``.
         self._cpm = timings.cpu_cycles_per_mem
         self._burst_cpu_cycles: dict = {}
+        #: request free pool: ``_complete`` recycles,
+        #: ``MemoryDevice.access`` re-acquires.  A request is dead once
+        #: its completion callback has its payload — nothing reads it
+        #: afterwards.
+        self._req_pool: list = []
+        #: completion callbacks bound once — a ``schedule_at`` call site
+        #: builds a fresh bound method per event otherwise.
+        self._complete_bound = self._complete
+        self._complete_idle_bound = self._complete_idle
         if timings.t_refi > 0:
             engine.schedule(timings.t_refi * self._cpm, self._refresh)
 
@@ -116,23 +143,6 @@ class Channel:
         self.refreshes += 1
         self._engine.schedule(self._t.t_refi * cpm, self._refresh)
 
-    #: how many demand requests are served for each background request
-    #: when both queues are non-empty.  Background (swap/migration/
-    #: writeback) traffic is deprioritised but NOT starved: migration
-    #: bandwidth competing with demand is the effect the paper's
-    #: PoM-vs-subblocking comparison rests on.
-    background_share = 4
-
-    def submit(self, request: DRAMRequest) -> None:
-        """Enqueue a request; it completes via ``request.on_complete``."""
-        queue = (self._demand_queue if request.priority == Priority.DEMAND
-                 else self._background_queue)
-        queue.append(request)
-        depth = len(self._demand_queue) + len(self._background_queue)
-        if depth > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = depth
-        self._try_issue()
-
     @property
     def queue_depth(self) -> int:
         return len(self._demand_queue) + len(self._background_queue)
@@ -141,179 +151,8 @@ class Channel:
         return self._banks[index]
 
     # ------------------------------------------------------------------
-    def _try_issue(self) -> None:
-        while ((self._demand_queue or self._background_queue)
-               and self._inflight < self.pipeline_depth):
-            request = self._pick()
-            self._issue(request)
-
-    #: oldest-request age (CPU cycles) beyond which FR-FCFS stops
-    #: reordering past it — the standard starvation cap that keeps an
-    #: endlessly row-hitting stream from blocking a row-miss forever.
-    #: Loose enough that it only fires on genuine starvation, not on
-    #: ordinary backlog (row batching is what keeps conflict-heavy
-    #: streams from spiralling).
-    starvation_cap = 2500.0
-
-    def _pick(self) -> DRAMRequest:
-        """FR-FCFS within the scheduler window.  Demand is preferred over
-        background traffic at a ``background_share`` ratio, so migrations
-        are delayed under load but still consume real bandwidth."""
-        if not self._demand_queue:
-            queue = self._background_queue
-        elif not self._background_queue:
-            queue = self._demand_queue
-        else:
-            self._picks += 1
-            if self._picks % (self.background_share + 1) == 0:
-                queue = self._background_queue
-            else:
-                queue = self._demand_queue
-        best_index = 0
-        if self._engine.now - queue[0].arrival < self.starvation_cap:
-            limit = min(len(queue), self.scheduler_window)
-            for i in range(limit):
-                req = queue[i]
-                if self._banks[req.coords.bank].open_row == req.coords.row:
-                    best_index = i
-                    break
-        best = queue[best_index]
-        del queue[best_index]
-        return best
-
-    def _issue(self, request: DRAMRequest) -> None:
-        now = self._engine.now
-        bank = self._banks[request.coords.bank]
-        data_ready = bank.prepare(request.coords.row, now)
-        data_start = max(data_ready, self._bus_free)
-        burst = self._burst_cpu_cycles.get(request.size)
-        if burst is None:
-            burst = self._t.burst_mem_cycles(request.size) * self._cpm
-            self._burst_cpu_cycles[request.size] = burst
-        completion = data_start + burst
-        self._bus_free = completion
-        self._inflight += 1
-        self.stats.bus_busy_cycles += burst
-        self.stats.total_queue_wait += data_start - request.arrival
-        if request.span is not None:
-            # attribute the queue/service split to the sampled request:
-            # everything before the data starts moving (bank preparation,
-            # bus contention, scheduler backlog) is queueing, the burst
-            # itself is service
-            request.span.add_dram(data_start - request.arrival, burst)
-        self._engine.schedule_at(completion, self._complete, request)
-
-    # ------------------------------------------------------------------
-    # batch-engine fast paths (repro.cpu.batch).  The scalar path above
-    # never calls these; equivalence of the two is gated by
-    # tests/integration/test_batch_equivalence.py.
-    # ------------------------------------------------------------------
-    def can_accept_fast(self, count: int) -> bool:
-        """True when ``count`` chunks could issue immediately: nothing
-        queued (so FR-FCFS has no reordering decision to make) and the
-        in-flight window has room for all of them."""
-        return (not self._demand_queue and not self._background_queue
-                and self._inflight + count <= self.pipeline_depth)
-
-    def submit_fast(self, bank_index: int, row: int, size: int,
-                    is_write: bool, is_demand: bool, on_complete) -> bool:
-        """Single-chunk fast path: issue immediately, skipping request
-        construction and the scheduler pick.
-
-        Only legal when the queues are empty and the pipeline has room —
-        then ``submit`` would enqueue, ``_pick`` would trivially select
-        this request, and ``_issue`` would compute exactly the timing
-        below.  Returns False (touching nothing) when ineligible; the
-        caller falls back to the queued ``submit`` path.
-        """
-        if (self._demand_queue or self._background_queue
-                or self._inflight >= self.pipeline_depth):
-            return False
-        stats = self.stats
-        if stats.max_queue_depth < 1:
-            stats.max_queue_depth = 1  # submit would have seen depth 1
-        now = self._engine.now
-        if faults.ACTIVE is not None:
-            data_ready = faults.bank_prepare(self._banks[bank_index], row, now)
-        else:
-            data_ready = self._banks[bank_index].prepare(row, now)
-        data_start = data_ready if data_ready > self._bus_free else self._bus_free
-        burst = self._burst_cpu_cycles.get(size)
-        if burst is None:
-            burst = self._t.burst_mem_cycles(size) * self._cpm
-            self._burst_cpu_cycles[size] = burst
-        completion = data_start + burst
-        self._bus_free = completion
-        self._inflight += 1
-        stats.bus_busy_cycles += burst
-        stats.total_queue_wait += data_start - now
-        self._engine.schedule_at(completion, self._complete_fast, size,
-                                 is_write, is_demand, on_complete)
-        return True
-
-    def issue_window(self, chunks):
-        """Claim bank/bus/pipeline state for an ordered window of
-        ``(bank, row, size)`` chunks and return the completion time of
-        each.
-
-        The caller must have checked ``can_accept_fast(len(chunks))``
-        (all-or-nothing: a partially issued window could not fall back)
-        and schedules the ``_complete_fast`` events itself — in the
-        *global* chunk order of the whole access, not per channel, so
-        equal-time completion events fire in the same order the scalar
-        submit loop would have scheduled them.  Timing is computed by
-        the vectorized kernel (:func:`repro.dram.batch.window_timing`).
-        """
-        from repro.dram.batch import window_timing
-
-        stats = self.stats
-        if stats.max_queue_depth < 1:
-            stats.max_queue_depth = 1
-        completions = window_timing(self, chunks, self._engine.now)
-        self._inflight += len(chunks)
-        return completions
-
-    # ------------------------------------------------------------------
-    # batch-engine fused queued path ("turbo").  Same machinery as
-    # submit/_try_issue/_pick/_issue/_complete above with the method
-    # boundaries removed and hot state in locals: one LLC miss through a
-    # backlogged channel costs ~100 Python calls on the scalar path and
-    # the bench regime is queue-bound, so the batch engine's speedup
-    # lives or dies on this loop.  Enabled per *instance* by
-    # ``enable_turbo`` (scalar runs never see it); behaviour is
-    # bit-identical and gated by tests/integration/test_batch_equivalence.
-    # ------------------------------------------------------------------
-    #: recycled DRAMRequest objects kept per turbo channel.
-    _REQ_POOL_CAP = 64
-
-    def enable_turbo(self) -> None:
-        """Rebind this channel's queued path to the fused twins (batch
-        runs only; the class-level scalar methods stay untouched)."""
-        t = self._banks[0]._t
-        cpm = t.cpu_cycles_per_mem
-        # Bank.prepare's cpm-scaled latencies, precomputed from the same
-        # operands so every float in the inlined twin is bit-identical.
-        self._turbo_rcd = t.t_rcd * cpm
-        self._turbo_ras = t.t_ras * cpm
-        self._turbo_rp = t.t_rp * cpm
-        self._turbo_ccd = t.t_ccd * cpm
-        self._turbo_cas = t.t_cas * cpm
-        #: request free pool: ``_complete_turbo`` recycles, the batch
-        #: dispatcher (``MemoryDevice.access_turbo``) re-acquires.  A
-        #: request is dead once its completion callback has run —
-        #: nothing reads it afterwards — so recycling at completion is
-        #: safe.  None on scalar channels (never enabled).
-        self._req_pool = []
-        #: completion callbacks bound once — a ``schedule_at`` call site
-        #: builds a fresh bound method per event otherwise.
-        self._complete_turbo_bound = self._complete_turbo
-        self._complete_fast_bound = self._complete_fast
-        self.submit = self._submit_turbo
-        self._try_issue = self._try_issue_turbo
-
-    def _submit_turbo(self, request: DRAMRequest) -> None:
-        """Fused ``submit``: enqueue, watermark, then drain eligibility
-        in one frame."""
+    def submit(self, request: DRAMRequest) -> None:
+        """Enqueue a request; it completes via ``request.on_complete``."""
         dq = self._demand_queue
         bq = self._background_queue
         (dq if request.priority == Priority.DEMAND else bq).append(request)
@@ -322,17 +161,29 @@ class Channel:
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
         if self._inflight < self.pipeline_depth:
-            self._try_issue_turbo()
+            self._try_issue()
 
-    def _try_issue_turbo(self) -> None:
-        """Fused ``_try_issue`` + ``_pick`` + ``_issue``.
+    def burst_cycles(self, size: int) -> float:
+        """CPU cycles the data bus is busy moving ``size`` bytes (cached
+        per size in ``_burst_cpu_cycles``)."""
+        burst = self._t.burst_mem_cycles(size) * self._cpm
+        self._burst_cpu_cycles[size] = burst
+        return burst
 
-        State (bus chain, in-flight count, float stat accumulators) is
-        held in locals across the drain loop and written back once; the
-        adds replay in the scalar order, so the float results are
-        bit-identical.  No callback runs inside the loop (completions
-        are scheduled, not invoked), so nothing can observe or mutate
-        the cached state mid-drain.
+    # ------------------------------------------------------------------
+    def _try_issue(self) -> None:
+        """Issue queued requests while the pipeline has room: pick by
+        FR-FCFS within the scheduler window (demand over background at
+        the ``background_share`` ratio, so migrations are delayed under
+        load but still consume real bandwidth), prepare the bank, then
+        chain the burst onto the bus.
+
+        The bus chain, in-flight count and float stat accumulators live
+        in locals across the loop and are written back once; the adds
+        run in issue order, so every float is what per-request updates
+        would give.  No callback runs inside the loop (completions are
+        scheduled, not invoked), so nothing can observe the cached state
+        mid-drain.
         """
         dq = self._demand_queue
         bq = self._background_queue
@@ -352,14 +203,8 @@ class Channel:
         cap = self.starvation_cap
         share = self.background_share + 1
         schedule_at = engine.schedule_at
-        complete = self._complete_turbo_bound
-        rcd = self._turbo_rcd
-        ras = self._turbo_ras
-        rp = self._turbo_rp
-        ccd = self._turbo_ccd
-        cas = self._turbo_cas
+        complete = self._complete_bound
         while (dq or bq) and inflight < depth_limit:
-            # -- pick (FR-FCFS within the window, demand over background)
             if not dq:
                 queue = bq
             elif not bq:
@@ -384,46 +229,23 @@ class Channel:
                 del queue[best_index]
             else:
                 best = queue.popleft()
-            # -- issue (Bank.prepare inlined, then the bus chain); the
-            # precomputed cpm-scaled latencies keep every float the
-            # scalar expression's
             coords = best.coords
-            bank = banks[coords.bank]
-            row = coords.row
-            ready = bank.ready
-            start = now if now > ready else ready
-            open_row = bank.open_row
-            bank_stats = bank.stats
-            if open_row == row:
-                bank_stats.row_hits += 1
-                cas_at = start
-            elif open_row is None:
-                bank_stats.row_closed += 1
-                bank._activated_at = start
-                cas_at = start + rcd
-            else:
-                bank_stats.row_conflicts += 1
-                precharge_at = bank._activated_at + ras
-                if start > precharge_at:
-                    precharge_at = start
-                activate_at = precharge_at + rp
-                bank._activated_at = activate_at
-                cas_at = activate_at + rcd
-            bank.open_row = row
-            bank.ready = cas_at + ccd
-            data_ready = cas_at + cas
+            data_ready = banks[coords.bank].prepare(coords.row, now)
             data_start = data_ready if data_ready > bus_free else bus_free
             size = best.size
             burst = bursts.get(size)
             if burst is None:
-                burst = self._t.burst_mem_cycles(size) * self._cpm
-                bursts[size] = burst
+                burst = self.burst_cycles(size)
             completion = data_start + burst
             bus_free = completion
             inflight += 1
             busy += burst
             qwait += data_start - best.arrival
             if best.span is not None:
+                # attribute the queue/service split to the sampled
+                # request: everything before the data starts moving
+                # (bank preparation, bus contention, scheduler backlog)
+                # is queueing, the burst itself is service
                 best.span.add_dram(data_start - best.arrival, burst)
             schedule_at(completion, complete, best)
         self._bus_free = bus_free
@@ -431,10 +253,12 @@ class Channel:
         stats.bus_busy_cycles = busy
         stats.total_queue_wait = qwait
 
-    def _complete_turbo(self, request: DRAMRequest) -> None:
-        """Fused ``_complete`` for turbo-issued requests.  The trailing
-        drain reloads channel state (the completion callback may have
-        submitted to this very channel)."""
+    def _complete(self, request: DRAMRequest) -> None:
+        """A queued request's burst finished.  The request goes back to
+        the pool before its callback runs: the callback may submit again
+        (and re-acquire this very object) but never reads the completed
+        request — its payload is already in locals.  The trailing drain
+        reloads channel state, which the callback may have changed."""
         request.completed_at = now = self._engine.now
         self._inflight -= 1
         stats = self.stats
@@ -451,10 +275,7 @@ class Channel:
             stats.background_bytes += size
         on_complete = request.on_complete
         pool = self._req_pool
-        if pool is not None and len(pool) < self._REQ_POOL_CAP:
-            # recycle before the callback runs: the callback may submit
-            # again (and re-acquire this very object) but can never read
-            # the completed request — its payload is already in locals.
+        if len(pool) < self._REQ_POOL_CAP:
             request.on_complete = None
             request.span = None
             pool.append(request)
@@ -462,12 +283,12 @@ class Channel:
             on_complete(now)
         if ((self._demand_queue or self._background_queue)
                 and self._inflight < self.pipeline_depth):
-            self._try_issue_turbo()
+            self._try_issue()
 
-    def _complete_fast(self, size: int, is_write: bool, is_demand: bool,
+    def _complete_idle(self, size: int, is_write: bool, priority: Priority,
                        on_complete) -> None:
-        """Completion twin of ``_complete`` for fast-path chunks (no
-        request object to stamp)."""
+        """``_complete`` for a transfer issued by an idle channel (no
+        request object to stamp or recycle)."""
         self._inflight -= 1
         stats = self.stats
         if is_write:
@@ -476,7 +297,7 @@ class Channel:
         else:
             stats.reads += 1
             stats.bytes_read += size
-        if is_demand:
+        if priority == Priority.DEMAND:
             stats.demand_bytes += size
         else:
             stats.background_bytes += size
@@ -484,20 +305,3 @@ class Channel:
             on_complete(self._engine.now)
         if self._demand_queue or self._background_queue:
             self._try_issue()
-
-    def _complete(self, request: DRAMRequest) -> None:
-        request.completed_at = self._engine.now
-        self._inflight -= 1
-        if request.is_write:
-            self.stats.writes += 1
-            self.stats.bytes_written += request.size
-        else:
-            self.stats.reads += 1
-            self.stats.bytes_read += request.size
-        if request.priority == Priority.DEMAND:
-            self.stats.demand_bytes += request.size
-        else:
-            self.stats.background_bytes += request.size
-        if request.on_complete is not None:
-            request.on_complete(self._engine.now)
-        self._try_issue()

@@ -14,7 +14,6 @@ from repro.dram.channel import Channel, ChannelStats
 from repro.dram.mapping import CHANNEL_INTERLEAVE_BYTES, AddressMapper, DRAMCoordinates
 from repro.dram.request import DRAMRequest, Priority
 from repro.dram.timing import DRAMTimings
-from repro.sim import faults
 from repro.sim.engine import Engine
 
 
@@ -40,8 +39,8 @@ class MemoryDevice:
         #: of the data channels' way — Section III-D).
         self.metadata_base = metadata_base
         self.meta_channel = Channel(engine, timings) if metadata_base else None
-        #: geometry cached as plain ints for the batch fast path (the
-        #: mapper's method-call-per-chunk cost is what it avoids).
+        #: geometry cached as plain ints for ``access``'s inline mapping
+        #: (the mapper's method-call-per-access cost is what it avoids).
         self._nchan = timings.channels
         self._banks_per_ch = timings.banks
         self._row_bytes = timings.row_bytes
@@ -56,180 +55,36 @@ class MemoryDevice:
         ``on_complete(time)`` fires once, after every chunk has finished.
         ``span``, when given, rides every chunk so the channels can
         attribute queue vs service cycles to the sampled request.
+
+        The common case — one interleave unit (demand subblock reads) or
+        one metadata entry — is mapped and issued in this one frame:
+        an idle channel (nothing queued, pipeline room) starts the burst
+        at once, because its FR-FCFS pick would be this transfer, and a
+        busy one queues a recycled request.  Larger accesses queue one
+        request per chunk.
         """
-        if not 0 <= addr < self.capacity_bytes:
-            raise ValueError(
-                f"address {addr:#x} outside {self.name} capacity "
-                f"{self.capacity_bytes:#x}"
-            )
-        if size <= 0:
-            raise ValueError("size must be positive")
-        if addr + size > self.capacity_bytes:
-            raise ValueError("access crosses end of device")
-
-        if self.metadata_base is not None and addr >= self.metadata_base:
-            self._access_metadata(addr, size, is_write, priority,
-                                  on_complete, span)
-            return
-
-        # Fast path: the access fits in one interleave unit (the common
-        # case — demand subblock reads), so there is exactly one chunk
-        # and ``on_complete`` can ride on the request directly instead
-        # of going through a countdown closure.
-        if addr % CHANNEL_INTERLEAVE_BYTES + size <= CHANNEL_INTERLEAVE_BYTES:
-            coords = self._mapper.map(addr)
-            request = DRAMRequest(
-                addr=addr,
-                size=size,
-                is_write=is_write,
-                priority=priority,
-                arrival=self._engine.now,
-                coords=coords,
-                on_complete=on_complete,
-                span=span,
-            )
-            self.channels[coords.channel].submit(request)
-            return
-
-        chunks = self._chunks(addr, size)
-        remaining = len(chunks)
-
-        def chunk_done(when: float) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0 and on_complete is not None:
-                on_complete(when)
-
-        for chunk_addr, chunk_size in chunks:
-            coords = self._mapper.map(chunk_addr)
-            request = DRAMRequest(
-                addr=chunk_addr,
-                size=chunk_size,
-                is_write=is_write,
-                priority=priority,
-                arrival=self._engine.now,
-                coords=coords,
-                on_complete=chunk_done,
-                span=span,
-            )
-            self.channels[coords.channel].submit(request)
-
-    # ------------------------------------------------------------------
-    def access_fast(self, addr: int, size: int, is_write: bool,
-                    is_demand: bool,
-                    on_complete: Optional[Callable[[float], None]]) -> bool:
-        """Batch-engine fast path: issue this access through the
-        channels' fast paths, skipping ``DRAMRequest`` construction and
-        the scheduler queues.
-
-        Returns False — without touching any state — when a target
-        channel cannot take the access immediately (its queues are
-        non-empty or its pipeline is full); the caller then falls back
-        to :meth:`access`, whose queued path it would have taken in
-        scalar mode too.  Timing, stats, and event order are identical
-        either way (gated by tests/integration/test_batch_equivalence).
-        """
-        if not 0 <= addr < self.capacity_bytes:
-            raise ValueError(
-                f"address {addr:#x} outside {self.name} capacity "
-                f"{self.capacity_bytes:#x}"
-            )
-        if size <= 0:
-            raise ValueError("size must be positive")
-        if addr + size > self.capacity_bytes:
-            raise ValueError("access crosses end of device")
-
-        if self.metadata_base is not None and addr >= self.metadata_base:
-            offset = addr - self.metadata_base
+        mb = self.metadata_base
+        if mb is not None and addr >= mb:
+            if size <= 0 or addr + size > self.capacity_bytes:
+                self._reject(addr, size)
+            # dedicated metadata channel: 32 B groups (one congruence
+            # set's remap entries) interleaved across its banks, so a
+            # serial scan of one set stays in one row while *different*
+            # hot sets hit different banks in parallel — without this
+            # the channel would be tCCD-bound on a single bank.
+            offset = addr - mb
             group = offset // 32
             banks = self._banks_per_ch
             groups_per_row = self._row_bytes // 32
-            return self.meta_channel.submit_fast(
-                group % banks, group // banks // groups_per_row,
-                size, is_write, is_demand, on_complete)
-
-        nchan = self._nchan
-        row_bytes = self._row_bytes
-        banks = self._banks_per_ch
-        if addr % CHANNEL_INTERLEAVE_BYTES + size <= CHANNEL_INTERLEAVE_BYTES:
-            unit = addr // CHANNEL_INTERLEAVE_BYTES
-            within = (unit // nchan * CHANNEL_INTERLEAVE_BYTES
-                      + addr % CHANNEL_INTERLEAVE_BYTES)
-            row_index = within // row_bytes
-            return self.channels[unit % nchan].submit_fast(
-                row_index % banks, row_index // banks,
-                size, is_write, is_demand, on_complete)
-
-        # multi-chunk: group the chunks per channel (order preserved
-        # within each channel — that is the order the bus chain and the
-        # bank CAS chains serialize in; interleaving *between* channels
-        # carries no timing state).  Completion events are scheduled in
-        # the *global* chunk order afterwards: equal-time completions on
-        # different channels must fire in the same order the scalar
-        # submit loop would have scheduled them, or downstream ties
-        # (MSHR release draining, core wakeups) resolve differently.
-        per_channel: dict = {}
-        order = []  # (channel index, position within its group) per chunk
-        for chunk_addr, chunk_size in self._chunks(addr, size):
-            unit = chunk_addr // CHANNEL_INTERLEAVE_BYTES
-            within = (unit // nchan * CHANNEL_INTERLEAVE_BYTES
-                      + chunk_addr % CHANNEL_INTERLEAVE_BYTES)
-            row_index = within // row_bytes
-            group = per_channel.setdefault(unit % nchan, [])
-            order.append((unit % nchan, len(group)))
-            group.append((row_index % banks, row_index // banks, chunk_size))
-        channels = self.channels
-        for index, group in per_channel.items():
-            if not channels[index].can_accept_fast(len(group)):
-                # all-or-nothing: a partially fast-issued access could
-                # not be rolled back into the queued path.
-                return False
-        if on_complete is None:
-            chunk_done = None
-        else:
-            remaining = len(order)
-
-            def chunk_done(when: float) -> None:
-                nonlocal remaining
-                remaining -= 1
-                if remaining == 0:
-                    on_complete(when)
-
-        times = {index: channels[index].issue_window(group)
-                 for index, group in per_channel.items()}
-        schedule_at = self._engine.schedule_at
-        for index, pos in order:
-            channel = channels[index]
-            schedule_at(times[index][pos], channel._complete_fast,
-                        per_channel[index][pos][2], is_write, is_demand,
-                        chunk_done)
-        return True
-
-    def access_turbo(self, addr: int, size: int, is_write: bool,
-                     is_demand: bool,
-                     on_complete: Optional[Callable[[float], None]]) -> None:
-        """Batch-mode single dispatcher: one bounds check, one mapping,
-        then the fused fast or queued path in this same frame.
-
-        Semantically ``access_fast(...) or access(...)`` — the pattern
-        the batch controller used per op — but with the channel's
-        ``submit_fast``/``_submit_turbo`` bodies inlined and queued
-        requests drawn from the channel's recycle pool, so one device op
-        costs zero allocations and at most one further call
-        (``_try_issue_turbo`` when the channel is backlogged).  The
-        metadata channel's 32 B-group interleave (``_access_metadata``'s
-        layout) is resolved here too, which matters for SILC-FM: its
-        remap-entry fetches are roughly one per miss.  Only called on
-        turbo-enabled channels (batch runs); timing, stats, and event
-        order are bit-identical to the scalar path, gated by
-        tests/integration/test_batch_equivalence.py.
-        """
-        engine = self._engine
-        mb = self.metadata_base
-        cap = self.capacity_bytes
-        if (mb is None or addr < mb) and 0 <= addr and addr + size <= cap \
-                and addr % CHANNEL_INTERLEAVE_BYTES + size \
-                <= CHANNEL_INTERLEAVE_BYTES and size > 0:
+            chan_no = 0
+            channel = self.meta_channel
+            bank_index = group % banks
+            row = group // banks // groups_per_row
+            column = (group // banks % groups_per_row) * 32 + offset % 32
+        elif (0 <= addr and 0 < size
+              and addr % CHANNEL_INTERLEAVE_BYTES + size
+              <= CHANNEL_INTERLEAVE_BYTES
+              and addr + size <= self.capacity_bytes):
             nchan = self._nchan
             unit = addr // CHANNEL_INTERLEAVE_BYTES
             within = (unit // nchan * CHANNEL_INTERLEAVE_BYTES
@@ -242,141 +97,87 @@ class MemoryDevice:
             bank_index = row_index % banks
             row = row_index // banks
             column = within % row_bytes
-        elif (mb is not None and addr >= mb and addr + size <= cap
-              and size > 0):
-            # dedicated metadata channel: 32 B groups interleaved across
-            # its banks (one congruence set per group; serial scans of a
-            # set stay in one row, hot sets spread across banks).
-            offset = addr - mb
-            group = offset // 32
-            banks = self._banks_per_ch
-            groups_per_row = self._row_bytes // 32
-            chan_no = 0
-            channel = self.meta_channel
-            bank_index = group % banks
-            row = group // banks // groups_per_row
-            column = (group // banks % groups_per_row) * 32 + offset % 32
         else:
-            # multi-chunk or out-of-range (the existing paths raise the
-            # same errors the scalar engine would)
-            if not self.access_fast(addr, size, is_write, is_demand,
-                                    on_complete):
-                self.access(addr, size, is_write,
-                            Priority.DEMAND if is_demand
-                            else Priority.BACKGROUND,
-                            on_complete)
+            self._access_chunks(addr, size, is_write, priority,
+                                on_complete, span)
             return
-        dq = channel._demand_queue
-        bq = channel._background_queue
-        if dq or bq or channel._inflight >= channel.pipeline_depth:
-            # queued: pooled request, then ``_submit_turbo`` inline.
-            priority = Priority.DEMAND if is_demand else Priority.BACKGROUND
+        engine = self._engine
+        now = engine.now
+        if (channel._demand_queue or channel._background_queue
+                or channel._inflight >= channel.pipeline_depth):
             pool = channel._req_pool
+            coords = DRAMCoordinates(chan_no, bank_index, row, column)
             if pool:
                 request = pool.pop()
                 request.addr = addr
                 request.size = size
                 request.is_write = is_write
                 request.priority = priority
-                request.arrival = engine.now
-                request.coords = DRAMCoordinates(chan_no, bank_index, row,
-                                                 column)
+                request.arrival = now
+                request.coords = coords
                 request.on_complete = on_complete
                 request.completed_at = -1.0
+                request.span = span
             else:
-                request = DRAMRequest(
-                    addr=addr, size=size, is_write=is_write,
-                    priority=priority, arrival=engine.now,
-                    coords=DRAMCoordinates(chan_no, bank_index, row, column),
-                    on_complete=on_complete)
-            (dq if priority == Priority.DEMAND else bq).append(request)
-            depth = len(dq) + len(bq)
-            stats = channel.stats
-            if depth > stats.max_queue_depth:
-                stats.max_queue_depth = depth
-            if channel._inflight < channel.pipeline_depth:
-                channel._try_issue_turbo()
+                request = DRAMRequest(addr, size, is_write, priority, now,
+                                      coords, on_complete, span=span)
+            channel.submit(request)
             return
-        # eligible: ``submit_fast`` inline (Bank.prepare through the
-        # precomputed cpm-scaled turbo latencies — identical floats).
         stats = channel.stats
         if stats.max_queue_depth < 1:
-            stats.max_queue_depth = 1
-        now = engine.now
-        if faults.ACTIVE is not None:
-            data_ready = faults.bank_prepare(
-                channel._banks[bank_index], row, now)
-        else:
-            bank = channel._banks[bank_index]
-            ready = bank.ready
-            start = now if now > ready else ready
-            open_row = bank.open_row
-            bank_stats = bank.stats
-            if open_row == row:
-                bank_stats.row_hits += 1
-                cas_at = start
-            elif open_row is None:
-                bank_stats.row_closed += 1
-                bank._activated_at = start
-                cas_at = start + channel._turbo_rcd
-            else:
-                bank_stats.row_conflicts += 1
-                precharge_at = bank._activated_at + channel._turbo_ras
-                if start > precharge_at:
-                    precharge_at = start
-                activate_at = precharge_at + channel._turbo_rp
-                bank._activated_at = activate_at
-                cas_at = activate_at + channel._turbo_rcd
-            bank.open_row = row
-            bank.ready = cas_at + channel._turbo_ccd
-            data_ready = cas_at + channel._turbo_cas
+            stats.max_queue_depth = 1  # submit would have seen depth 1
+        data_ready = channel._banks[bank_index].prepare(row, now)
         bus_free = channel._bus_free
         data_start = data_ready if data_ready > bus_free else bus_free
         burst = channel._burst_cpu_cycles.get(size)
         if burst is None:
-            burst = channel._t.burst_mem_cycles(size) * channel._cpm
-            channel._burst_cpu_cycles[size] = burst
+            burst = channel.burst_cycles(size)
         completion = data_start + burst
         channel._bus_free = completion
         channel._inflight += 1
         stats.bus_busy_cycles += burst
         stats.total_queue_wait += data_start - now
-        engine._push(completion, channel._complete_fast_bound,
-                     (size, is_write, is_demand, on_complete))
+        if span is not None:
+            span.add_dram(data_start - now, burst)
+        engine.schedule_at(completion, channel._complete_idle_bound,
+                           size, is_write, priority, on_complete)
 
-    def _access_metadata(self, addr: int, size: int, is_write: bool,
-                         priority: Priority,
-                         on_complete: Optional[Callable[[float], None]],
-                         span=None) -> None:
-        """One request on the dedicated metadata channel.
+    def _access_chunks(self, addr: int, size: int, is_write: bool,
+                       priority: Priority,
+                       on_complete: Optional[Callable[[float], None]],
+                       span) -> None:
+        """A multi-unit access (migrations, tag-extended bursts): one
+        queued request per interleave unit, with ``on_complete`` behind
+        a countdown of the chunks.  Chunks map by the data interleave
+        even past ``metadata_base``."""
+        if not 0 <= addr < self.capacity_bytes or size <= 0 \
+                or addr + size > self.capacity_bytes:
+            self._reject(addr, size)
+        chunks = self._chunks(addr, size)
+        remaining = len(chunks)
 
-        Layout: 32 B groups (one congruence set's remap entries) are
-        interleaved across the channel's banks, so a serial scan of one
-        set's entries stays in one row while *different* hot sets hit
-        different banks in parallel — without this the channel would be
-        tCCD-bound on a single bank.
-        """
-        offset = addr - self.metadata_base
-        group = offset // 32
-        banks = self.timings.banks
-        groups_per_row = self.timings.row_bytes // 32
-        coords = DRAMCoordinates(
-            channel=0,
-            bank=group % banks,
-            row=group // banks // groups_per_row,
-            column_offset=(group // banks % groups_per_row) * 32 + offset % 32,
-        )
-        request = DRAMRequest(
-            addr=addr,
-            size=size,
-            is_write=is_write,
-            priority=priority,
-            arrival=self._engine.now,
-            coords=coords,
-            on_complete=on_complete,
-            span=span,
-        )
-        self.meta_channel.submit(request)
+        def chunk_done(when: float) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0 and on_complete is not None:
+                on_complete(when)
+
+        now = self._engine.now
+        for chunk_addr, chunk_size in chunks:
+            coords = self._mapper.map(chunk_addr)
+            self.channels[coords.channel].submit(DRAMRequest(
+                chunk_addr, chunk_size, is_write, priority, now, coords,
+                chunk_done, span=span))
+
+    def _reject(self, addr: int, size: int) -> None:
+        if not 0 <= addr < self.capacity_bytes:
+            raise ValueError(
+                f"address {addr:#x} outside {self.name} capacity "
+                f"{self.capacity_bytes:#x}"
+            )
+        if size <= 0:
+            raise ValueError("size must be positive")
+        raise ValueError("access crosses end of device")
 
     @staticmethod
     def _chunks(addr: int, size: int):

@@ -199,9 +199,8 @@ class BoundLogger:
         """Emit a warning only the first time ``(logger, event)`` fires.
 
         Returns True when the record was emitted, False when it was
-        suppressed as a repeat.  Used for per-run conditions (e.g. span
-        suppression under the closed-form evaluator) that would
-        otherwise spam one line per window.
+        suppressed as a repeat.  Used for per-run conditions that would
+        otherwise spam one line per window or per cell.
         """
         key = (self.name, event)
         with _lock:

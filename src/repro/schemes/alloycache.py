@@ -91,32 +91,6 @@ class AlloyCacheScheme(MemoryScheme):
         return plan
 
     # ------------------------------------------------------------------
-    def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Batch-engine fast path: a cache hit is one TAD read with no
-        background.  Misses (two-stage fill + possible dirty victim)
-        and NM-space addresses (which :meth:`access` rejects with an
-        explanatory error) fall back before any state changes."""
-        space = self.space
-        if space.is_nm(paddr):
-            return None
-        line = space.fm_offset(paddr) // SUBBLOCK_BYTES
-        slot = line % self.num_slots
-        cached = self._slot.get(slot)
-        if cached is None or cached[0] != line:
-            return None
-        self.hits += 1
-        if is_write:
-            self._slot[slot] = (line, True)
-        stats = self.stats
-        stats.misses += 1
-        stats.nm_serviced += 1
-        return (True, slot * SUBBLOCK_BYTES, TAD_BYTES, False)
-
-    def steady_window_certificate(self, now: float) -> float:
-        """Alloy's fills and evictions happen per miss, inside
-        ``access``; there is no timed machinery to fence."""
-        return float("inf")
-
     # ------------------------------------------------------------------
     def locate(self, paddr: int) -> Tuple[Level, int]:
         """Where the *current* copy of the data is serviced from.

@@ -66,27 +66,6 @@ class CameoScheme(MemoryScheme):
         return AccessPlan(
             Level.FM, [[tag_read], [fm_read]], background, False, "fm-swap")
 
-    def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Batch-engine fast path: an NM hit is one extended-burst read
-        with no background.  Misses swap (and, in CAMEOP, prefetch), so
-        they fall back to :meth:`access` — before any state changes.
-        The hit path is identical in both CAMEO variants, so CAMEOP
-        inherits this as-is."""
-        sb = paddr // SUBBLOCK_BYTES
-        group = sb % self.num_slots
-        if self._present[group] != sb:
-            return None
-        stats = self.stats
-        stats.misses += 1
-        stats.nm_serviced += 1
-        return (True, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, False)
-
-    def steady_window_certificate(self, now: float) -> float:
-        """CAMEO's swaps are access-driven (they fire inside ``access``,
-        never from a timer), so the certificate is unbounded.  CAMEOP's
-        prefetches ride the same access path and inherit this."""
-        return float("inf")
-
     def _swap_in(self, group: int, sb: int, home: int) -> List[Op]:
         """Install ``sb`` (read from FM ``home``) into NM slot ``group``,
         displacing the current occupant into ``home``."""

@@ -95,28 +95,6 @@ class HmaScheme(MemoryScheme):
         self.record_plan(plan)
         return plan
 
-    def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Batch-engine fast path: between epochs the mapping is frozen
-        and every access is one subblock read with no background, so
-        :meth:`access` inlines entirely (the epoch machinery runs off
-        the engine's timer, not from here)."""
-        block = paddr // BLOCK_BYTES
-        within = paddr % BLOCK_BYTES
-        aligned = within - within % SUBBLOCK_BYTES
-        counts = self._counts
-        counts[block] = counts.get(block, 0) + 1
-        stats = self.stats
-        stats.misses += 1
-        frame = self._frame_of.get(block)
-        if frame is not None:
-            stats.nm_serviced += 1
-            return (True, frame * BLOCK_BYTES + aligned,
-                    SUBBLOCK_BYTES, False)
-        stats.fm_serviced += 1
-        home = self._home_of.get(block, block)
-        return (False, self._fm_offset_of_block(home) + aligned,
-                SUBBLOCK_BYTES, False)
-
     def attach_telemetry(self, hub) -> None:
         """Epoch-level probes: migration burstiness is HMA's defining
         time-domain behaviour (all movement clusters at epoch
@@ -132,17 +110,6 @@ class HmaScheme(MemoryScheme):
     # ------------------------------------------------------------------
     def epoch_period_cycles(self) -> float:
         return self.epoch_cycles
-
-    def steady_window_certificate(self, now: float) -> float:
-        """HMA is the one scheme with timed machinery: the OS epoch
-        fires every ``epoch_cycles`` on the controller's timer and both
-        bulk-migrates pages and stalls demand dispatch.  The certificate
-        is the next epoch boundary (the base-class division form, which
-        can only under-shoot the timer chain's accumulated float) — the
-        evaluator re-enters Tier-1 dispatch there, runs the epoch event
-        and its stall window generically, then re-certifies."""
-        period = self.epoch_cycles
-        return (now // period + 1.0) * period
 
     def epoch(self) -> Tuple[List[Op], float]:
         """OS epoch: select hot pages, bulk-migrate, reset counters.

@@ -98,45 +98,6 @@ class PomScheme(MemoryScheme):
         self.record_plan(plan)
         return plan
 
-    def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Batch-engine fast path: with the remap entry cached in SRAM
-        the critical path is one subblock op — NM hit, or FM read when
-        the competing counter stays under threshold.  Remap-cache misses
-        (extra metadata stage) and threshold crossings (4 KB migration)
-        fall back to :meth:`access` before any state changes."""
-        block = paddr // BLOCK_BYTES
-        frame = block % self.num_frames
-        cache = self._remap_cache
-        if frame not in cache:
-            return None
-        within = paddr % BLOCK_BYTES
-        aligned = within - within % SUBBLOCK_BYTES
-        stats = self.stats
-        if self._present[frame] == block:
-            cache.move_to_end(frame)
-            self.remap_cache_hits += 1
-            self._occupant_count[frame] += 1
-            stats.misses += 1
-            stats.nm_serviced += 1
-            return (True, frame * BLOCK_BYTES + aligned,
-                    SUBBLOCK_BYTES, False)
-        count = self._counters.get(block, 0) + 1
-        if count >= self._occupant_count[frame] + self.threshold:
-            return None  # migration fires: take the full access() path
-        cache.move_to_end(frame)
-        self.remap_cache_hits += 1
-        self._counters[block] = count
-        stats.misses += 1
-        stats.fm_serviced += 1
-        home = self._home_of.get(block, block)
-        return (False, self._fm_offset_of_block(home) + aligned,
-                SUBBLOCK_BYTES, False)
-
-    def steady_window_certificate(self, now: float) -> float:
-        """PoM's competing counters and 4 KB migrations are all
-        access-driven; nothing fires on a clock."""
-        return float("inf")
-
     def _remap_lookup(self, frame: int) -> List[List[Op]]:
         """SRAM remap-cache check: a hit routes the access for free, a
         miss prepends an NM metadata fetch to the critical path."""

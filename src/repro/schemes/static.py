@@ -38,26 +38,6 @@ class StaticScheme(MemoryScheme):
         self.record_plan(plan)
         return plan
 
-    def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Batch-engine fast path: every static access is one 64 B op
-        with no background traffic, so the whole of :meth:`access`
-        (locate + record_plan) inlines here."""
-        stats = self.stats
-        stats.misses += 1
-        space = self.space
-        if space.is_nm(paddr):
-            stats.nm_serviced += 1
-            offset = space.nm_offset(paddr)
-            return (True, offset - offset % 64, 64, is_write)
-        stats.fm_serviced += 1
-        offset = space.fm_offset(paddr)
-        return (False, offset - offset % 64, 64, is_write)
-
-    def steady_window_certificate(self, now: float) -> float:
-        """Static placement never changes state on a clock — the whole
-        run is one closed-form window."""
-        return float("inf")
-
     def locate(self, paddr: int) -> Tuple[Level, int]:
         if self.space.is_nm(paddr):
             return Level.NM, self.space.nm_offset(paddr)

@@ -173,20 +173,6 @@ class SystemConfig:
     #: (``telemetry_window > 0``): the span aggregate rides inside the
     #: telemetry snapshot and the Perfetto slices inside its trace.
     span_sample_rate: int = 0
-    #: Batch-engine window, in LLC misses per core.  0 (default) is the
-    #: scalar path: traces are generated record-by-record and every
-    #: miss walks the allocation-per-object pipeline.  N > 0 selects
-    #: the vectorized batch engine (:mod:`repro.workloads` batch
-    #: generation, :mod:`repro.cpu.batch`, the DRAM fast paths): each
-    #: core pregenerates N misses at a time into numpy-backed column
-    #: arrays and the controller/device data plane takes allocation-
-    #: free fast paths wherever the scalar path's behaviour is provably
-    #: reproduced, falling back to the scalar machinery everywhere
-    #: else.  Simulated results are **bit-identical** in both modes
-    #: (``tests/integration/test_batch_equivalence.py`` gates every
-    #: scheme); only wall-clock speed changes.  Applies to ``"miss"``
-    #: trace mode; reference mode always uses the scalar path.
-    batch_window: int = 0
 
     def __post_init__(self) -> None:
         if self.nm_bytes % BLOCK_BYTES:
@@ -206,8 +192,6 @@ class SystemConfig:
         if self.span_sample_rate > 0 and self.telemetry_window <= 0:
             raise ValueError("span tracing requires telemetry "
                              "(set telemetry_window > 0)")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
 
     # ------------------------------------------------------------------
     # derived quantities

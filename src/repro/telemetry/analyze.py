@@ -63,40 +63,15 @@ def load_artifact(path: PathLike) -> Dict:
                 "recorded with --span-sample-rate?")
         run = data.get("otherData", {}).get("run")
         return {"source": str(path), "kind": "trace", "unit": "us",
-                "run": run, "spans": spans, "clock": None}
+                "run": run, "spans": spans}
 
     spans = data.get("spans")
-    clock = _clock_from_samples(data.get("samples"))
     if not isinstance(spans, dict):
-        if clock is None:
-            raise AnalyzeError(
-                f"{path}: series carries no 'spans' object and no "
-                "'clock.*' signals — was the run recorded with "
-                "--span-sample-rate (or batch mode + telemetry)?")
-        spans = None
+        raise AnalyzeError(
+            f"{path}: series carries no 'spans' object — was the run "
+            "recorded with --span-sample-rate?")
     return {"source": str(path), "kind": "series", "unit": "cycles",
-            "run": data.get("run"), "spans": spans, "clock": clock}
-
-
-def _clock_from_samples(samples) -> Optional[Dict]:
-    """Sum the two-tier clock meters (per-window deltas emitted by a
-    batch-mode run) back into run totals for the tier-attribution
-    section.  Returns None when the series carries no ``clock.*``
-    signals (scalar runs)."""
-    if not isinstance(samples, list):
-        return None
-    totals = {"fused": 0.0, "generic": 0.0,
-              "fast_accepted": 0.0, "fast_declined": 0.0}
-    seen = False
-    for sample in samples:
-        if not isinstance(sample, dict):
-            continue
-        for key in totals:
-            value = sample.get("clock." + key)
-            if value is not None:
-                totals[key] += float(value)
-                seen = True
-    return totals if seen else None
+            "run": data.get("run"), "spans": spans}
 
 
 def _tail(durations: Sequence[float], p: float) -> Optional[float]:
@@ -187,14 +162,6 @@ def render_report(data: Dict, top: int = 5) -> str:
     spans = data["spans"]
     unit = data["unit"]
     blocks: List[str] = [_header(data)]
-    tier = _tier_attribution_block(data.get("clock"))
-
-    if spans is None:
-        # batch-mode series without span sampling: the tier-attribution
-        # section is the whole report.
-        blocks.append(tier)
-        return "\n\n".join(blocks)
-
     if spans.get("spans", 0) == 0:
         blocks.append("no spans retired after warmup — nothing to "
                       "attribute (try a longer run or rate 1)")
@@ -216,39 +183,7 @@ def render_report(data: Dict, top: int = 5) -> str:
     unobserved = _unobserved_rows(spans)
     if unobserved:
         blocks.append(unobserved)
-    if tier:
-        blocks.append(tier)
     return "\n\n".join(blocks)
-
-
-def _tier_attribution_block(clock: Optional[Dict]) -> str:
-    """The two-tier clock section: how many dispatches the closed-form
-    evaluator fused inline vs fell back to generic heap dispatch, and
-    the scheme's fast-shape decline rate (the Amdahl cap from ROADMAP
-    item 1)."""
-    if not clock:
-        return ""
-    fused = clock.get("fused", 0.0)
-    generic = clock.get("generic", 0.0)
-    total = fused + generic
-    accepted = clock.get("fast_accepted", 0.0)
-    declined = clock.get("fast_declined", 0.0)
-    consults = accepted + declined
-    lines = ["Two-tier clock attribution"]
-    if total:
-        lines.append(
-            f"  dispatches: {total:,.0f} total — fused inline "
-            f"{fused:,.0f} ({fused / total * 100:.1f}%), generic heap "
-            f"{generic:,.0f} ({generic / total * 100:.1f}%)")
-    else:
-        lines.append("  dispatches: none recorded (scalar run, or the "
-                     "evaluator never engaged)")
-    if consults:
-        lines.append(
-            f"  scheme fast path: {accepted:,.0f} accepted, "
-            f"{declined:,.0f} declined "
-            f"(decline rate {declined / consults:.3f})")
-    return "\n".join(lines)
 
 
 def _header(data: Dict) -> str:

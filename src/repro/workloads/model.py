@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from math import log as _log
 from typing import Iterator, List, Optional
 
 from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES, SUBBLOCKS_PER_BLOCK
@@ -136,149 +135,6 @@ class WorkloadModel:
                 self._shift_hot_set(rng, hot, pages)
                 since_phase = 0
 
-    # ------------------------------------------------------------------
-    def miss_batches(self, n_misses: int,
-                     window: int) -> Iterator["MissBatch"]:
-        """Batch-engine twin of :meth:`miss_stream`: yield the same
-        ``n_misses`` records, ``window`` at a time, as column arrays.
-
-        **Bit-identical by construction**: the RNG draw sequence is
-        replayed exactly — burst headers (page pick, run length, start
-        offset) and the two per-access uniforms (gap, then write) are
-        drawn scalar in :meth:`miss_stream`'s order, bursts are never
-        split for generation (a window boundary mid-burst only chunks
-        the *output*, via a carry buffer), and the gap math is the same
-        ``-log(1-u)/lambd`` libm expression ``random.expovariate``
-        evaluates.  numpy vectorizes the pure column math — subblock
-        iota, address/PC synthesis — where element order cannot change
-        a value.  Per-page active regions are memoized (they are pure
-        in ``page``), which the scalar path recomputes per burst.
-        """
-        import numpy as np
-
-        from repro.sim import faults
-
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        spec = self.spec
-        rng = self._rng("miss")
-        hot = self._initial_hot_set(rng)
-        pages = spec.footprint_pages
-        mean_gap = 1000.0 / spec.mpki
-        lambd = 1.0 / mean_gap
-        wf = spec.write_fraction
-        random_ = rng.random
-        phase_misses = spec.phase_misses
-        regions = {}
-        # burst-header draws inlined: ``randrange(n)`` is replayed as
-        # CPython's ``_randbelow_with_getrandbits`` (k = n.bit_length()
-        # bits, redrawn while >= n) so the underlying MT stream advances
-        # identically to the scalar generator's method calls.
-        getrandbits = rng.getrandbits
-        hot_weight = spec.hot_weight
-        hot_len = len(hot)
-        hot_bits = hot_len.bit_length()
-        pages_bits = pages.bit_length()
-        run_mean = spec.spatial_run
-        run_p = 1.0 / run_mean if run_mean > 1.0 else 1.0
-        run_cap = SUBBLOCKS_PER_BLOCK
-        # pending output columns (the carry buffer across windows)
-        pend_pc: List[int] = []
-        pend_vaddr: List[int] = []
-        pend_write: List[bool] = []
-        pend_gap: List[int] = []
-        emitted = 0
-        since_phase = 0
-        while emitted < n_misses:
-            # ---- accumulate bursts until one window is buffered ------
-            burst_page: List[int] = []
-            burst_as: List[int] = []
-            burst_al: List[int] = []
-            burst_start: List[int] = []
-            burst_k: List[int] = []
-            uniforms: List[float] = []
-            buffered = len(pend_pc)
-            while buffered < window and emitted < n_misses:
-                # _pick_page, inlined
-                if random_() < hot_weight:
-                    r = getrandbits(hot_bits)
-                    while r >= hot_len:
-                        r = getrandbits(hot_bits)
-                    page = hot[r]
-                else:
-                    r = getrandbits(pages_bits)
-                    while r >= pages:
-                        r = getrandbits(pages_bits)
-                    page = r
-                region = regions.get(page)
-                if region is None:
-                    active_start, active_len = self._active_region(page)
-                    region = regions[page] = (
-                        active_start, active_len, active_len.bit_length())
-                active_start, active_len, len_bits = region
-                # _run_length, inlined (geometric, capped at 32)
-                run = 1
-                if run_mean > 1.0:
-                    while random_() > run_p and run < run_cap:
-                        run += 1
-                if run > active_len:
-                    run = active_len
-                # randrange(active_len), inlined
-                start = getrandbits(len_bits)
-                while start >= active_len:
-                    start = getrandbits(len_bits)
-                k = min(run, n_misses - emitted)
-                uniforms += [random_() for _ in range(2 * k)]
-                burst_page.append(page)
-                burst_as.append(active_start)
-                burst_al.append(active_len)
-                burst_start.append(start)
-                burst_k.append(k)
-                buffered += k
-                emitted += k
-                since_phase += k
-                if (phase_misses is not None and since_phase >= phase_misses
-                        and emitted < n_misses):
-                    self._shift_hot_set(rng, hot, pages)
-                    since_phase = 0
-            # ---- vectorize the pure column math ----------------------
-            if burst_k:
-                k_arr = np.asarray(burst_k)
-                total = int(k_arr.sum())
-                page_r = np.repeat(np.asarray(burst_page), k_arr)
-                al_r = np.repeat(np.asarray(burst_al), k_arr)
-                offsets = np.cumsum(k_arr) - k_arr
-                iota = np.arange(total) - np.repeat(offsets, k_arr)
-                sub = (np.repeat(np.asarray(burst_as), k_arr)
-                       + (np.repeat(np.asarray(burst_start), k_arr) + iota)
-                       % al_r)
-                pend_vaddr += (page_r * BLOCK_BYTES
-                               + sub * SUBBLOCK_BYTES).tolist()
-                pend_pc += (PC_BASE + (page_r % PC_POOL_SIZE) * 4).tolist()
-                # exact-arithmetic columns: the same libm expression
-                # random.expovariate evaluates (numpy's SIMD log is not
-                # guaranteed bit-identical to libm, so the gap math
-                # stays scalar over the vector of collected uniforms)
-                pend_gap += [max(1, int(-_log(1.0 - u) / lambd))
-                             for u in uniforms[0::2]]
-                pend_write += [u < wf for u in uniforms[1::2]]
-            # ---- emit full windows -----------------------------------
-            while len(pend_pc) >= window or (emitted >= n_misses and pend_pc):
-                cut = min(window, len(pend_pc))
-                batch = MissBatch(pend_pc[:cut], pend_vaddr[:cut],
-                                  pend_write[:cut], pend_gap[:cut])
-                del pend_pc[:cut], pend_vaddr[:cut]
-                del pend_write[:cut], pend_gap[:cut]
-                if (faults.ACTIVE == "window-off-by-one"
-                        and (pend_pc or emitted < n_misses)):
-                    # BUG (test-only): resume the next refill one record
-                    # early — the boundary access is emitted twice.
-                    pend_pc.insert(0, batch.pc[-1])
-                    pend_vaddr.insert(0, batch.vaddr[-1])
-                    pend_write.insert(0, batch.is_write[-1])
-                    pend_gap.insert(0, batch.gap_instr[-1])
-                yield batch
-
     def reference_stream(self, n_misses: int) -> Iterator[MemoryAccess]:
         """Expand the miss stream with cache-hitting re-references so a
         real hierarchy observes roughly ``spec.mpki`` at the LLC.
@@ -360,32 +216,3 @@ class WorkloadModel:
             length += 1
         return length
 
-
-class MissBatch:
-    """One pregenerated window of the miss stream, column-major.
-
-    Plain Python lists (materialized from the vectorized generation in
-    :meth:`WorkloadModel.miss_batches` via ``ndarray.tolist``) so the
-    replaying core's per-access indexing pays no numpy-scalar boxing
-    and every value JSON-serialises like its scalar twin: ``pc``/
-    ``vaddr``/``gap_instr`` are Python ints, ``is_write`` Python bools.
-    """
-
-    __slots__ = ("pc", "vaddr", "is_write", "gap_instr")
-
-    def __init__(self, pc: List[int], vaddr: List[int],
-                 is_write: List[bool], gap_instr: List[int]) -> None:
-        self.pc = pc
-        self.vaddr = vaddr
-        self.is_write = is_write
-        self.gap_instr = gap_instr
-
-    def __len__(self) -> int:
-        return len(self.pc)
-
-    def records(self) -> Iterator[MemoryAccess]:
-        """The window as scalar records (test/diagnostic convenience)."""
-        for pc, vaddr, is_write, gap in zip(self.pc, self.vaddr,
-                                            self.is_write, self.gap_instr):
-            yield MemoryAccess(pc=pc, vaddr=vaddr, is_write=is_write,
-                               gap_instr=gap)
