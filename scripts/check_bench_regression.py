@@ -37,17 +37,6 @@ conclusion — the transaction pipeline must be a win, never a modeling
 tax — deterministically (simulation cycles, not wall clock), so an
 MSHR policy regression cannot ride in behind healthy throughput
 numbers.  Skipped for payloads that predate the v5 suite.
-
-Schema-v6 payloads carry a ``service`` section: the multi-tenant sweep
-service under a pinned concurrent load.  The gate holds its cold and
-hot ``cells_per_sec`` to the baseline with the same ``--threshold`` as
-the simulator columns, and a baseline with a service section and a
-current run without one is a failure, not a skip.  The section's
-correctness witnesses are gated on the *current* run alone and
-**hard-fail regardless of thresholds**: ``exactly_once`` false or
-``max_executions_per_key > 1`` means single-flight dedup broke,
-``fanned_out``/``conserved`` false means tenants lost results.
-Skipped (with a note) when *both* files predate schema v6.
 """
 
 from __future__ import annotations
@@ -80,7 +69,7 @@ def load_cells(path: str):
                          for tail in cell["tails"].values())
     speedups = (payload.get("figures_of_merit") or {}).get(
         "speedup_over_nonm") or {}
-    return cells, total, measured_tails, speedups, payload.get("service")
+    return cells, total, measured_tails, speedups
 
 
 def check_mshr_dominance(speedups, failures):
@@ -102,54 +91,6 @@ def check_mshr_dominance(speedups, failures):
         marker = "  <-- REGRESSION"
     print(f"  silc speedup geomean: default-MSHR {silc['geomean']:.4f} "
           f"vs compat {compat['geomean']:.4f}{marker}")
-
-
-def check_service(base, cur, threshold, failures):
-    """Gate the schema-v6 service section.
-
-    Throughput (cold/hot cells per second) is held to the baseline with
-    the shared ``--threshold``; the correctness witnesses are evaluated
-    on the current run alone and fail hard — a dedup bug is a bug, not
-    a slowdown."""
-    if base is None and cur is None:
-        print("  note: no service section in either file "
-              "(pre-v6 payloads) — service gate skipped")
-        return
-    if cur is None:
-        # the baseline measured the service but the current run has no
-        # section at all — the bench (or the service itself) was
-        # dropped, which the gate must not wave through.
-        failures.append("service:missing")
-        print("  service: baseline has a service section, current run "
-              "does not  <-- REGRESSION")
-        return
-    for witness, broken in (
-            ("exactly_once", not cur.get("exactly_once", False)),
-            ("max_executions_per_key",
-             cur.get("max_executions_per_key", 0) > 1),
-            ("fanned_out", not cur.get("fanned_out", False)),
-            ("conserved", not cur.get("conserved", False))):
-        if broken:
-            failures.append(f"service:{witness}")
-            print(f"  service {witness}: violated on the current run"
-                  f"  <-- CORRECTNESS")
-    print(f"  service dedup hit rate: {cur['dedup_hit_rate']:.1%} over "
-          f"{cur['total_cell_requests']} requests "
-          f"({cur['unique_cells']} unique cells)")
-    for phase in ("cold", "hot"):
-        cur_rate = cur[phase]["cells_per_sec"]
-        if base is None:
-            print(f"  note: new service {phase} phase "
-                  f"({cur_rate:,.1f} cells/s, no baseline)")
-            continue
-        base_rate = base[phase]["cells_per_sec"]
-        ratio = cur_rate / base_rate if base_rate else float("inf")
-        marker = ""
-        if ratio < 1 - threshold:
-            failures.append(f"service:{phase}")
-            marker = "  <-- REGRESSION"
-        print(f"  service {phase}: {base_rate:,.1f} -> {cur_rate:,.1f} "
-              f"cells/s ({ratio:.2f}x){marker}")
 
 
 def check_tails(label, base_cell, cur_cell, threshold, failures):
@@ -194,9 +135,9 @@ def main(argv=None) -> int:
     if args.tail_threshold <= 0:
         parser.error("--tail-threshold must be positive")
 
-    base_cells, base_scalar, _, _, base_service = load_cells(args.baseline)
-    (cur_cells, cur_scalar, cur_measured_tails,
-     cur_speedups, cur_service) = load_cells(args.current)
+    base_cells, base_scalar, _, _ = load_cells(args.baseline)
+    cur_cells, cur_scalar, cur_measured_tails, cur_speedups = load_cells(
+        args.current)
     if not cur_measured_tails:
         print("  note: current run measured no latency tails "
               "(quick run with span sampling off) — tail gate skipped")
@@ -232,7 +173,6 @@ def main(argv=None) -> int:
     print(f"  total: {base_scalar:,.0f} -> {cur_scalar:,.0f} acc/s "
           f"({total_ratio:.2f}x){marker}")
     check_mshr_dominance(cur_speedups, failures)
-    check_service(base_service, cur_service, args.threshold, failures)
 
     if failures:
         print(f"FAIL: regression past thresholds "

@@ -12,9 +12,6 @@ Commands
 ``report``   regenerate EXPERIMENTS.md (the full evaluation grid)
 ``bench``    timed perf-regression suite -> ``BENCH_<date>.json``
 ``analyze``  latency-attribution report from a telemetry artifact
-``serve``    long-running multi-tenant sweep service (asyncio, TCP)
-``submit``   submit a compare-style sweep to a running service
-``top``      live terminal dashboard over a running service's telemetry
 
 ``compare``, ``figure`` and ``report`` fan their (scheme x workload)
 cells out over ``--jobs N`` worker processes and memoise each cell in an
@@ -46,19 +43,13 @@ Examples::
     python -m repro trace lbm /tmp/lbm.trc --misses 20000
     python -m repro trace mcf /tmp/mcf.json --scheme silc   # Perfetto
     python -m repro bench --quick
-    python -m repro serve --jobs 8 &
-    python -m repro submit mcf --schemes cam pom silc --tenant alice
+    python -m repro --log-level debug --log-file sweep.jsonl figure fig7
 
-``serve`` keeps one shared result cache and single-flight dedup table
-across every client: identical cells submitted by different tenants
-simulate once and fan out to all of them (docs/service.md).
-
-Observability (docs/observability.md): the global ``--log-level`` /
-``--log-file`` flags turn on structured JSON-lines logging for any
-command (worker processes inherit the setting); ``serve
---metrics-port`` exposes Prometheus ``/metrics`` + ``/healthz`` over
-HTTP and ``serve --trace-dir`` journals every job and cell so ``trace
---service`` can stitch a cross-process fleet trace for Perfetto.
+The global ``--log-level`` / ``--log-file`` flags turn on structured
+JSON-lines logging (:mod:`repro.telemetry.log`) for any command; pool
+workers inherit the setting and record ``cell_started``,
+``cell_finished`` and ``cell_failed`` per simulated cell
+(docs/telemetry.md).
 """
 
 from __future__ import annotations
@@ -77,7 +68,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.runner import SCHEMES, run_one
 from repro.sim.config import default_config
-from repro.telemetry import DEFAULT_TELEMETRY_WINDOW, write_artifacts
+from repro.telemetry import DEFAULT_TELEMETRY_WINDOW, log, write_artifacts
 from repro.validate import DEFAULT_CHECK_EVERY
 from repro.stats.report import bar_chart, format_table
 from repro.workloads.io import save_trace
@@ -138,14 +129,12 @@ def _add_telemetry_flags(sub_parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from repro.obs import log as obs_log
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SILC-FM (HPCA 2017) flat-memory simulator",
     )
     parser.add_argument(
-        "--log-level", choices=sorted(obs_log.LEVELS), default=None,
+        "--log-level", choices=sorted(log.LEVELS), default=None,
         help="structured JSON-lines log threshold (default warning;"
              " worker processes inherit the setting)")
     parser.add_argument(
@@ -199,21 +188,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("suite", help="list the Table III benchmark presets")
 
     trace_p = sub.add_parser(
-        "trace", help="write a workload trace file, (with --scheme) a"
-                      " Chrome-format event trace of a simulated run, or"
-                      " (with --service) a stitched fleet trace from a"
-                      " service trace directory")
-    trace_p.add_argument(
-        "benchmark", nargs="?", default=None,
-        help=f"one of {', '.join(BENCHMARKS)} (omitted with --service)")
-    trace_p.add_argument(
-        "path", nargs="?", default=None,
-        help="output file (with --service: the stitched fleet trace)")
-    trace_p.add_argument(
-        "--service", default=None, metavar="DIR",
-        help="stitch the fleet-trace journal a 'serve --trace-dir DIR'"
-             " run wrote (tenant->job->cell->worker flows, one Perfetto"
-             " file) instead of generating a trace")
+        "trace", help="write a workload trace file, or (with --scheme) a"
+                      " Chrome-format event trace of a simulated run")
+    trace_p.add_argument("benchmark", choices=BENCHMARKS)
+    trace_p.add_argument("path")
     trace_p.add_argument("--misses", type=int, default=20_000)
     trace_p.add_argument("--seed", type=int, default=1)
     trace_p.add_argument(
@@ -258,56 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument(
         "--top", type=int, default=5, metavar="N",
         help="coalescing chains to list (default 5)")
-
-    from repro.service import DEFAULT_PORT
-
-    serve_p = sub.add_parser(
-        "serve", help="run the multi-tenant sweep service until a client"
-                      " sends shutdown (or Ctrl-C)")
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=DEFAULT_PORT,
-                         help=f"listen port (default {DEFAULT_PORT}; "
-                              "0 = ephemeral)")
-    serve_p.add_argument(
-        "--telemetry-interval", type=float, default=1.0, metavar="SECONDS",
-        help="windowed telemetry emission interval (default 1.0; "
-             "0 disables)")
-    serve_p.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve Prometheus /metrics and /healthz over HTTP on this"
-             " port (0 = ephemeral; default: no HTTP listener)")
-    serve_p.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="journal every job/cell and collect per-cell worker span"
-             " files under DIR; stitch with 'repro trace --service DIR"
-             " out.json' (default: tracing off)")
-    _add_executor_flags(serve_p)
-
-    submit_p = sub.add_parser(
-        "submit", help="submit a compare-style sweep to a running service"
-                       " and stream the results")
-    submit_p.add_argument("benchmark", choices=BENCHMARKS)
-    submit_p.add_argument("--schemes", nargs="+",
-                          default=["cam", "pom", "silc"],
-                          choices=sorted(SCHEMES))
-    submit_p.add_argument("--misses", type=int, default=5000)
-    submit_p.add_argument("--seed", type=int, default=None)
-    submit_p.add_argument("--scale", type=float, default=None)
-    submit_p.add_argument("--host", default="127.0.0.1")
-    submit_p.add_argument("--port", type=int, default=DEFAULT_PORT)
-    submit_p.add_argument("--tenant", default=None,
-                          help="label for this client in service stats")
-    _add_check_flags(submit_p)
-    _add_mshr_flag(submit_p)
-
-    top_p = sub.add_parser(
-        "top", help="live terminal dashboard over a running service"
-                    " (throughput, source mix, queue depth, latency)")
-    top_p.add_argument("--host", default="127.0.0.1")
-    top_p.add_argument("--port", type=int, default=DEFAULT_PORT)
-    top_p.add_argument(
-        "--frames", type=int, default=None, metavar="N",
-        help="exit after N telemetry windows (default: run until ^C)")
     return parser
 
 
@@ -523,28 +451,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if args.service is not None:
-        from repro.obs.trace import write_fleet_trace
-
-        # with --service the single positional is the output file; it
-        # may have landed in either slot
-        out = args.path or args.benchmark or "fleet-trace.json"
-        try:
-            summary = write_fleet_trace(args.service, out)
-        except (OSError, ValueError) as exc:
-            print(f"trace: {exc}", file=sys.stderr)
-            return 1
-        print(f"stitched {summary['tenants']} tenant(s), "
-              f"{summary['jobs']} job(s), {summary['cells']} cell(s), "
-              f"{summary['worker_spans']} worker span(s) -> {out}; "
-              "open in Perfetto or chrome://tracing")
-        return 0
-    if args.benchmark not in BENCHMARKS:
-        raise SystemExit(
-            f"trace: benchmark must be one of {', '.join(BENCHMARKS)}"
-            " (or pass --service DIR)")
-    if args.path is None:
-        raise SystemExit("trace: output path required")
     config = default_config()
     if args.scheme is not None:
         from repro.telemetry import run_metadata, write_trace
@@ -606,108 +512,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.service import SweepService
-
-    service = SweepService(
-        host=args.host, port=args.port,
-        jobs=args.jobs if args.jobs is not None else (os.cpu_count() or 1),
-        cache_dir=None if args.no_cache else args.cache_dir,
-        force=args.force,
-        telemetry_interval=args.telemetry_interval,
-        metrics_port=args.metrics_port,
-        trace_dir=args.trace_dir,
-    )
-
-    async def _serve() -> None:
-        await service.start()
-        print(f"serving on {service.host}:{service.port} "
-              f"({service.jobs} workers, cache="
-              f"{'off' if service.core.cache is None else service.core.cache.root})",
-              flush=True)
-        if service.metrics_http_port is not None:
-            print(f"metrics on http://{service.host}:"
-                  f"{service.metrics_http_port}/metrics (+ /healthz)",
-                  flush=True)
-        if service.journal is not None:
-            print(f"fleet trace journal in {service.journal.root}/ "
-                  f"(stitch with 'python -m repro trace --service "
-                  f"{service.journal.root} fleet.json')", flush=True)
-        await service.run_until_shutdown()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _cmd_submit(args) -> int:
-    from repro.cpu.system import RunResult
-    from repro.service import ServiceError, run_sweep
-
-    config = _config(args.scale, args)
-    scheme_keys = ["nonm"] + [k for k in args.schemes if k != "nonm"]
-    cells = [Cell(key, args.benchmark, config, misses_per_core=args.misses,
-                  seed=args.seed) for key in scheme_keys]
-
-    def _on_event(event) -> None:
-        if event.get("type") == "cell":
-            print(f"  cell {event['index']} ({scheme_keys[event['index']]})"
-                  f" <- {event['source']} in {event['latency_ms']:.1f} ms",
-                  file=sys.stderr, flush=True)
-
-    try:
-        outcome = run_sweep(args.host, args.port, cells,
-                            tenant=args.tenant, on_event=_on_event)
-    except (ConnectionError, OSError) as exc:
-        print(f"submit: cannot reach the service at "
-              f"{args.host}:{args.port} ({exc}); start one with"
-              f" 'python -m repro serve'", file=sys.stderr)
-        return 1
-    except ServiceError as exc:
-        print(f"submit: {exc}", file=sys.stderr)
-        return 1
-
-    for index, error in sorted(outcome.errors.items()):
-        print(f"\nFAILED cell ({scheme_keys[index]}, {args.benchmark}):\n"
-              f"{error}", file=sys.stderr)
-    if not outcome.ok:
-        print(f"submit: job {outcome.job_id} {outcome.status} "
-              f"({len(outcome.errors)} failed cells)", file=sys.stderr)
-        return 1
-
-    results = {scheme_keys[i]: RunResult.from_dict(r)
-               for i, r in outcome.results.items()}
-    baseline = results["nonm"]
-    speedups = {
-        SCHEMES[key].label: results[key].speedup_over(baseline)
-        for key in args.schemes
-    }
-    print(bar_chart(speedups, title=f"Speedup over no-NM baseline "
-                                    f"({args.benchmark}) [{outcome.job_id}]",
-                    unit="x"))
-    return 0
-
-
-def _cmd_top(args) -> int:
-    from repro.obs.top import run_top
-    from repro.service import ServiceError
-
-    try:
-        return run_top(args.host, args.port, frames=args.frames)
-    except (ConnectionError, OSError) as exc:
-        print(f"top: cannot reach the service at {args.host}:{args.port}"
-              f" ({exc}); start one with 'python -m repro serve'",
-              file=sys.stderr)
-        return 1
-    except ServiceError as exc:
-        print(f"top: {exc}", file=sys.stderr)
-        return 1
-
-
 def _cmd_analyze(args) -> int:
     from repro.telemetry.analyze import AnalyzeError, analyze
 
@@ -722,10 +526,7 @@ def _cmd_analyze(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.log_level is not None or args.log_file is not None:
-        from repro.obs import log as obs_log
-
-        obs_log.configure(level=args.log_level or "warning",
-                          path=args.log_file)
+        log.configure(level=args.log_level or "warning", path=args.log_file)
     handler = {
         "run": _cmd_run,
         "compare": _cmd_compare,
@@ -736,9 +537,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report": _cmd_report,
         "bench": _cmd_bench,
         "analyze": _cmd_analyze,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "top": _cmd_top,
     }[args.command]
     return handler(args)
 

@@ -4,12 +4,10 @@ per paper table/figure."""
 from repro.experiments.executor import (
     Cell,
     CellFailure,
-    ExecutorCore,
     ExecutorError,
     ExperimentExecutor,
     Progress,
     ResultCache,
-    execute_cell_payload,
 )
 from repro.experiments.figures import (
     FIG6_LABELS,
@@ -34,9 +32,7 @@ from repro.experiments.sweeps import (
 __all__ = [
     "Cell",
     "CellFailure",
-    "ExecutorCore",
     "ExecutorError",
-    "execute_cell_payload",
     "ExperimentExecutor",
     "Progress",
     "ResultCache",

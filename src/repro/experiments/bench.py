@@ -25,12 +25,6 @@ are deterministic given the pinned seed — the gate threshold is
 host-noise-free and tight.  ``--quick`` runs skip the tail pass unless
 the config explicitly enables span sampling: the CI-sized suite exists
 for throughput, and the untimed pass used to double its runtime.
-
-Since schema v6 the payload also carries a ``service`` section: the
-multi-tenant sweep service (``python -m repro serve``) driven through a
-pinned concurrent load by :func:`repro.service.bench.run_service_bench`
-— cold sharded throughput, hot cache-hit latency, dedup hit rate, and
-the exactly-once execution witness the gate hard-fails on.
 """
 
 from __future__ import annotations
@@ -62,19 +56,16 @@ from repro.stats.collectors import geometric_mean
 #: cell is gone, and a ``silc-compat`` cell (``mshr_entries=0``) keeps
 #: the pre-MSHR front door measured so the figures-of-merit gate can
 #: assert the default mode dominates it.
-#: v6: the payload gained a ``service`` section
-#: (:func:`repro.service.bench.run_service_bench`): the sweep service
-#: under a pinned multi-tenant load — cold sharded throughput
-#: (cells/sec), hot cache-hit throughput and service latency
-#: (p50/p95 ms), dedup hit rate, and the exactly-once/conservation
-#: correctness witnesses the gate hard-fails on.
+#: v6: the payload gained a ``service`` section (the multi-tenant
+#: sweep service under a pinned concurrent load).
 #: v7: the payload gained a ``batch_curve`` section (a second,
 #: batched data plane swept across trace-window sizes).
 #: v8: the simulator has one data plane again: the batched twin columns
 #: (``batched_wall_seconds``/``batched_accesses_per_sec``/
 #: ``batch_speedup``, per cell and in total), the top-level window size
 #: and the ``batch_curve`` section are gone.
-BENCH_SCHEMA_VERSION = 8
+#: v9: the sweep service is gone, and with it the ``service`` section.
+BENCH_SCHEMA_VERSION = 9
 
 #: pinned seed — throughput comparisons need identical event streams.
 BENCH_SEED = 1234
@@ -240,13 +231,6 @@ def run_bench(quick: bool = False,
         per_wl["geomean"] = round(geometric_mean(list(per_wl.values())), 4)
         speedups[key] = per_wl
 
-    # v6: the sweep service under a pinned concurrent multi-tenant load
-    # (its own tiny cell pool — the simulator cells above stay the
-    # wall-clock-comparable definition they have always been).
-    from repro.service.bench import run_service_bench
-
-    service = run_service_bench(quick=quick)
-
     total_wall = sum(c.wall_seconds for c in cells)
     total_accesses = sum(c.accesses for c in cells)
     return {
@@ -268,7 +252,6 @@ def run_bench(quick: bool = False,
                                  if total_wall else 0.0),
         },
         "figures_of_merit": {"speedup_over_nonm": speedups},
-        "service": service,
     }
 
 

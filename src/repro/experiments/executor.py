@@ -36,7 +36,8 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cpu.system import RunResult
-from repro.sim.config import SystemConfig, config_from_dict
+from repro.sim.config import SystemConfig
+from repro.telemetry import log
 
 #: bump when the cell-hash inputs or the RunResult schema change, so a
 #: stale cache from an older code version is never replayed.
@@ -86,36 +87,6 @@ class Cell:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    # ------------------------------------------------------------------
-    # wire round-trip (the sweep service ships cells as JSON)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        """A JSON-serialisable dict that :meth:`from_dict` inverts
-        exactly: the rebuilt cell hashes to the same :meth:`key`, so a
-        cell submitted over the service's wire protocol hits the same
-        cache entry as the local CLI run it duplicates."""
-        return {
-            "scheme_key": self.scheme_key,
-            "workload_name": self.workload_name,
-            "config": dataclasses.asdict(self.config),
-            "misses_per_core": self.misses_per_core,
-            "seed": self.seed,
-            "mode": self.mode,
-            "warmup_fraction": self.warmup_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Cell":
-        return cls(
-            scheme_key=data["scheme_key"],
-            workload_name=data["workload_name"],
-            config=config_from_dict(data["config"]),
-            misses_per_core=data["misses_per_core"],
-            seed=data["seed"],
-            mode=data["mode"],
-            warmup_fraction=data["warmup_fraction"],
-        )
-
 
 @dataclass
 class CellFailure:
@@ -162,29 +133,16 @@ class Progress:
             parts.append(f"{self.failed} FAILED")
         return ", ".join(parts)
 
-    def as_dict(self) -> Dict:
-        """JSON-serialisable snapshot (the sweep service's status and
-        completion events carry these)."""
-        return {
-            "total": self.total,
-            "completed": self.completed,
-            "cache_hits": self.cache_hits,
-            "simulated": self.simulated,
-            "failed": self.failed,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "cells_per_second": round(self.cells_per_second, 3),
-        }
-
 
 class ResultCache:
     """On-disk JSON store: one ``<cell-hash>.json`` file per result.
 
     Files are written atomically (a *uniquely named* temp file in the
     cache directory, then ``os.replace``) so neither a crash mid-write
-    nor several processes storing the **same key concurrently** — the
-    sweep service's cross-tenant dedup makes that an everyday event —
-    can leave a torn or half-written entry: every reader sees either no
-    file or one writer's complete bytes.  Unreadable or
+    nor several processes storing the **same key concurrently** — two
+    CLI sweeps sharing one ``--cache-dir`` race on every cell they have
+    in common — can leave a torn or half-written entry: every reader
+    sees either no file or one writer's complete bytes.  Unreadable or
     schema-mismatched files are treated as misses.
 
     Telemetry-enabled results additionally get **side artifacts** —
@@ -305,89 +263,35 @@ def _execute_cell(cell: Cell) -> RunResult:
                    mode=cell.mode, warmup_fraction=cell.warmup_fraction)
 
 
-def execute_cell_payload(cell: Cell) -> Tuple[Optional[Dict], Optional[str]]:
-    """Simulate one cell, returning ``(result_dict, None)`` on success
-    or ``(None, traceback)`` on failure.
-
-    The single worker entry point shared by every dispatch path — the
-    sync executor's multiprocessing pool and the sweep service's process
-    pool — so a cell produces byte-identical JSON no matter which
-    front end submitted it.  Shipping the result as its JSON dict means
-    the caller deserialises through exactly the same code as a cache
-    hit: one canonical representation everywhere.
-    """
-    from repro.obs import log as _obslog
-
-    # workers under the spawn start method re-import in a fresh
-    # interpreter; the parent's CLI logging choice rides the
-    # REPRO_LOG_LEVEL / REPRO_LOG_FILE environment
-    _obslog.configure_from_env()
-    _wlog = _obslog.get_logger("repro.worker")
-    _wlog.debug("cell_started", scheme=cell.scheme_key,
-                workload=cell.workload_name)
-    try:
-        result = _execute_cell(cell).to_dict(), None
-    except Exception:
-        error = traceback.format_exc()
-        _wlog.error("cell_failed", scheme=cell.scheme_key,
-                    workload=cell.workload_name, error=error[:2000])
-        return None, error
-    _wlog.debug("cell_finished", scheme=cell.scheme_key,
-                workload=cell.workload_name)
-    return result
+_log = log.get_logger("repro.worker")
 
 
 def _worker(payload: Tuple[int, Cell]) -> Tuple[int, Optional[Dict], Optional[str]]:
-    """Pool entry point for the sync executor (index-tagged)."""
-    index, cell = payload
-    result_dict, error = execute_cell_payload(cell)
-    return index, result_dict, error
+    """Pool entry point: simulate one index-tagged cell, returning
+    ``(index, result_dict, None)`` on success or ``(index, None,
+    traceback)`` on failure.
 
-
-class ExecutorCore:
-    """The executor's cache heart, shared by both front ends.
-
-    Holds everything *stateful but dispatch-agnostic* about running
-    cells: the on-disk :class:`ResultCache`, the in-memory memo, and
-    the force semantics.  :class:`ExperimentExecutor` (the one-shot CLI
-    path) layers blocking pool fan-out on top; the asyncio sweep
-    service (:mod:`repro.service`) layers a long-running worker pool,
-    single-flight dedup and event streaming on top of the *same* core,
-    so both populate and consume one cache, one format, one key scheme.
+    Shipping the result as its JSON dict means the parallel path
+    deserialises through exactly the same code as a cache hit — one
+    canonical representation, bit-identical everywhere.  Workers under
+    the spawn start method re-import in a fresh interpreter; the
+    parent's ``--log-level``/``--log-file`` choice reaches them through
+    ``REPRO_LOG_LEVEL``/``REPRO_LOG_FILE``, which the first record
+    adopts.
     """
-
-    def __init__(self, cache_dir: Optional[Union[str, Path]] = None,
-                 force: bool = False) -> None:
-        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.force = force
-        self._memo: Dict[str, RunResult] = {}
-
-    def peek(self, key: str) -> Optional[RunResult]:
-        """In-memory memo only — no disk I/O, safe to call from an
-        event loop (the sweep service's synchronous fast path)."""
-        return self._memo.get(key)
-
-    def lookup(self, key: str) -> Optional[RunResult]:
-        """Memoised result for ``key``, or None.  The in-memory memo is
-        always valid: force only invalidates *pre-existing* on-disk
-        entries, not work this core already did."""
-        if key in self._memo:
-            return self._memo[key]
-        if self.force:
-            return None
-        if self.cache is not None:
-            result = self.cache.load(key)
-            if result is not None:
-                self._memo[key] = result
-            return result
-        return None
-
-    def remember(self, key: str, result: RunResult, cell: Cell) -> None:
-        """Record a freshly simulated result in memo and (if configured)
-        the on-disk store."""
-        self._memo[key] = result
-        if self.cache is not None:
-            self.cache.store(key, result, cell)
+    index, cell = payload
+    _log.debug("cell_started", scheme=cell.scheme_key,
+               workload=cell.workload_name)
+    try:
+        result = _execute_cell(cell).to_dict()
+    except Exception:
+        error = traceback.format_exc()
+        _log.error("cell_failed", scheme=cell.scheme_key,
+                   workload=cell.workload_name, error=error[:2000])
+        return index, None, error
+    _log.debug("cell_finished", scheme=cell.scheme_key,
+               workload=cell.workload_name)
+    return index, result, None
 
 
 class ExperimentExecutor:
@@ -416,18 +320,12 @@ class ExperimentExecutor:
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.core = ExecutorCore(cache_dir=cache_dir, force=force)
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
+        self.force = force
         self.on_progress = on_progress
         self.failures: List[CellFailure] = []
         self.last_progress: Optional[Progress] = None
-
-    @property
-    def cache(self) -> Optional[ResultCache]:
-        return self.core.cache
-
-    @property
-    def force(self) -> bool:
-        return self.core.force
+        self._memo: Dict[str, RunResult] = {}
 
     # ------------------------------------------------------------------
     def run_cells(self, cells: Iterable[Cell]) -> Dict[Cell, RunResult]:
@@ -505,10 +403,23 @@ class ExperimentExecutor:
                 yield outcome
 
     def _lookup(self, key: str) -> Optional[RunResult]:
-        return self.core.lookup(key)
+        # the in-memory memo is always valid: force only invalidates
+        # *pre-existing* on-disk entries, not work this executor just did
+        if key in self._memo:
+            return self._memo[key]
+        if self.force:
+            return None
+        if self.cache is not None:
+            result = self.cache.load(key)
+            if result is not None:
+                self._memo[key] = result
+            return result
+        return None
 
     def _remember(self, key: str, result: RunResult, cell: Cell) -> None:
-        self.core.remember(key, result, cell)
+        self._memo[key] = result
+        if self.cache is not None:
+            self.cache.store(key, result, cell)
 
     def _tick(self, progress: Progress) -> None:
         if self.on_progress is not None:

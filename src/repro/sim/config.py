@@ -226,26 +226,6 @@ class SystemConfig:
         )
 
 
-def config_from_dict(data: dict) -> SystemConfig:
-    """Rebuild a :class:`SystemConfig` from ``dataclasses.asdict`` output.
-
-    The exact inverse of ``dataclasses.asdict``: every nested dataclass
-    (core, cache hierarchy, DRAM timings, SILC-FM parameters) is
-    reconstructed field-for-field, so a config that crosses a JSON
-    boundary — the sweep service's wire protocol, a stored experiment
-    cell — hashes to the same executor cache key as the original.
-    """
-    data = dict(data)
-    data["core"] = CoreConfig(**data["core"])
-    data["caches"] = CacheHierarchyConfig(
-        **{level: CacheConfig(**fields)
-           for level, fields in data["caches"].items()})
-    data["nm_timings"] = DRAMTimings(**data["nm_timings"])
-    data["fm_timings"] = DRAMTimings(**data["fm_timings"])
-    data["silcfm"] = SilcFmConfig(**data["silcfm"])
-    return SystemConfig(**data)
-
-
 def config_digest(config: SystemConfig) -> str:
     """Short stable content hash of a config.
 

@@ -31,6 +31,8 @@ def test_payload_schema_and_pinning(quick_payload):
     assert quick_payload["date"] == "2026-01-02"
     assert {"python", "implementation", "machine",
             "system"} <= set(quick_payload["platform"])
+    # schema v9: the sweep service and its section are gone
+    assert "service" not in quick_payload
 
 
 def test_payload_has_one_cell_per_pair(quick_payload):
@@ -70,15 +72,10 @@ def _shrink_quick_suite(monkeypatch):
     """One tiny cell so harness-logic tests stay fast (the pinned bench
     definition is irrelevant to what they assert)."""
     import repro.experiments.bench as bench
-    import repro.service.bench as service_bench
 
     monkeypatch.setattr(bench, "QUICK_VARIANTS", [("nonm", "nonm", 0)])
     monkeypatch.setattr(bench, "QUICK_WORKLOADS", ["mcf"])
     monkeypatch.setattr(bench, "QUICK_MISSES", 150)
-    # the v6 service phase has its own tests; stub it out here so these
-    # don't pay for a process pool they make no assertion about
-    monkeypatch.setattr(service_bench, "run_service_bench",
-                        lambda quick=False, jobs=None: {"stubbed": True})
 
 
 def test_quick_run_makes_no_tail_pass(monkeypatch):
@@ -138,41 +135,6 @@ def test_payload_figures_of_merit(quick_payload):
         assert set(per_wl) == set(QUICK_WORKLOADS) | {"geomean"}
         for value in per_wl.values():
             assert value > 0
-
-
-def test_payload_service_section(quick_payload):
-    """Schema v6: the payload carries the sweep service under its
-    pinned multi-tenant load, witnesses intact."""
-    from repro.service.bench import (
-        QUICK_CELLS_PER_TENANT,
-        QUICK_POOL,
-        QUICK_TENANTS,
-        SERVICE_BENCH_SEED,
-    )
-
-    service = quick_payload["service"]
-    assert service["seed"] == SERVICE_BENCH_SEED
-    assert service["tenants"] == QUICK_TENANTS
-    assert service["cells_per_tenant"] == QUICK_CELLS_PER_TENANT
-    assert 0 < service["unique_cells"] <= QUICK_POOL
-    assert service["total_cell_requests"] == \
-        2 * QUICK_TENANTS * QUICK_CELLS_PER_TENANT
-    # correctness witnesses the regression gate hard-fails on
-    assert service["exactly_once"] is True
-    assert service["max_executions_per_key"] == 1
-    assert service["fanned_out"] is True
-    assert service["conserved"] is True
-    # throughput + dedup figures
-    assert service["cold"]["cells_per_sec"] > 0
-    assert service["hot"]["cells_per_sec"] > 0
-    assert service["simulated"] == service["unique_cells"]
-    assert 0 <= service["dedup_hit_rate"] <= 1
-    # the hot phase is pure cache hits, so latency was sampled
-    assert service["cache_hit_latency_ms"]["p50"] is not None
-    assert service["cache_hit_latency_ms"]["p95"] >= \
-        service["cache_hit_latency_ms"]["p50"]
-    # the whole section must survive the canonical-JSON round trip
-    assert json.loads(json.dumps(service, sort_keys=True)) == service
 
 
 def test_write_bench_names_file_by_date(tmp_path, quick_payload):

@@ -12,7 +12,7 @@ sys.path.insert(0, str(SCRIPTS))
 from check_bench_regression import main  # noqa: E402
 
 
-def _payload(rates, total, tails=None, fom=None, service=None):
+def _payload(rates, total, tails=None, fom=None):
     cells = []
     for (key, wl), rate in rates.items():
         cell = {"key": key, "scheme": key.split("-")[0], "workload": wl,
@@ -26,8 +26,6 @@ def _payload(rates, total, tails=None, fom=None, service=None):
     }
     if fom is not None:
         payload["figures_of_merit"] = {"speedup_over_nonm": fom}
-    if service is not None:
-        payload["service"] = service
     return payload
 
 
@@ -249,100 +247,3 @@ def test_tail_threshold_flag(tmp_path):
     assert main([base, cur, "--tail-threshold", "0.05"]) == 1
     with pytest.raises(SystemExit):
         main([base, cur, "--tail-threshold", "0"])
-
-# ----------------------------------------------------------------------
-# sweep-service gate (schema v6)
-# ----------------------------------------------------------------------
-def _service(cold=400.0, hot=2000.0, **overrides):
-    section = {
-        "seed": 1234, "tenants": 24, "cells_per_tenant": 3,
-        "unique_cells": 8, "total_cell_requests": 144,
-        "misses_per_core": 120,
-        "cold": {"wall_seconds": 0.2, "cells_per_sec": cold},
-        "hot": {"wall_seconds": 0.05, "cells_per_sec": hot},
-        "simulated": 8, "dedup_hits": 50, "cache_hits": 86,
-        "dedup_hit_rate": 0.35,
-        "cache_hit_latency_ms": {"p50": 0.1, "p95": 0.4},
-        "max_executions_per_key": 1,
-        "exactly_once": True, "fanned_out": True, "conserved": True,
-    }
-    section.update(overrides)
-    return section
-
-
-def test_service_within_threshold_passes(tmp_path, capsys):
-    base = _write(tmp_path, "base.json",
-                  _payload(BASE, 15000.0, service=_service()))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, service=_service(cold=350.0, hot=1800.0)))
-    assert main([base, cur]) == 0
-    assert "service cold: 400.0 -> 350.0" in capsys.readouterr().out
-
-
-def test_service_cold_throughput_regression_fails(tmp_path, capsys):
-    base = _write(tmp_path, "base.json",
-                  _payload(BASE, 15000.0, service=_service()))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, service=_service(cold=200.0)))
-    assert main([base, cur]) == 1
-    assert "service:cold" in capsys.readouterr().err
-
-
-def test_service_hot_throughput_regression_fails(tmp_path, capsys):
-    base = _write(tmp_path, "base.json",
-                  _payload(BASE, 15000.0, service=_service()))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, service=_service(hot=1000.0)))
-    assert main([base, cur]) == 1
-    assert "service:hot" in capsys.readouterr().err
-
-
-def test_service_exactly_once_violation_hard_fails(tmp_path, capsys):
-    """Correctness witnesses gate the current run alone — a dedup break
-    fails even when every throughput number improved."""
-    base = _write(tmp_path, "base.json",
-                  _payload(BASE, 15000.0, service=_service()))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, service=_service(
-            cold=900.0, hot=9000.0, exactly_once=False,
-            max_executions_per_key=3)))
-    assert main([base, cur]) == 1
-    captured = capsys.readouterr()
-    assert "CORRECTNESS" in captured.out
-    assert "service:exactly_once" in captured.err
-    assert "service:max_executions_per_key" in captured.err
-
-
-def test_service_witnesses_gate_even_without_baseline(tmp_path, capsys):
-    """A current run with a service section is held to the correctness
-    witnesses even when the baseline predates v6."""
-    base = _write(tmp_path, "base.json", _payload(BASE, 15000.0))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, service=_service(conserved=False)))
-    assert main([base, cur]) == 1
-    assert "service:conserved" in capsys.readouterr().err
-
-
-def test_service_section_dropped_fails(tmp_path, capsys):
-    """Baseline measured the service but the current run has no section
-    at all — removal is a failure."""
-    base = _write(tmp_path, "base.json",
-                  _payload(BASE, 15000.0, service=_service()))
-    cur = _write(tmp_path, "cur.json", _payload(BASE, 15000.0))
-    assert main([base, cur]) == 1
-    assert "service:missing" in capsys.readouterr().err
-
-
-def test_pre_v6_payloads_skip_service_gate(tmp_path, capsys):
-    base = _write(tmp_path, "base.json", _payload(BASE, 15000.0))
-    cur = _write(tmp_path, "cur.json", _payload(BASE, 15000.0))
-    assert main([base, cur]) == 0
-    assert "service gate skipped" in capsys.readouterr().out
-
-
-def test_new_service_section_without_baseline_is_a_note(tmp_path, capsys):
-    base = _write(tmp_path, "base.json", _payload(BASE, 15000.0))
-    cur = _write(tmp_path, "cur.json",
-                 _payload(BASE, 15000.0, service=_service()))
-    assert main([base, cur]) == 0
-    assert "new service cold phase" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.runner import SuiteRunner, run_one
 from repro.sim.config import default_config
+from repro.telemetry import log
 
 MISSES = 200
 
@@ -231,6 +233,33 @@ def test_run_cell_raises_with_traceback_on_failure(config):
 
 
 # ---------------------------------------------------------------------------
+# structured log records of the pool entry point
+# ---------------------------------------------------------------------------
+def test_poisoned_cell_logs_one_cell_failed_record(config):
+    bad = Cell("no-such-scheme", "mcf", config, misses_per_core=MISSES)
+    with log.capture() as records:
+        ExperimentExecutor(jobs=1).run_cells(
+            [bad, make_cell(config, scheme="nonm")])
+    (failed,) = [r for r in records if r["event"] == "cell_failed"]
+    assert failed["level"] == "error"
+    assert failed["scheme"] == "no-such-scheme"
+    assert failed["workload"] == "mcf"
+    assert "KeyError" in failed["error"]
+
+
+def test_pool_workers_log_to_the_configured_file(tmp_path, config,
+                                                 restore_logging):
+    target = tmp_path / "workers.jsonl"
+    log.configure(level="debug", path=str(target), propagate_env=True)
+    cells = [make_cell(config, scheme=s) for s in ("nonm", "rand")]
+    assert len(ExperimentExecutor(jobs=2).run_cells(cells)) == 2
+    records = [json.loads(line) for line in target.read_text().splitlines()]
+    finished = [r for r in records if r["event"] == "cell_finished"]
+    assert sorted(r["scheme"] for r in finished) == ["nonm", "rand"]
+    assert all(r["pid"] != os.getpid() for r in finished)
+
+
+# ---------------------------------------------------------------------------
 # determinism: jobs=1 and jobs=4 must be bit-identical
 # ---------------------------------------------------------------------------
 def test_jobs_1_and_jobs_4_produce_identical_results(config):
@@ -305,48 +334,6 @@ def test_progress_render_empty_cell_set():
     progress = Progress(total=0)
     assert progress.render() == "0/0 cells"
     assert progress.cells_per_second == 0.0
-    snapshot = progress.as_dict()
-    assert snapshot["total"] == 0
-    assert snapshot["cells_per_second"] == 0.0
-
-
-def test_progress_as_dict_is_json_round_trippable():
-    progress = Progress(total=3, completed=2, cache_hits=1, simulated=1)
-    snapshot = json.loads(json.dumps(progress.as_dict()))
-    assert snapshot["completed"] == 2
-    assert snapshot["cache_hits"] == 1
-    assert snapshot["simulated"] == 1
-    assert snapshot["elapsed_seconds"] >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# wire round-trip (the sweep service ships cells as JSON)
-# ---------------------------------------------------------------------------
-def test_cell_wire_round_trip_preserves_key(config):
-    cell = make_cell(config, scheme="pom", workload="gcc", seed=9)
-    clone = Cell.from_dict(json.loads(json.dumps(cell.to_dict())))
-    assert clone == cell
-    assert clone.key() == cell.key()
-    assert clone.config == config
-
-
-def test_executor_core_is_shared_by_the_sync_front_end(tmp_path, config):
-    """The CLI executor and the sweep service share ExecutorCore: a
-    result remembered through one is visible to a core pointed at the
-    same store."""
-    from repro.experiments.executor import ExecutorCore
-
-    cell = make_cell(config)
-    executor = ExperimentExecutor(jobs=1, cache_dir=tmp_path)
-    result = executor.run_cell(cell)
-    core = ExecutorCore(cache_dir=tmp_path)
-    assert core.lookup(cell.key()) == result
-    # and vice versa: remember through the core, recall via the executor
-    other = make_cell(config, scheme="nonm")
-    core.remember(other.key(), result, other)
-    resumed = ExperimentExecutor(jobs=1, cache_dir=tmp_path)
-    assert resumed.run_cell(other) == result
-    assert resumed.last_progress.cache_hits == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Concurrent same-key writers must never tear a ResultCache entry.
 
-The sweep service dedupes identical cells across tenants, but *separate*
-service instances (or a service and a one-shot CLI sweep) can still race
-on one cache key — single-flight only covers one process.  ``store``
-therefore writes through a uniquely named temp file and publishes with
-``os.replace``: every reader observes either no entry or one writer's
-complete bytes, never an interleaving.
+An executor deduplicates the cells of its own sweep, but two CLI
+sweeps that share one ``--cache-dir`` still race on every key they both
+simulate.  ``store`` therefore writes through a uniquely named temp file
+and publishes with ``os.replace``: every reader observes either no entry
+or one writer's complete bytes, never an interleaving.
 
 This test hammers a single key from several processes while the parent
 reads in a tight loop, asserting every observed file parses and equals

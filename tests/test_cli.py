@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -26,6 +27,14 @@ def test_trace_generation(tmp_path, capsys):
     path = tmp_path / "t.trc"
     assert cli.main(["trace", "lbm", str(path), "--misses", "500"]) == 0
     assert trace_length(path) == 500
+
+
+def test_trace_positionals_are_checked_by_argparse(capsys):
+    for argv in (["trace", "bogus", "/tmp/_unused.trc"], ["trace", "mcf"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2  # a usage error, not a runtime exit
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_run_command(capsys, monkeypatch):
@@ -213,72 +222,15 @@ def test_unknown_command_rejected():
         cli.main(["frobnicate"])
 
 
-def test_serve_and_submit_round_trip(tmp_path, capsys, monkeypatch):
-    """End-to-end over a real subprocess service: serve on an ephemeral
-    port, submit twice (simulate, then cache), shut down via a client."""
-    import asyncio
-    import os
-    import re
-    import subprocess
-    import sys as _sys
-    import time as _time
-
-    from repro.service import SweepClient
-
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
-    env["PYTHONPATH"] = os.path.abspath(src)
-    log = tmp_path / "serve.log"
-    with open(log, "w") as log_file:
-        server = subprocess.Popen(
-            [_sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
-             "--telemetry-interval", "0"],
-            stdout=log_file, stderr=subprocess.STDOUT, env=env)
-    try:
-        deadline = _time.monotonic() + 30
-        port = None
-        while port is None and _time.monotonic() < deadline:
-            match = re.search(r"serving on [\d.]+:(\d+)", log.read_text())
-            if match:
-                port = int(match.group(1))
-            else:
-                _time.sleep(0.05)
-        assert port is not None, f"no banner in: {log.read_text()!r}"
-
-        small = dataclasses.replace(default_config(scale=0.25), cores=2)
-        monkeypatch.setattr(cli, "_config", lambda scale, args=None: small)
-        argv = ["submit", "mcf", "--schemes", "cam", "silc",
-                "--misses", "300", "--port", str(port)]
-        assert cli.main(argv) == 0
-        first = capsys.readouterr()
-        assert "Speedup" in first.out and "#" in first.out
-        assert "<- simulated" in first.err
-
-        assert cli.main(argv + ["--tenant", "again"]) == 0
-        second = capsys.readouterr()
-        assert "Speedup" in second.out
-        assert "<- cache" in second.err
-        assert "<- simulated" not in second.err
-
-        async def shut():
-            async with SweepClient("127.0.0.1", port) as client:
-                stats = await client.stats()
-                await client.shutdown()
-                return stats
-
-        stats = asyncio.run(shut())
-        assert stats["max_executions_per_key"] == 1
-        assert stats["cells"]["by_source"]["cache"] == 3
-        assert server.wait(timeout=30) == 0
-    finally:
-        if server.poll() is None:
-            server.kill()
-            server.wait()
-
-
-def test_submit_without_a_service_fails_cleanly(capsys):
-    # a port from the ephemeral range that nothing listens on
-    assert cli.main(["submit", "mcf", "--port", "1",
-                     "--misses", "100"]) == 1
-    assert "cannot reach the service" in capsys.readouterr().err
+def test_log_flags_reach_the_pool_workers(tmp_path, monkeypatch,
+                                          restore_logging):
+    small = dataclasses.replace(default_config(scale=0.25), cores=2)
+    monkeypatch.setattr(cli, "_config", lambda scale, args=None: small)
+    target = tmp_path / "cli.jsonl"
+    assert cli.main(["--log-level", "debug", "--log-file", str(target),
+                     "compare", "mcf", "--schemes", "silc",
+                     "--misses", "200", "--jobs", "2", "--no-cache"]) == 0
+    records = [json.loads(line) for line in target.read_text().splitlines()]
+    finished = [r for r in records if r["event"] == "cell_finished"]
+    assert sorted(r["scheme"] for r in finished) == ["nonm", "silc"]
+    assert not [r for r in records if r["event"] == "cell_failed"]
