@@ -12,7 +12,10 @@ Two kinds of pin, both fixed config+seed grids:
   of a wider differential grid: every registered scheme x three workload
   shapes (pointer-chasing mcf, stream-like lbm, the heterogeneous
   mix-blend) x four MSHR sizes (compat 0, stall-heavy 8 and 32, the
-  MLP-sized 128), plus one oracle-checked mcf cell per scheme.
+  MLP-sized 128), plus one oracle-checked mcf cell per scheme and four
+  *aged* SILC-FM cells whose short aging period, bypass window and hot
+  threshold drive the bypass rows and stale-lock release the default
+  config never reaches in 300 misses per core.
   ``tests/integration/test_batch_equivalence.py`` replays it.
 
 Any change to the hot path that silently perturbs simulated behaviour —
@@ -29,14 +32,14 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.mixes import run_mix  # noqa: E402
 from repro.experiments.runner import SCHEMES as ALL_SCHEMES  # noqa: E402
 from repro.experiments.runner import run_one  # noqa: E402
-from repro.sim.config import default_config  # noqa: E402
+from repro.sim.config import SilcFmConfig, default_config  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden"
 GRID_DIGESTS = GOLDEN_DIR / "grid_digests.json"
@@ -55,6 +58,20 @@ GRID_MSHR_ENTRIES = (0, 8, 32, 128)
 #: the oracle-checked pass: mcf with an undersized 8-entry MSHR file.
 CHECKED_MSHR_ENTRIES = 8
 CHECK_INTERVAL = 5_000.0
+#: SILC-FM tuned to age and balance within a 16-core x 300-miss run:
+#: counters age every 1,500 accesses (the default 50,000 never fires),
+#: the bypass window closes every 128 misses and blocks lock at 12.
+AGED_SILCFM = SilcFmConfig(aging_period_accesses=1500,
+                           access_rate_window=128, hot_threshold=12)
+#: ``(scheme, workload, mshr_entries, check_interval)`` of the aged
+#: cells: together they reach every ``SilcFmScheme.SPAN_ROWS`` row and
+#: each releases stale locks.
+AGED_CELLS = (
+    ("silc", "mcf", 128, 0.0),
+    ("silc", "mix-blend", 128, 0.0),
+    ("silc-lock", "mcf", 128, 0.0),
+    ("silc", "mcf", CHECKED_MSHR_ENTRIES, CHECK_INTERVAL),
+)
 
 
 def golden_json(scheme: str, mshr_entries: int | None = None) -> str:
@@ -71,25 +88,39 @@ def golden_json(scheme: str, mshr_entries: int | None = None) -> str:
     return json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def grid_cells() -> Iterator[Tuple[str, str, str, int, float]]:
-    """``(cell id, scheme, workload, mshr_entries, check_interval)`` for
-    every cell of the differential grid, in table order."""
+def aged_cell_id(scheme: str, workload: str, mshr_entries: int,
+                 check_interval: float) -> str:
+    """Digest-table key of one :data:`AGED_CELLS` cell."""
+    checked = "-checked" if check_interval else ""
+    return f"{scheme}-{workload}-{mshr_entries}-aged{checked}"
+
+
+def grid_cells() -> Iterator[
+        Tuple[str, str, str, int, float, Optional[SilcFmConfig]]]:
+    """``(cell id, scheme, workload, mshr_entries, check_interval,
+    silcfm)`` for every cell of the differential grid, in table order;
+    ``silcfm`` is None where the cell runs the default SILC-FM config."""
     for scheme in sorted(ALL_SCHEMES):
         for workload in GRID_WORKLOADS:
             for entries in GRID_MSHR_ENTRIES:
                 yield (f"{scheme}-{workload}-{entries}", scheme, workload,
-                       entries, 0.0)
+                       entries, 0.0, None)
     for scheme in sorted(ALL_SCHEMES):
         yield (f"{scheme}-{WORKLOAD}-{CHECKED_MSHR_ENTRIES}-checked", scheme,
-               WORKLOAD, CHECKED_MSHR_ENTRIES, CHECK_INTERVAL)
+               WORKLOAD, CHECKED_MSHR_ENTRIES, CHECK_INTERVAL, None)
+    for cell in AGED_CELLS:
+        yield (aged_cell_id(*cell), *cell, AGED_SILCFM)
 
 
 def grid_digest(scheme: str, workload: str, mshr_entries: int,
-                check_interval: float = 0.0) -> str:
+                check_interval: float = 0.0,
+                silcfm: Optional[SilcFmConfig] = None) -> str:
     """sha256 of one grid cell's canonical ``RunResult`` JSON."""
     config = dataclasses.replace(
         default_config(SCALE), seed=SEED, mshr_entries=mshr_entries,
         check_interval=check_interval)
+    if silcfm is not None:
+        config = dataclasses.replace(config, silcfm=silcfm)
     if workload.startswith("mix-"):
         result = run_mix(scheme, workload, config,
                          misses_per_core=MISSES, seed=SEED)
