@@ -22,7 +22,7 @@ Each 2 KB NM frame (a *way* of its congruence set) carries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.config import SUBBLOCKS_PER_BLOCK
@@ -33,7 +33,7 @@ FULL_BITVEC = (1 << SUBBLOCKS_PER_BLOCK) - 1
 COUNTER_MAX = 63
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameMetadata:
     """Remap state of one NM frame."""
 

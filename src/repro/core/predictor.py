@@ -35,7 +35,12 @@ class WayPredictor:
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("predictor size must be a power of two")
         self.entries = entries
-        self._table: Dict[int, Prediction] = {}
+        self.mask = entries - 1
+        self.shift = BLOCK_BYTES.bit_length() - 1
+        #: index -> the outcome last trained there.  SILC-FM's ``access``
+        #: reads and trains this table inline, with the index computed
+        #: once per miss exactly as :meth:`_index` does.
+        self.table: Dict[int, Prediction] = {}
         self.way_correct = 0
         self.way_wrong = 0
         self.loc_correct = 0
@@ -48,15 +53,14 @@ class WayPredictor:
         # shift is derived from the block geometry (2 KB -> 11) so a
         # non-default geometry does not silently alias neighbouring
         # blocks into one entry.
-        return (pc ^ (paddr >> (BLOCK_BYTES.bit_length() - 1))) & (
-            self.entries - 1)
+        return (pc ^ (paddr >> self.shift)) & self.mask
 
     # ------------------------------------------------------------------
     def predict(self, pc: int, paddr: int) -> Prediction:
-        return self._table.get(self._index(pc, paddr), Prediction(None, False))
+        return self.table.get(self._index(pc, paddr), Prediction(None, False))
 
     def update(self, pc: int, paddr: int, way: int, in_fm: bool) -> None:
-        self._table[self._index(pc, paddr)] = Prediction(way, in_fm)
+        self.table[self._index(pc, paddr)] = Prediction(way, in_fm)
 
     def record_outcome(self, prediction: Prediction, actual_way: int,
                        actually_in_fm: bool) -> None:

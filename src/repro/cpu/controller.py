@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 from repro.cpu.mshr import COMPLETE, DISPATCHED, QUEUED, STAGING, MemoryRequest
 from repro.dram.device import MemoryDevice
 from repro.dram.request import Priority
-from repro.schemes.base import AccessPlan, Level, MemoryScheme
+from repro.schemes.base import Level, MemoryScheme, Op
 from repro.sim.engine import Engine
 from repro.telemetry.spans import stage_label
 
@@ -124,7 +124,7 @@ class FlatMemoryController:
     def attach_telemetry(self, hub) -> None:
         """Demand/background byte-split meters plus the latency gauge.
 
-        All closures read counters ``_account`` already maintains; the
+        All closures read counters dispatch already maintains; the
         service-time signal is the same data Fig. 8 aggregates, but
         windowed so phase changes are visible.
         """
@@ -193,10 +193,14 @@ class FlatMemoryController:
                         plan.serviced_from.value, plan.bypassed, now)
         txn.plan = plan
         stages = txn.stages = plan.stages
-        self._account(plan)
-        for op in plan.background:
-            (self._nm if op.level is Level.NM else self._fm).access(
-                op.addr, op.size, op.is_write, Priority.BACKGROUND)
+        stats = self.stats
+        for stage in stages:
+            for op in stage:
+                if op.level is Level.NM:
+                    stats.demand_nm_bytes += op.size
+                else:
+                    stats.demand_fm_bytes += op.size
+        self._issue_background(plan.background)
         self.inflight += 1
         txn.state = STAGING
         if span is None and len(stages) == 1 and len(stages[0]) == 1:
@@ -218,10 +222,7 @@ class FlatMemoryController:
         if self.oracle is not None:
             self.oracle.after_writeback(paddr, plan)
         self.stats.writebacks += 1
-        self._account(plan)
-        for op in plan.background:
-            (self._nm if op.level is Level.NM else self._fm).access(
-                op.addr, op.size, op.is_write, Priority.BACKGROUND)
+        self._issue_background(plan.background)
 
     # ------------------------------------------------------------------
     def _advance(self, txn: MemoryRequest, when: float) -> None:
@@ -279,32 +280,25 @@ class FlatMemoryController:
         if len(pool) < _TXN_POOL_CAP:
             pool.append(txn)
 
-    def _account(self, plan: AccessPlan) -> None:
+    def _issue_background(self, ops: List[Op]) -> None:
+        """Fire traffic nobody waits on, tallying its bytes per level."""
         stats = self.stats
-        for stage in plan.stages:
-            for op in stage:
-                if op.level is Level.NM:
-                    stats.demand_nm_bytes += op.size
-                else:
-                    stats.demand_fm_bytes += op.size
-        for op in plan.background:
+        nm = self._nm
+        fm = self._fm
+        for op in ops:
             if op.level is Level.NM:
                 stats.background_nm_bytes += op.size
+                nm.access(op.addr, op.size, op.is_write, Priority.BACKGROUND)
             else:
                 stats.background_fm_bytes += op.size
+                fm.access(op.addr, op.size, op.is_write, Priority.BACKGROUND)
 
     # ------------------------------------------------------------------
     def _run_epoch(self, period: float) -> None:
         ops, stall = self.scheme.epoch()
         if self.oracle is not None:
             self.oracle.after_epoch(ops)
-        for op in ops:
-            (self._nm if op.level is Level.NM else self._fm).access(
-                op.addr, op.size, op.is_write, Priority.BACKGROUND)
-            if op.level is Level.NM:
-                self.stats.background_nm_bytes += op.size
-            else:
-                self.stats.background_fm_bytes += op.size
+        self._issue_background(ops)
         self._stall_until = self._engine.now + stall
         self.stats.epoch_stall_cycles += stall
         self._engine.schedule(period, self._run_epoch, period)

@@ -57,7 +57,9 @@ class Op:
     frozen-dataclass ``__init__`` (one ``object.__setattr__`` per
     field) was a measurable slice of both engines' plan machinery.
     Nothing compares or hashes ops, so the generated ``__eq__``/
-    ``__hash__`` are not missed; the per-op sanity check is hoisted
+    ``__hash__`` are not missed.  Nothing mutates one either, so a
+    scheme may build an op once and hand it out on many plans (SILC-FM
+    does with its metadata reads).  The per-op sanity check is hoisted
     into :meth:`validate`, which the differential oracle (and any test
     that wants it) calls explicitly.  The devices still bounds-check
     every access against their capacity, so a malformed op cannot

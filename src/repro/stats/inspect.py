@@ -88,9 +88,10 @@ def set_occupancy_histogram(scheme: SilcFmScheme) -> Dict[int, int]:
     """How many sets have 0..assoc remapped ways — the conflict-pressure
     profile that motivates associativity (Section III-C)."""
     histogram = {k: 0 for k in range(scheme.assoc + 1)}
+    space = scheme.space
     for set_index in range(scheme.num_sets):
         occupied = sum(
-            1 for way in scheme._set_ways(set_index)
+            1 for way in space.nm_frames_of_set(set_index, scheme.assoc)
             if scheme.frames[way].remap is not None
         )
         histogram[occupied] += 1

@@ -176,7 +176,7 @@ class ValidationOracle:
         monitor = scheme.monitor
         if (monitor.accesses + 1) % monitor.aging_period == 0:
             return None
-        bypassing = scheme._bypassing
+        bypassing = scheme.bypassing
         index = self.space.subblock_index(paddr)
         if self.space.is_fm(paddr):
             block = self.space.block_of(paddr)

@@ -14,7 +14,8 @@ from repro.core.silcfm import SilcFmScheme
 from repro.cpu.system import System
 from repro.schemes.base import InvariantViolation
 from repro.schemes.cameo import CameoScheme
-from repro.sim.config import BLOCK_BYTES, SilcFmConfig, SystemConfig
+from repro.sim.config import (
+    BLOCK_BYTES, SUBBLOCK_BYTES, SilcFmConfig, SystemConfig)
 from repro.validate import OracleViolation, ValidationOracle
 from repro.workloads.model import WorkloadSpec
 from repro.xmem.address import AddressSpace
@@ -80,10 +81,12 @@ class _DropsResidencyBit(SilcFmScheme):
     """Bug: moves the subblock but forgets to record it in the bitvector
     (the metadata says FM, the data is in NM)."""
 
-    def _swap_subblock_in(self, way, block, index, paddr, pc):
-        ops = super()._swap_subblock_in(way, block, index, paddr, pc)
-        self.frames[way].clear_bit(index)
-        return ops
+    def access(self, paddr, is_write, pc=0):
+        plan = super().access(paddr, is_write, pc)
+        if plan.note == "row2":  # a subblock swapped in: drop its bit
+            frame = self.frames[self.way_of_block(paddr // BLOCK_BYTES)]
+            frame.clear_bit(paddr % BLOCK_BYTES // SUBBLOCK_BYTES)
+        return plan
 
 
 class _ForgetsReverseMap(SilcFmScheme):
