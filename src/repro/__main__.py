@@ -5,11 +5,12 @@ Commands
 
 ``run``      simulate one (scheme, benchmark) pair and print its report
 ``compare``  several schemes on one benchmark, speedups over the baseline
-``figure``   regenerate one paper figure (parallel, resumable)
+``figure``   print one EXPERIMENTS.md section (parallel, resumable)
 ``schemes``  list the registered schemes
 ``suite``    list the Table III benchmarks and their parameters
 ``trace``    workload trace file, or (``--scheme``) a Chrome event trace
-``report``   regenerate EXPERIMENTS.md (the full evaluation grid)
+``report``   write EXPERIMENTS.md (every section) and check the paper's
+             shape claims; exits 1 naming each failed claim
 ``bench``    timed perf-regression suite -> ``BENCH_<date>.json``
 ``analyze``  latency-attribution report from a telemetry artifact
 
@@ -39,7 +40,8 @@ Examples::
     python -m repro run silc mcf --misses 5000 --span-sample-rate 1
     python -m repro analyze results/telemetry/silc-mcf.series.json
     python -m repro compare mcf --schemes cam pom silc --jobs 4
-    python -m repro figure fig7 --jobs 8 --misses 6000
+    python -m repro figure fig7 --jobs 8
+    python -m repro report --jobs 8
     python -m repro trace lbm /tmp/lbm.trc --misses 20000
     python -m repro trace mcf /tmp/mcf.json --scheme silc   # Perfetto
     python -m repro bench --quick
@@ -60,12 +62,14 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.experiments import report_writer
 from repro.experiments.executor import (
     DEFAULT_CACHE_DIR,
     Cell,
     ExperimentExecutor,
     Progress,
 )
+from repro.experiments.figures import MISSES_PER_CORE
 from repro.experiments.runner import SCHEMES, run_one
 from repro.sim.config import default_config
 from repro.telemetry import DEFAULT_TELEMETRY_WINDOW, log, write_artifacts
@@ -89,6 +93,14 @@ def _add_executor_flags(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--force", action="store_true",
         help="ignore and overwrite existing cache entries")
+
+
+def _add_misses_flag(sub_parser: argparse.ArgumentParser) -> None:
+    sub_parser.add_argument(
+        "--misses", type=int, default=MISSES_PER_CORE,
+        help="LLC misses per core of the main grid; Fig. 9, the ablations"
+             " and Table I run half as many, Table III a fixed count"
+             f" (default {MISSES_PER_CORE})")
 
 
 def _add_check_flags(sub_parser: argparse.ArgumentParser) -> None:
@@ -171,15 +183,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_executor_flags(cmp_p)
 
     fig_p = sub.add_parser(
-        "figure", help="regenerate one paper figure (parallel, resumable)")
-    fig_p.add_argument("name",
-                       choices=["fig6", "fig7", "fig8", "fig9", "edp"])
-    fig_p.add_argument("--misses", type=int, default=5000,
-                       help="LLC misses per core per cell (default 5000)")
+        "figure", help="print one EXPERIMENTS.md section (parallel,"
+                       " resumable)")
+    fig_p.add_argument("name", choices=report_writer.SECTION_NAMES)
+    _add_misses_flag(fig_p)
     fig_p.add_argument("--scale", type=float, default=None)
     fig_p.add_argument("--workloads", nargs="+", default=None,
                        choices=BENCHMARKS,
-                       help="subset of the Table III suite (default: all)")
+                       help="subset of the section's workloads (default:"
+                            " the report's)")
     _add_check_flags(fig_p)
     _add_telemetry_flags(fig_p)
     _add_executor_flags(fig_p)
@@ -209,9 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
              " carries request/stage slices and coalescing flow arrows")
 
     report_p = sub.add_parser(
-        "report", help="regenerate EXPERIMENTS.md (runs the full grid)")
+        "report", help="write EXPERIMENTS.md and check the paper's claims")
     report_p.add_argument("path", nargs="?", default="EXPERIMENTS.md")
-    report_p.add_argument("--misses", type=int, default=5000)
+    _add_misses_flag(report_p)
     _add_check_flags(report_p)
     _add_executor_flags(report_p)
 
@@ -373,42 +385,35 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_figure(args) -> int:
-    from repro.experiments import figures
+def _report_claims(verdicts) -> int:
+    """Name every failed claim on stderr; returns the exit status."""
+    failed = [v for v in verdicts if not v.passed]
+    for verdict in failed:
+        print(f"FAILED claim {verdict}", file=sys.stderr)
+    return 1 if failed else 0
 
-    config = _config(args.scale, args)
+
+def _cmd_figure(args) -> int:
+    name = args.name
+    if args.workloads and (name == "claims"
+                           or not report_writer.SECTIONS[name].per_workload):
+        raise SystemExit(f"--workloads does not apply to {name}")
     executor = _executor(args)
-    entry = {
-        "fig6": figures.fig6_breakdown,
-        "fig7": figures.fig7_comparison,
-        "fig8": figures.fig8_bandwidth_split,
-        "fig9": figures.fig9_capacity_sweep,
-        "edp": figures.edp_comparison,
-    }[args.name]
     try:
-        table = entry(config=config, misses_per_core=args.misses,
-                      workloads=args.workloads, executor=executor)
+        tables = report_writer.compute_tables(
+            _config(args.scale, args), args.misses, executor,
+            names=None if name == "claims" else [name],
+            workloads=args.workloads)
     finally:
         failed = _report_failures(executor)
-    if args.name in ("fig6", "fig7"):
-        rows = [[scheme] + [f"{v:.3f}" for v in per_wl.values()]
-                for scheme, per_wl in table.items()]
-        headers = ["scheme"] + list(next(iter(table.values())))
-        print(format_table(headers, rows, title=f"{args.name} (speedup)"))
-    elif args.name == "fig9":
-        ratios = sorted({r for per in table.values() for r in per}, reverse=True)
-        rows = [[scheme] + [f"{per[r]:.3f}" for r in ratios]
-                for scheme, per in table.items()]
-        print(format_table(["scheme"] + [f"NM=1/{r}" for r in ratios], rows,
-                           title="fig9 (geomean speedup)"))
-    else:
-        unit = "" if args.name == "fig8" else "x"
-        print(bar_chart({SCHEMES[s].label: v for s, v in table.items()},
-                        title=args.name, unit=unit))
+    print(report_writer.render_section(name, tables))
     progress = executor.last_progress
     if progress is not None:
         print(f"[{progress.render()}; "
               f"{progress.simulated} simulated]", file=sys.stderr)
+    if name == "claims" and _report_claims(
+            report_writer.evaluate_claims(tables)):
+        return 1
     return 1 if failed else 0
 
 
@@ -436,18 +441,14 @@ def _cmd_suite(_args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.experiments.report_writer import write_experiments_report
-
     executor = _executor(args)
     try:
-        write_experiments_report(args.path, config=_config(None, args),
-                                 misses_per_core=args.misses,
-                                 fig9_misses=max(1500, args.misses // 2),
-                                 executor=executor)
+        verdicts = report_writer.write_experiments_report(
+            args.path, _config(None, args), args.misses, executor)
     finally:
         failed = _report_failures(executor)
     print(f"wrote {args.path}")
-    return 1 if failed else 0
+    return 1 if _report_claims(verdicts) or failed else 0
 
 
 def _cmd_trace(args) -> int:

@@ -12,7 +12,8 @@ Responsibilities:
 * drive epoch-based schemes (HMA): run the scheme's epoch at its period,
   issue the bulk-migration traffic and stall *all* demand requests for
   the OS-overhead window (context switch + PTE/TLB work);
-* account demand bytes per level for the Fig. 8 bandwidth-split result.
+* account demand and background bytes per level (the NM share of
+  demand bytes, ``nm_demand_fraction``, is what ``repro run`` prints).
 
 The stage walk is an explicit state machine on the transaction itself
 (``stage_index`` / ``remaining_ops`` fields, updated by
@@ -64,7 +65,8 @@ class ControllerStats:
 
     @property
     def nm_demand_fraction(self) -> float:
-        """Fraction of demand bandwidth served by NM (Fig. 8's metric)."""
+        """Fraction of demand *bytes* served by NM.  Fig. 8 reports the
+        share of demand *requests* instead (``RunResult.access_rate``)."""
         total = self.demand_nm_bytes + self.demand_fm_bytes
         return self.demand_nm_bytes / total if total else 0.0
 
@@ -124,9 +126,8 @@ class FlatMemoryController:
     def attach_telemetry(self, hub) -> None:
         """Demand/background byte-split meters plus the latency gauge.
 
-        All closures read counters dispatch already maintains; the
-        service-time signal is the same data Fig. 8 aggregates, but
-        windowed so phase changes are visible.
+        All closures read counters dispatch already maintains, windowed
+        so phase changes are visible.
         """
         stats = self.stats  # warmup reset keeps the object identity
         hub.meter("ctrl.demand_nm_bytes", lambda: stats.demand_nm_bytes)

@@ -5,8 +5,8 @@ DRAM devices, in the paper's 16-copy rate mode.
 factory and a workload spec, steps the discrete-event engine until every
 core finishes its trace, and returns a :class:`RunResult` with the
 figures of merit the paper reports: execution time (speedups are ratios
-of these), access rate, the NM share of demand bandwidth (Fig. 8), and
-the energy/EDP breakdown.
+of these), the access rate (the NM share of demand requests, Fig. 8's
+metric), and the energy/EDP breakdown.
 
 Two trace modes:
 
@@ -67,10 +67,13 @@ class RunResult:
 
     @property
     def access_rate(self) -> float:
+        """Fraction of demand misses serviced from NM: Fig. 8's metric."""
         return self.scheme_stats.access_rate
 
     @property
     def nm_demand_fraction(self) -> float:
+        """Fraction of demand *bytes* served by NM (``repro run`` prints
+        it; Fig. 8 uses :attr:`access_rate`)."""
         return self.controller_stats.nm_demand_fraction
 
     @property

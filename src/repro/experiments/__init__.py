@@ -1,5 +1,6 @@
 """Experiment harness: scheme registry, suite runner, and one function
-per paper table/figure."""
+per paper table/figure (rendered into EXPERIMENTS.md by
+:mod:`repro.experiments.report_writer`)."""
 
 from repro.experiments.executor import (
     Cell,
@@ -13,11 +14,14 @@ from repro.experiments.figures import (
     FIG6_LABELS,
     FIG6_STAGES,
     FIG7_SCHEMES,
+    ablations,
     edp_comparison,
     fig6_breakdown,
     fig7_comparison,
     fig8_bandwidth_split,
     fig9_capacity_sweep,
+    table1_operations,
+    table2_parameters,
     table3_measured,
 )
 from repro.experiments.mixes import MIXES, mix_specs, mix_speedups, run_mix
@@ -43,6 +47,7 @@ __all__ = [
     "SCHEMES",
     "SchemeSetup",
     "SuiteRunner",
+    "ablations",
     "edp_comparison",
     "fig6_breakdown",
     "fig7_comparison",
@@ -56,5 +61,7 @@ __all__ = [
     "run_one",
     "sweep_silcfm",
     "sweep_system",
+    "table1_operations",
+    "table2_parameters",
     "table3_measured",
 ]

@@ -1,26 +1,45 @@
-"""One entry point per paper table/figure (the per-experiment index in
-DESIGN.md maps each to its benchmark file).
+"""One function per paper artefact: the only code that computes one.
 
-Each function returns plain data structures (dicts of floats) so the
-benches can both print the paper-style table and assert shape
-properties; nothing here depends on pytest.
-
-Every function accepts an optional :class:`ExperimentExecutor` (or the
-``jobs``/``cache_dir``/``force`` knobs to build one) and submits its
-whole (scheme x workload) grid as a single batch, so figures
-parallelise over worker processes and resume from the on-disk result
-cache.
+Each submits its cells to an :class:`ExperimentExecutor` (cached,
+resumable, parallel) and returns plain data that
+:mod:`repro.experiments.report_writer` renders and checks the paper's
+shape claims against.  Each takes ``config``, ``misses_per_core`` (the
+trace length it simulates), ``executor`` and, where it applies,
+``workloads``; the defaults are the report's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.silcfm import SilcFmScheme
 from repro.experiments.executor import Cell, ExperimentExecutor
 from repro.experiments.runner import SuiteRunner
-from repro.sim.config import SystemConfig, default_config
+from repro.experiments.sweeps import sweep_silcfm
+from repro.sim.config import (
+    SUBBLOCK_BYTES,
+    SystemConfig,
+    default_config,
+    paper_config,
+)
 from repro.stats.collectors import geometric_mean
-from repro.workloads.spec import BENCHMARKS
+from repro.telemetry import DEFAULT_TELEMETRY_WINDOW
+from repro.workloads.spec import BENCHMARKS, per_core_spec
+
+#: LLC misses per core of the main grid (Figs. 6-8 and EDP).
+MISSES_PER_CORE = 5_000
+#: Table III's reference-mode trace length: every miss costs ~30
+#: accesses through the modelled hierarchy, and its checks were written
+#: for this count.
+TABLE3_MISSES_PER_CORE = 1_200
+
+
+def half_length(misses_per_core: int) -> int:
+    """Trace length of the half-length artefacts (Fig. 9, the ablations
+    and Table I), from the main grid's."""
+    return misses_per_core // 2
+
 
 #: Fig. 6 stages in paper order: each adds one feature on top of Random.
 FIG6_STAGES = ["silc-swap", "silc-lock", "silc-assoc", "silc"]
@@ -34,178 +53,284 @@ FIG6_LABELS = {
 #: Fig. 7 comparison schemes in paper order.
 FIG7_SCHEMES = ["rand", "hma", "cam", "camp", "pom", "silc"]
 
+#: Fig. 9: FM:NM capacity ratios, the migrating schemes, and two
+#: workloads per MPKI class.
+FIG9_RATIOS = [16, 8, 4]
+FIG9_SCHEMES = ["hma", "cam", "camp", "pom", "silc"]
+FIG9_WORKLOADS = ["xalancbmk", "gcc", "gemsFDTD", "mcf", "milc", "cactusADM"]
 
-def _executor(executor: Optional[ExperimentExecutor], jobs: Optional[int],
-              cache_dir: Optional[str], force: bool) -> ExperimentExecutor:
-    """The figure functions' executor: the caller's, or a private serial
-    one (so plain ``fig7_comparison()`` stays dependency-free)."""
-    if executor is not None:
-        return executor
-    return ExperimentExecutor(jobs=jobs or 1, cache_dir=cache_dir, force=force)
+#: Table I: the locking showcase plus two high-MPKI workloads.
+TABLE1_WORKLOADS = ["xalancbmk", "mcf", "milc"]
+
+#: Section III ablations.  xalancbmk is the paper's locking showcase,
+#: gcc ("many lukewarm blocks") its associativity showcase, milc its
+#: example of an access rate above the 0.8 bypass target, and mcf has
+#: the highest MPKI.
+THRESHOLD_WORKLOAD, HOT_THRESHOLDS = "xalancbmk", [5, 20, 50, 1000]
+ASSOC_WORKLOADS, ASSOC_WAYS = ["gcc", "milc", "libquantum"], [1, 2, 4]
+BYPASS_WORKLOAD, BYPASS_TARGETS = "milc", [0.6, 0.7, 0.8, 0.9]
+PREDICTOR_WORKLOAD = "mcf"
+
+
+def _executor(executor: Optional[ExperimentExecutor]) -> ExperimentExecutor:
+    """The caller's executor, or a private serial one."""
+    return executor or ExperimentExecutor(jobs=1)
+
+
+def _runner(config, misses_per_core, executor) -> SuiteRunner:
+    return SuiteRunner(config or default_config(), misses_per_core,
+                       executor=_executor(executor))
+
+
+def _traced(config: SystemConfig, **fields) -> SystemConfig:
+    """``config`` with telemetry on: pure observation, same results."""
+    return dataclasses.replace(
+        config, telemetry_window=config.telemetry_window
+        or DEFAULT_TELEMETRY_WINDOW, **fields)
+
+
+def _with_geomean(grid: Dict[str, Dict[str, float]]
+                  ) -> Dict[str, Dict[str, float]]:
+    """Adds a 'geomean' entry to each {workload -> speedup} series."""
+    return {key: dict(per, geomean=geometric_mean(per.values()))
+            for key, per in grid.items()}
+
+
+def table1_operations(config: Optional[SystemConfig] = None,
+                      misses_per_core: int = half_length(MISSES_PER_CORE),
+                      workloads: Optional[List[str]] = None,
+                      executor: Optional[ExperimentExecutor] = None
+                      ) -> Dict[str, int]:
+    """Table I: how often SILC-FM resolves a demand miss to each row.
+
+    Every miss is span-traced (sample rate 1), so the counts are the
+    post-warmup rows ``repro analyze`` prints, summed over the
+    workloads, with each ``-bypass`` variant folded into its base row.
+    Returns {row -> count} over the scheme's whole row vocabulary.
+    """
+    runner = _runner(_traced(config or default_config(), span_sample_rate=1),
+                     misses_per_core, executor)
+    workloads = workloads or TABLE1_WORKLOADS
+    runner.prefetch(["silc"], workloads, include_baseline=False)
+    counts = {row.replace("-bypass", ""): 0 for row in SilcFmScheme.SPAN_ROWS}
+    for wl in workloads:
+        rows = runner.result("silc", wl).telemetry["spans"]["rows"]
+        for row, rec in rows.items():
+            base = row.replace("-bypass", "")
+            counts[base] = counts.get(base, 0) + rec["count"]
+    return counts
+
+
+def _size(nbytes: int) -> str:
+    for unit, shift in (("GiB", 30), ("MiB", 20), ("KiB", 10)):
+        if nbytes >= 1 << shift and nbytes % (1 << shift) == 0:
+            return f"{nbytes >> shift} {unit}"
+    return f"{nbytes} B"
+
+
+def _parameters(config: SystemConfig) -> Dict[str, str]:
+    caches = config.caches
+    nm, fm, silc = config.nm_timings, config.fm_timings, config.silcfm
+    values = {
+        "cores": config.cores,
+        "issue width": config.core.issue_width,
+        "ROB entries": config.core.rob_entries,
+        "core frequency (GHz)": config.core.frequency_ghz,
+        "L1I / L1D / L2": " / ".join(
+            _size(c.size_bytes) for c in (caches.l1i, caches.l1d, caches.l2)),
+        "NM channels x bus": f"{nm.channels} x {nm.bus_bits}b",
+        "FM channels x bus": f"{fm.channels} x {fm.bus_bits}b",
+        "bus frequency (MHz, DDR)": f"{nm.bus_mhz:g} / {fm.bus_mhz:g}",
+        "NM / FM peak BW (GB/s)": f"{nm.peak_bandwidth_gbs():.1f} / "
+                                  f"{fm.peak_bandwidth_gbs():.1f}",
+        "NM / FM capacity": f"{_size(config.nm_bytes)} / "
+                            f"{_size(config.fm_bytes)}",
+        "FM:NM capacity": f"{config.fm_to_nm_ratio}:1",
+        "page / large block": _size(config.page_bytes),
+        "subblock": _size(SUBBLOCK_BYTES),
+        "SILC-FM associativity": silc.associativity,
+        "hot threshold": silc.hot_threshold,
+        "predictor entries": silc.predictor_entries,
+        "bypass target access rate": silc.bypass_target_access_rate,
+    }
+    return {name: str(value) for name, value in values.items()}
+
+
+def table2_parameters(config: Optional[SystemConfig] = None
+                      ) -> Dict[str, Tuple[str, str]]:
+    """Table II: {parameter -> (paper value, simulated value)}, reading
+    the paper's unscaled system from :func:`paper_config` and the
+    simulated one from ``config``."""
+    paper = _parameters(paper_config())
+    simulated = _parameters(config or default_config())
+    return {name: (paper[name], simulated[name]) for name in paper}
+
+
+def table3_measured(config: Optional[SystemConfig] = None,
+                    misses_per_core: int = TABLE3_MISSES_PER_CORE,
+                    workloads: Optional[List[str]] = None,
+                    executor: Optional[ExperimentExecutor] = None
+                    ) -> Dict[str, Dict]:
+    """Table III check: run each benchmark's *reference* stream through
+    the real cache hierarchy and report measured LLC MPKI + footprint.
+
+    ``llc_absorbs`` marks benchmarks whose hot set fits the (scaled)
+    LLC, which legitimately absorbs part of their miss stream.
+    """
+    config = config or default_config()
+    executor = _executor(executor)
+    workloads = workloads or BENCHMARKS
+    cells = {
+        name: Cell("nonm", name, config, misses_per_core=misses_per_core,
+                   mode="reference", warmup_fraction=0.0)
+        for name in workloads
+    }
+    executor.run_cells(cells.values())
+    out: Dict[str, Dict] = {}
+    for name in workloads:
+        spec = per_core_spec(name, config)
+        result = executor.run_cell(cells[name])
+        misses = sum(c.misses_issued for c in result.core_stats)
+        hot_bytes = int(spec.hot_fraction * spec.footprint_pages
+                        * config.page_bytes)
+        out[name] = {
+            "category": spec.category,
+            "target_mpki": spec.mpki,
+            "measured_mpki": misses / result.total_instructions * 1000.0,
+            "footprint_pages_per_core": spec.footprint_pages,
+            "llc_absorbs": hot_bytes < 2 * config.caches.l2.size_bytes,
+        }
+    return out
 
 
 def fig6_breakdown(config: Optional[SystemConfig] = None,
-                   misses_per_core: int = 12_000,
+                   misses_per_core: int = MISSES_PER_CORE,
                    workloads: Optional[List[str]] = None,
-                   executor: Optional[ExperimentExecutor] = None,
-                   jobs: Optional[int] = None,
-                   cache_dir: Optional[str] = None,
-                   force: bool = False) -> Dict[str, Dict[str, float]]:
+                   executor: Optional[ExperimentExecutor] = None
+                   ) -> Dict[str, Dict[str, float]]:
     """Fig. 6: cumulative feature breakdown.
 
     Returns {stage -> {workload -> speedup over no-NM baseline}}, plus a
     'rand' row as the stack's floor and a 'geomean' entry per stage.
     """
-    runner = SuiteRunner(config or default_config(), misses_per_core,
-                         executor=_executor(executor, jobs, cache_dir, force))
-    workloads = workloads or BENCHMARKS
-    stages = ["rand"] + FIG6_STAGES
-    runner.prefetch(stages, workloads)
-    out: Dict[str, Dict[str, float]] = {}
-    for stage in stages:
-        per_wl = {wl: runner.speedup(stage, wl) for wl in workloads}
-        per_wl["geomean"] = geometric_mean(per_wl.values())
-        out[stage] = per_wl
-    return out
+    return _with_geomean(_runner(config, misses_per_core, executor).grid(
+        ["rand"] + FIG6_STAGES, workloads or BENCHMARKS))
 
 
 def fig7_comparison(config: Optional[SystemConfig] = None,
-                    misses_per_core: int = 12_000,
+                    misses_per_core: int = MISSES_PER_CORE,
                     workloads: Optional[List[str]] = None,
-                    executor: Optional[ExperimentExecutor] = None,
-                    jobs: Optional[int] = None,
-                    cache_dir: Optional[str] = None,
-                    force: bool = False) -> Dict[str, Dict[str, float]]:
+                    executor: Optional[ExperimentExecutor] = None
+                    ) -> Dict[str, Dict[str, float]]:
     """Fig. 7: speedups of all schemes over the no-NM baseline.
 
     Returns {scheme -> {workload -> speedup, 'geomean' -> g}}.
     """
-    runner = SuiteRunner(config or default_config(), misses_per_core,
-                         executor=_executor(executor, jobs, cache_dir, force))
-    workloads = workloads or BENCHMARKS
-    runner.prefetch(FIG7_SCHEMES, workloads)
-    out: Dict[str, Dict[str, float]] = {}
-    for scheme in FIG7_SCHEMES:
-        per_wl = {wl: runner.speedup(scheme, wl) for wl in workloads}
-        per_wl["geomean"] = geometric_mean(per_wl.values())
-        out[scheme] = per_wl
-    return out
+    return _with_geomean(_runner(config, misses_per_core, executor).grid(
+        FIG7_SCHEMES, workloads or BENCHMARKS))
 
 
 def fig8_bandwidth_split(config: Optional[SystemConfig] = None,
-                         misses_per_core: int = 12_000,
+                         misses_per_core: int = MISSES_PER_CORE,
                          workloads: Optional[List[str]] = None,
-                         executor: Optional[ExperimentExecutor] = None,
-                         jobs: Optional[int] = None,
-                         cache_dir: Optional[str] = None,
-                         force: bool = False) -> Dict[str, float]:
-    """Fig. 8: mean fraction of *demand* bandwidth served by NM, per
-    scheme (migration traffic excluded, as in the paper).  Ideal = 0.8.
+                         executor: Optional[ExperimentExecutor] = None
+                         ) -> Dict[str, float]:
+    """Fig. 8: mean fraction of demand requests serviced from NM — the
+    access rate — per scheme (migrations excluded, as in the paper).
+    Ideal = 0.8, the NM share of the 4:1 NM:FM bandwidth.
     """
-    runner = SuiteRunner(config or default_config(), misses_per_core,
-                         executor=_executor(executor, jobs, cache_dir, force))
+    runner = _runner(config, misses_per_core, executor)
     workloads = workloads or BENCHMARKS
     runner.prefetch(FIG7_SCHEMES, workloads, include_baseline=False)
-    out: Dict[str, float] = {}
-    for scheme in FIG7_SCHEMES:
-        fractions = [
-            runner.result(scheme, wl).nm_demand_fraction for wl in workloads
-        ]
-        out[scheme] = sum(fractions) / len(fractions)
-    return out
+    return {s: sum(runner.result(s, wl).access_rate for wl in workloads)
+            / len(workloads) for s in FIG7_SCHEMES}
 
 
 def fig9_capacity_sweep(config: Optional[SystemConfig] = None,
-                        misses_per_core: int = 12_000,
-                        ratios: Optional[List[int]] = None,
-                        schemes: Optional[List[str]] = None,
+                        misses_per_core: int = half_length(MISSES_PER_CORE),
                         workloads: Optional[List[str]] = None,
-                        executor: Optional[ExperimentExecutor] = None,
-                        jobs: Optional[int] = None,
-                        cache_dir: Optional[str] = None,
-                        force: bool = False) -> Dict[str, Dict[int, float]]:
-    """Fig. 9: geomean speedup vs FM:NM capacity ratio (16, 8, 4).
+                        executor: Optional[ExperimentExecutor] = None
+                        ) -> Dict[str, Dict[int, float]]:
+    """Fig. 9: geomean speedup vs FM:NM capacity ratio (16, 8, 4) over
+    :data:`FIG9_WORKLOADS` by default.
 
     Returns {scheme -> {ratio -> geomean speedup}}.
     """
     config = config or default_config()
-    ratios = ratios or [16, 8, 4]
-    schemes = schemes or FIG7_SCHEMES
-    workloads = workloads or BENCHMARKS
-    executor = _executor(executor, jobs, cache_dir, force)
-    # one runner per capacity point, all feeding the same executor so
-    # the entire ratio x scheme x workload cube shares one worker pool
-    runners = {
-        ratio: SuiteRunner(config.with_ratio(ratio), misses_per_core,
-                           executor=executor)
-        for ratio in ratios
-    }
-    cells = []
-    for runner in runners.values():
-        for scheme in list(schemes) + ["nonm"]:
-            cells.extend(runner._cell(scheme, wl) for wl in workloads)
-    executor.run_cells(cells)
-    out: Dict[str, Dict[int, float]] = {s: {} for s in schemes}
-    for ratio, runner in runners.items():
-        for scheme in schemes:
-            speedups = [runner.speedup(scheme, wl) for wl in workloads]
-            out[scheme][ratio] = geometric_mean(speedups)
+    executor = _executor(executor)
+    out: Dict[str, Dict[int, float]] = {s: {} for s in FIG9_SCHEMES}
+    for ratio in FIG9_RATIOS:
+        grid = _runner(config.with_ratio(ratio), misses_per_core,
+                       executor).grid(FIG9_SCHEMES,
+                                      workloads or FIG9_WORKLOADS)
+        for scheme, per_wl in grid.items():
+            out[scheme][ratio] = geometric_mean(per_wl.values())
     return out
 
 
 def edp_comparison(config: Optional[SystemConfig] = None,
-                   misses_per_core: int = 12_000,
+                   misses_per_core: int = MISSES_PER_CORE,
                    workloads: Optional[List[str]] = None,
-                   executor: Optional[ExperimentExecutor] = None,
-                   jobs: Optional[int] = None,
-                   cache_dir: Optional[str] = None,
-                   force: bool = False) -> Dict[str, float]:
+                   executor: Optional[ExperimentExecutor] = None
+                   ) -> Dict[str, float]:
     """Section V energy result: geomean EDP normalised to the no-NM
     baseline, per scheme (lower is better; the paper reports SILC-FM at
     ~13% below the best state-of-the-art scheme)."""
-    runner = SuiteRunner(config or default_config(), misses_per_core,
-                         executor=_executor(executor, jobs, cache_dir, force))
+    runner = _runner(config, misses_per_core, executor)
     workloads = workloads or BENCHMARKS
     runner.prefetch(FIG7_SCHEMES, workloads)
-    out: Dict[str, float] = {}
-    for scheme in FIG7_SCHEMES:
-        ratios = []
-        for wl in workloads:
-            baseline = runner.result("nonm", wl)
-            ratios.append(runner.result(scheme, wl).edp / baseline.edp)
-        out[scheme] = geometric_mean(ratios)
-    return out
+    return {s: geometric_mean([runner.result(s, wl).edp
+                               / runner.result("nonm", wl).edp
+                               for wl in workloads]) for s in FIG7_SCHEMES}
 
 
-def table3_measured(config: Optional[SystemConfig] = None,
-                    misses_per_core: int = 2_000,
-                    executor: Optional[ExperimentExecutor] = None,
-                    jobs: Optional[int] = None,
-                    cache_dir: Optional[str] = None,
-                    force: bool = False) -> Dict[str, Dict[str, float]]:
-    """Table III check: run each benchmark's *reference* stream through
-    the real cache hierarchy and report measured LLC MPKI + footprint.
+def ablations(config: Optional[SystemConfig] = None,
+              misses_per_core: int = half_length(MISSES_PER_CORE),
+              executor: Optional[ExperimentExecutor] = None
+              ) -> Dict[str, Dict]:
+    """Section III design ablations, each a :func:`sweep_silcfm` curve of
+    SILC-FM speedups over the no-NM baseline.
+
+    Returns {'threshold': {threshold -> speedup}, 'associativity':
+    {ways -> {workload -> speedup, 'geomean' -> g}}, 'bypass': {target
+    -> speedup, 'off' -> speedup}, 'predictor': {'on'|'off' ->
+    {'speedup', 'way_accuracy', 'location_accuracy'}}}, with every key
+    a string; the predictor's accuracies come from the final telemetry
+    sample of the curve's own cells.
     """
-    from repro.workloads.spec import per_core_spec
-
     config = config or default_config()
-    executor = _executor(executor, jobs, cache_dir, force)
-    cells = {
-        name: Cell("nonm", name, config, misses_per_core=misses_per_core,
-                   mode="reference", warmup_fraction=0.0)
-        for name in BENCHMARKS
-    }
-    executor.run_cells(cells.values())
-    out: Dict[str, Dict[str, float]] = {}
-    for name in BENCHMARKS:
-        spec = per_core_spec(name, config)
-        result = executor.run_cell(cells[name])
-        instructions = result.total_instructions
-        misses = sum(c.misses_issued for c in result.core_stats)
-        out[name] = {
-            "target_mpki": spec.mpki,
-            "measured_mpki": misses / instructions * 1000.0,
-            "footprint_pages_per_core": spec.footprint_pages,
-            "category": {"low": 0.0, "medium": 1.0, "high": 2.0}[spec.category],
+    executor = _executor(executor)
+
+    def curve(field, values, workload, base=config) -> Dict[str, float]:
+        return sweep_silcfm(field, values, workload, base, misses_per_core,
+                            executor=executor)
+
+    per_workload = {wl: curve("associativity", ASSOC_WAYS, wl)
+                    for wl in ASSOC_WORKLOADS}
+    associativity = _with_geomean({
+        str(ways): {wl: per_workload[wl][str(ways)] for wl in ASSOC_WORKLOADS}
+        for ways in ASSOC_WAYS})
+    bypass = curve("bypass_target_access_rate", BYPASS_TARGETS,
+                   BYPASS_WORKLOAD)
+    bypass["off"] = curve("enable_bypass", [False], BYPASS_WORKLOAD)["False"]
+    traced = _traced(config)
+    predictor = {}
+    for label, speedup in curve("enable_predictor", [True, False],
+                                PREDICTOR_WORKLOAD, traced).items():
+        enabled = label == "True"
+        cell = Cell("silc", PREDICTOR_WORKLOAD,  # the curve's cell: a memo hit
+                    traced.with_silcfm(enable_predictor=enabled),
+                    misses_per_core=misses_per_core)
+        final = executor.run_cell(cell).telemetry["samples"][-1]
+        predictor["on" if enabled else "off"] = {
+            "speedup": speedup,
+            "way_accuracy": final["silcfm.predictor_way_accuracy"],
+            "location_accuracy": final["silcfm.predictor_location_accuracy"],
         }
-    return out
+    return {
+        "threshold": curve("hot_threshold", HOT_THRESHOLDS,
+                           THRESHOLD_WORKLOAD),
+        "associativity": associativity,
+        "bypass": bypass,
+        "predictor": predictor,
+    }

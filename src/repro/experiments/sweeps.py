@@ -5,7 +5,8 @@ SILC-FM parameter or system knob.
 ``SilcFmConfig`` field; ``sweep_system`` does the same for system-level
 knobs expressed as config transformers.  Both normalise against a shared
 no-NM baseline, so the output is directly plottable as a sensitivity
-curve (the ablation benches are thin wrappers over these).
+curve (the report's Section III ablations are curves of
+``sweep_silcfm``).
 
 Each sweep point is an independent executor :class:`Cell` — a varied
 ``SystemConfig`` under a registered scheme key — so the whole curve is
@@ -22,17 +23,12 @@ from repro.experiments.executor import Cell, ExperimentExecutor
 from repro.sim.config import SystemConfig
 
 
-def _executor(executor: Optional[ExperimentExecutor],
-              jobs: Optional[int]) -> ExperimentExecutor:
-    return executor or ExperimentExecutor(jobs=jobs or 1)
-
-
 def sweep_silcfm(field: str, values: Sequence, workload: str,
                  config: SystemConfig, misses_per_core: int = 4_000,
                  seed: Optional[int] = None,
                  warmup_fraction: float = 0.2,
-                 executor: Optional[ExperimentExecutor] = None,
-                 jobs: Optional[int] = None) -> Dict[str, float]:
+                 executor: Optional[ExperimentExecutor] = None
+                 ) -> Dict[str, float]:
     """Speedup over the no-NM baseline for each value of one
     ``SilcFmConfig`` field.
 
@@ -41,7 +37,7 @@ def sweep_silcfm(field: str, values: Sequence, workload: str,
     """
     if field not in {f.name for f in dataclasses.fields(config.silcfm)}:
         raise KeyError(f"SilcFmConfig has no field {field!r}")
-    executor = _executor(executor, jobs)
+    executor = executor or ExperimentExecutor(jobs=1)
     baseline_cell = Cell("nonm", workload, config,
                          misses_per_core=misses_per_core, seed=seed,
                          warmup_fraction=warmup_fraction)
@@ -64,15 +60,15 @@ def sweep_system(transform: Callable[[SystemConfig, object], SystemConfig],
                  values: Sequence, scheme_key: str, workload: str,
                  config: SystemConfig, misses_per_core: int = 4_000,
                  seed: Optional[int] = None,
-                 executor: Optional[ExperimentExecutor] = None,
-                 jobs: Optional[int] = None) -> Dict[str, float]:
+                 executor: Optional[ExperimentExecutor] = None
+                 ) -> Dict[str, float]:
     """Speedup curve over system-level variations.
 
     ``transform(config, value)`` produces the varied configuration; each
     point is normalised to its *own* no-NM baseline (so capacity sweeps
     compare like with like).
     """
-    executor = _executor(executor, jobs)
+    executor = executor or ExperimentExecutor(jobs=1)
     pairs = {}
     for value in values:
         varied = transform(config, value)

@@ -1,5 +1,5 @@
-"""ASCII reporting: the benchmark harness prints the paper's tables and
-figures as text so a terminal run shows the reproduced rows/series."""
+"""ASCII reporting: terminal tables and bar charts for the CLI and the
+examples (EXPERIMENTS.md is rendered by repro.experiments.report_writer)."""
 
 from __future__ import annotations
 

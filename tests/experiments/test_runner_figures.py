@@ -7,8 +7,12 @@ import pytest
 from repro.experiments.figures import (
     FIG6_STAGES,
     FIG7_SCHEMES,
+    FIG9_RATIOS,
+    FIG9_SCHEMES,
     fig8_bandwidth_split,
     fig9_capacity_sweep,
+    table1_operations,
+    table2_parameters,
     table3_measured,
 )
 from repro.experiments.runner import SCHEMES, SuiteRunner, run_one
@@ -76,11 +80,12 @@ def test_fig8_function(config):
 
 
 def test_fig9_function(config):
-    sweep = fig9_capacity_sweep(config, misses_per_core=300,
-                                ratios=[8, 4], schemes=["silc"],
+    sweep = fig9_capacity_sweep(config, misses_per_core=150,
                                 workloads=["mcf"])
-    assert set(sweep["silc"]) == {8, 4}
-    assert all(v > 0 for v in sweep["silc"].values())
+    assert set(sweep) == set(FIG9_SCHEMES)
+    for per_ratio in sweep.values():
+        assert list(per_ratio) == FIG9_RATIOS
+        assert all(v > 0 for v in per_ratio.values())
 
 
 def test_table3_function(config):
@@ -89,3 +94,21 @@ def test_table3_function(config):
     for name, row in rows.items():
         assert row["measured_mpki"] > 0
         assert row["target_mpki"] > 0
+        assert row["category"] in ("low", "medium", "high")
+        assert isinstance(row["llc_absorbs"], bool)
+
+
+def test_table1_folds_bypass_rows(config):
+    counts = table1_operations(config, misses_per_core=200,
+                               workloads=["mcf"])
+    assert not [row for row in counts if "bypass" in row]
+    assert {f"row{i}" for i in range(1, 6)} <= set(counts)
+    assert sum(counts.values()) > 0
+
+
+def test_table2_reads_the_simulated_caches():
+    params = table2_parameters(default_config())
+    assert params["L1I / L1D / L2"] == ("64 KiB / 16 KiB / 8 MiB",
+                                        "64 KiB / 16 KiB / 64 KiB")
+    assert params["cores"] == ("16", "16")
+    assert params["NM / FM capacity"] == ("4 GiB / 16 GiB", "8 MiB / 32 MiB")
