@@ -11,7 +11,6 @@ Commands
 ``trace``    workload trace file, or (``--scheme``) a Chrome event trace
 ``report``   write EXPERIMENTS.md (every section) and check the paper's
              shape claims; exits 1 naming each failed claim
-``bench``    timed perf-regression suite -> ``BENCH_<date>.json``
 ``analyze``  latency-attribution report from a telemetry artifact
 
 ``compare``, ``figure`` and ``report`` fan their (scheme x workload)
@@ -44,7 +43,6 @@ Examples::
     python -m repro report --jobs 8
     python -m repro trace lbm /tmp/lbm.trc --misses 20000
     python -m repro trace mcf /tmp/mcf.json --scheme silc   # Perfetto
-    python -m repro bench --quick
     python -m repro --log-level debug --log-file sweep.jsonl figure fig7
 
 The global ``--log-level`` / ``--log-file`` flags turn on structured
@@ -52,6 +50,11 @@ JSON-lines logging (:mod:`repro.telemetry.log`) for any command; pool
 workers inherit the setting and record ``cell_started``,
 ``cell_finished`` and ``cell_failed`` per simulated cell
 (docs/telemetry.md).
+
+Counts (``--jobs``, ``--misses``, ``--check-every``,
+``--telemetry-window``, ``--span-sample-rate``, ``--mshr-entries``,
+``--top``) are range-checked while parsing: an out-of-range value is a
+usage error (exit 2) before any cell is built.
 """
 
 from __future__ import annotations
@@ -80,9 +83,21 @@ from repro.workloads.model import WorkloadModel
 from repro.workloads.spec import BENCHMARKS, per_core_spec
 
 
+def _at_least(low: int):
+    """argparse ``type`` for an integer flag that must be >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value: 'x'" message
+    return parse
+
+
 def _add_executor_flags(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_at_least(1), default=None, metavar="N",
         help="worker processes (default: all CPUs)")
     sub_parser.add_argument(
         "--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -96,8 +111,9 @@ def _add_executor_flags(sub_parser: argparse.ArgumentParser) -> None:
 
 
 def _add_misses_flag(sub_parser: argparse.ArgumentParser) -> None:
+    # at least 2, so the half-length sections get at least 1 miss/core
     sub_parser.add_argument(
-        "--misses", type=int, default=MISSES_PER_CORE,
+        "--misses", type=_at_least(2), default=MISSES_PER_CORE,
         help="LLC misses per core of the main grid; Fig. 9, the ablations"
              " and Table I run half as many, Table III a fixed count"
              f" (default {MISSES_PER_CORE})")
@@ -110,14 +126,14 @@ def _add_check_flags(sub_parser: argparse.ArgumentParser) -> None:
              " to every simulation; the run fails on the first metadata or"
              " bijection violation")
     sub_parser.add_argument(
-        "--check-every", type=int, default=None, metavar="N",
+        "--check-every", type=_at_least(1), default=None, metavar="N",
         help="full bijection scan every N misses (implies --check; "
              f"default {DEFAULT_CHECK_EVERY})")
 
 
 def _add_mshr_flag(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
-        "--mshr-entries", type=int, default=None, metavar="N",
+        "--mshr-entries", type=_at_least(0), default=None, metavar="N",
         help="MSHR file size: same-subblock read misses coalesce onto"
              " one in-flight transaction, arrivals beyond N entries"
              " stall structurally (default: the config's MLP-sized"
@@ -130,11 +146,12 @@ def _add_telemetry_flags(sub_parser: argparse.ArgumentParser) -> None:
         help="record windowed time-series samples and a Chrome event"
              " trace for every simulation")
     sub_parser.add_argument(
-        "--telemetry-window", type=int, default=None, metavar="CYCLES",
+        "--telemetry-window", type=_at_least(1), default=None,
+        metavar="CYCLES",
         help="sampling window in CPU cycles (implies --telemetry; "
              f"default {DEFAULT_TELEMETRY_WINDOW})")
     sub_parser.add_argument(
-        "--span-sample-rate", type=int, default=None, metavar="N",
+        "--span-sample-rate", type=_at_least(1), default=None, metavar="N",
         help="trace every Nth memory request through the pipeline as a"
              " span (1 = every request; implies --telemetry); feed the"
              " written artifact to 'repro analyze'")
@@ -157,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one scheme on one benchmark")
     run_p.add_argument("scheme", choices=sorted(SCHEMES))
     run_p.add_argument("benchmark", choices=BENCHMARKS)
-    run_p.add_argument("--misses", type=int, default=5000,
+    run_p.add_argument("--misses", type=_at_least(1), default=5000,
                        help="LLC misses per core (default 5000)")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--scale", type=float, default=None,
@@ -174,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("benchmark", choices=BENCHMARKS)
     cmp_p.add_argument("--schemes", nargs="+", default=["cam", "pom", "silc"],
                        choices=sorted(SCHEMES))
-    cmp_p.add_argument("--misses", type=int, default=5000)
+    cmp_p.add_argument("--misses", type=_at_least(1), default=5000)
     cmp_p.add_argument("--seed", type=int, default=None)
     cmp_p.add_argument("--scale", type=float, default=None)
     _add_check_flags(cmp_p)
@@ -204,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       " Chrome-format event trace of a simulated run")
     trace_p.add_argument("benchmark", choices=BENCHMARKS)
     trace_p.add_argument("path")
-    trace_p.add_argument("--misses", type=int, default=20_000)
+    trace_p.add_argument("--misses", type=_at_least(1), default=20_000)
     trace_p.add_argument("--seed", type=int, default=1)
     trace_p.add_argument(
         "--scheme", choices=sorted(SCHEMES), default=None,
@@ -212,11 +229,12 @@ def _build_parser() -> argparse.ArgumentParser:
              " Chrome event trace (open in Perfetto / chrome://tracing)"
              " instead of a workload trace file")
     trace_p.add_argument(
-        "--telemetry-window", type=int, default=None, metavar="CYCLES",
+        "--telemetry-window", type=_at_least(1),
+        default=DEFAULT_TELEMETRY_WINDOW, metavar="CYCLES",
         help="sampling window for --scheme traces "
              f"(default {DEFAULT_TELEMETRY_WINDOW})")
     trace_p.add_argument(
-        "--span-sample-rate", type=int, default=None, metavar="N",
+        "--span-sample-rate", type=_at_least(1), default=None, metavar="N",
         help="also ride spans on every Nth request so the written trace"
              " carries request/stage slices and coalescing flow arrows")
 
@@ -227,26 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_check_flags(report_p)
     _add_executor_flags(report_p)
 
-    bench_p = sub.add_parser(
-        "bench", help="timed perf-regression suite -> BENCH_<date>.json")
-    bench_p.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized subset (baseline + silc on mcf)")
-    bench_p.add_argument(
-        "--out-dir", default="results", metavar="DIR",
-        help="where BENCH_<date>.json lands (default results/)")
-    bench_p.add_argument(
-        "--profile", action="store_true",
-        help="capture a cProfile of one untimed re-run per cell into"
-             " <out-dir>/profiles/*.pstats")
-
     analyze_p = sub.add_parser(
         "analyze", help="latency-attribution report from a telemetry"
                         " artifact (a span-enabled *.series.json, or a"
                         " *.trace.json fallback)")
     analyze_p.add_argument("path", help="series or trace artifact file")
     analyze_p.add_argument(
-        "--top", type=int, default=5, metavar="N",
+        "--top", type=_at_least(0), default=5, metavar="N",
         help="coalescing chains to list (default 5)")
     return parser
 
@@ -257,8 +262,6 @@ def _with_check(config, args):
     if not getattr(args, "check", False) and check_every is None:
         return config
     interval = DEFAULT_CHECK_EVERY if check_every is None else check_every
-    if interval <= 0:
-        raise SystemExit("--check-every must be a positive miss count")
     return dataclasses.replace(config, check_interval=interval)
 
 
@@ -275,12 +278,8 @@ def _with_telemetry(config, args):
         return config
     if window is None:
         window = DEFAULT_TELEMETRY_WINDOW
-    if window <= 0:
-        raise SystemExit("--telemetry-window must be a positive cycle count")
     if rate is None:
         rate = config.span_sample_rate
-    elif rate < 1:
-        raise SystemExit("--span-sample-rate must be >= 1")
     return dataclasses.replace(config, telemetry_window=window,
                                span_sample_rate=rate)
 
@@ -290,8 +289,6 @@ def _with_mshr(config, args):
     entries = getattr(args, "mshr_entries", None)
     if entries is None:
         return config
-    if entries < 0:
-        raise SystemExit("--mshr-entries must be >= 0")
     return dataclasses.replace(config, mshr_entries=entries)
 
 
@@ -456,16 +453,9 @@ def _cmd_trace(args) -> int:
     if args.scheme is not None:
         from repro.telemetry import run_metadata, write_trace
 
-        window = args.telemetry_window or DEFAULT_TELEMETRY_WINDOW
-        if window <= 0:
-            raise SystemExit(
-                "--telemetry-window must be a positive cycle count")
-        rate = args.span_sample_rate
-        if rate is not None and rate < 1:
-            raise SystemExit("--span-sample-rate must be >= 1")
         config = dataclasses.replace(
-            config, telemetry_window=window,
-            span_sample_rate=rate if rate is not None else 0)
+            config, telemetry_window=args.telemetry_window,
+            span_sample_rate=args.span_sample_rate or 0)
         result = run_one(args.scheme, args.benchmark, config,
                          misses_per_core=args.misses, seed=args.seed)
         snap = result.telemetry
@@ -481,35 +471,6 @@ def _cmd_trace(args) -> int:
     model = WorkloadModel(spec, seed=args.seed)
     count = save_trace(args.path, model.miss_stream(args.misses))
     print(f"wrote {count} records to {args.path}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.experiments.bench import run_bench, write_bench
-
-    profile_dir = Path(args.out_dir) / "profiles" if args.profile else None
-    payload = run_bench(quick=args.quick, profile_dir=profile_dir)
-    path = write_bench(payload, args.out_dir)
-    throughput = payload["throughput"]
-    def _tail(value):
-        return f"{value:,.0f}" if value is not None else "-"
-
-    print(format_table(
-        ["cell", "workload", "wall s", "accesses/s", "p95 cyc", "p99 cyc"],
-        [[c.get("key", c["scheme"]), c["workload"],
-          f"{c['wall_seconds']:.2f}",
-          f"{c['accesses_per_sec']:,.0f}",
-          _tail(c.get("p95_latency")), _tail(c.get("p99_latency"))]
-         for c in payload["cells"]],
-        title=f"bench ({'quick' if args.quick else 'full'})"))
-    print(f"total: {throughput['total_accesses']:,} accesses in "
-          f"{throughput['total_wall_seconds']:.2f}s "
-          f"({throughput['accesses_per_sec']:,.0f}/s)")
-    if profile_dir is not None:
-        print(f"wrote per-cell profiles to {profile_dir}/")
-    print(f"wrote {path}")
     return 0
 
 
@@ -536,7 +497,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "suite": _cmd_suite,
         "trace": _cmd_trace,
         "report": _cmd_report,
-        "bench": _cmd_bench,
         "analyze": _cmd_analyze,
     }[args.command]
     return handler(args)

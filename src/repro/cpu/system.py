@@ -11,9 +11,9 @@ metric), and the energy/EDP breakdown.
 Two trace modes:
 
 * ``"miss"`` (default) — the workload model emits the LLC miss stream
-  directly; fast, used by the benchmark harness.
+  directly; fast, used by every figure but Table III.
 * ``"reference"`` — references run through the modelled L1/L2 hierarchy;
-  slower, used by integration tests and the Table III bench.
+  slower, used by ``repro figure table3`` and integration tests.
 """
 
 from __future__ import annotations

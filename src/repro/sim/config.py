@@ -244,7 +244,8 @@ def paper_config() -> SystemConfig:
     """The unscaled Table II system (4 GB NM : 16 GB FM).
 
     Provided for documentation and for users with the patience for a
-    full-scale run; the test-suite and benches use the scaled default.
+    full-scale run; the report and ``repro figure table2`` print it
+    beside the scaled default everything simulates.
     """
     return SystemConfig(nm_bytes=4 * GB, fm_bytes=16 * GB)
 
@@ -255,8 +256,8 @@ def default_config(scale: float = 2.0) -> SystemConfig:
     The default scale (NM = 8 MiB, 4096 frames) is the smallest at which
     hot working sets populate enough DRAM rows per bank for row-buffer
     behaviour to look like the paper's full-size system.  ``scale`` can
-    be raised for higher fidelity (benches grow trace lengths to match)
-    and can also be set with the ``REPRO_SCALE`` environment variable.
+    be raised for higher fidelity and can also be set with the
+    ``REPRO_SCALE`` environment variable.
     """
     env = os.environ.get("REPRO_SCALE")
     if env is not None:

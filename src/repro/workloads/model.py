@@ -20,7 +20,7 @@ drive the paper's results:
 
 ``reference_stream`` additionally expands each miss into cache-hitting
 re-references so the real cache hierarchy measures the intended MPKI
-(used by the Table III bench and integration tests).
+(``repro figure table3`` and its claims, and integration tests).
 """
 
 from __future__ import annotations

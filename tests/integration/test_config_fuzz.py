@@ -1,6 +1,6 @@
 """Robustness fuzzing: the system must run to completion (and keep its
 invariants) for ANY structurally valid configuration, not just the
-defaults the benches use."""
+report's defaults."""
 
 import dataclasses
 

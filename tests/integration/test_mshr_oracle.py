@@ -68,18 +68,29 @@ def test_mshr_sweep_speedup_is_monotone(scheme):
             "monotone (see the silc-mshr32 postmortem)")
 
 
-@pytest.mark.parametrize("scheme", ["silc", "nonm"])
-def test_default_mshr_dominates_compat(scheme):
+@pytest.mark.parametrize("scheme, scale, misses, seed, check_interval", [
+    pytest.param("silc", 0.25, 200, 5, 100, id="silc"),
+    pytest.param("nonm", 0.25, 200, 5, 100, id="nonm"),
+    # default scale, no oracle: 99,658.25 vs 100,521.25 cycles
+    pytest.param("silc", None, 1500, 1234, 0, id="silc-default-scale"),
+])
+def test_default_mshr_dominates_compat(scheme, scale, misses, seed,
+                                       check_interval):
     """The flip gate: the default (nonzero) MSHR file must be at least
     as fast as the compat front door it replaced — sized to the
     aggregate MLP and coalescing reads only, the pipeline is a pure
-    win, not a modeling tax."""
-    default = run_one(scheme, "mcf",
-                      _checked_config(default_config().mshr_entries),
-                      misses_per_core=200, seed=5)
-    compat = run_one(scheme, "mcf", _checked_config(0),
-                     misses_per_core=200, seed=5)
-    assert default.extras["oracle_accesses_checked"] > 0
+    win, not a modeling tax.  Checked oracle-on at scale 0.25 and
+    oracle-off on silc/mcf at the default scale."""
+    config = dataclasses.replace(
+        default_config() if scale is None else default_config(scale=scale),
+        check_interval=check_interval)
+    default = run_one(scheme, "mcf", config,
+                      misses_per_core=misses, seed=seed)
+    compat = run_one(scheme, "mcf",
+                     dataclasses.replace(config, mshr_entries=0),
+                     misses_per_core=misses, seed=seed)
+    if check_interval:
+        assert default.extras["oracle_accesses_checked"] > 0
     assert "mshr_allocations" not in compat.extras  # truly MSHR-free
     assert default.elapsed_cycles <= compat.elapsed_cycles, (
         f"{scheme}: default MSHR mode ({default.elapsed_cycles}) lost "

@@ -132,39 +132,6 @@ def test_trace_scheme_writes_chrome_trace(tmp_path, capsys, monkeypatch):
     assert "Perfetto" in capsys.readouterr().out
 
 
-def test_bench_quick_command(tmp_path, capsys, monkeypatch):
-    import repro.experiments.bench as bench
-
-    payload = {
-        "schema": bench.BENCH_SCHEMA_VERSION,
-        "date": "2026-01-02",
-        "quick": True,
-        "seed": bench.BENCH_SEED,
-        "platform": {},
-        "cells": [{"scheme": "silc", "workload": "mcf", "wall_seconds": 0.5,
-                   "accesses_per_sec": 12000.0, "accesses": 6000,
-                   "misses_per_core": 1500, "elapsed_cycles": 1.0,
-                   "access_rate": 0.5}],
-        "throughput": {"total_wall_seconds": 0.5, "total_accesses": 6000,
-                       "accesses_per_sec": 12000.0},
-        "figures_of_merit": {"speedup_over_nonm": {}},
-    }
-    seen = {}
-
-    def fake_run_bench(quick=False, **kwargs):
-        seen["quick"] = quick
-        return payload
-
-    monkeypatch.setattr(bench, "run_bench", fake_run_bench)
-    assert cli.main(["bench", "--quick", "--out-dir", str(tmp_path)]) == 0
-    assert seen["quick"] is True
-    assert (tmp_path / "BENCH_2026-01-02.json").exists()
-    out = capsys.readouterr().out
-    assert "bench (quick)" in out
-    assert "6,000 accesses in 0.50s (12,000/s)" in out
-    assert "wrote" in out
-
-
 def test_run_with_spans_then_analyze(tmp_path, capsys, monkeypatch):
     small = dataclasses.replace(default_config(scale=0.25), cores=2)
     monkeypatch.setattr(cli, "default_config", lambda scale=None: small)
@@ -210,6 +177,35 @@ def test_span_rate_implies_telemetry(monkeypatch):
 def test_non_positive_span_rate_rejected():
     with pytest.raises(SystemExit):
         cli.main(["run", "silc", "mcf", "--span-sample-rate", "0"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "mcf", "--jobs", "0"],
+    ["figure", "fig7", "--misses", "0", "--workloads", "mcf"],
+    # Fig. 9 runs half the misses: 1 // 2 == 0 per core
+    ["figure", "fig9", "--misses", "1"],
+    ["report", "--misses", "1"],
+    ["trace", "mcf", "/tmp/_unused.json", "--scheme", "silc",
+     "--telemetry-window", "0"],
+    ["trace", "mcf", "/tmp/_unused.json", "--scheme", "silc",
+     "--span-sample-rate", "0"],
+    ["run", "silc", "mcf", "--misses", "0"],
+    ["run", "silc", "mcf", "--mshr-entries", "-1"],
+    # a negative slice bound listed every chain but the last
+    ["analyze", "/tmp/_unused.series.json", "--top", "-1"],
+], ids=lambda argv: "-".join(a.removeprefix("--") for a in argv
+                             if not a.startswith("/")))
+def test_bad_count_is_a_usage_error(argv, capsys, monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell was built for a bad flag")
+
+    monkeypatch.setattr(cli, "run_one", no_cells)
+    monkeypatch.setattr(cli, "_executor", no_cells)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be >=" in err
 
 
 def test_unknown_scheme_rejected():
