@@ -12,10 +12,11 @@ Two kinds of pin, both fixed config+seed grids:
   of a wider differential grid: every registered scheme x three workload
   shapes (pointer-chasing mcf, stream-like lbm, the heterogeneous
   mix-blend) x four MSHR sizes (compat 0, stall-heavy 8 and 32, the
-  MLP-sized 128), plus one oracle-checked mcf cell per scheme and four
+  MLP-sized 128), plus one oracle-checked mcf cell per scheme, four
   *aged* SILC-FM cells whose short aging period, bypass window and hot
   threshold drive the bypass rows and stale-lock release the default
-  config never reaches in 300 misses per core.
+  config never reaches in 300 misses per core, and two HMA cells long
+  enough to cross its OS epochs.
   ``tests/integration/test_batch_equivalence.py`` replays it.
 
 Any change to the hot path that silently perturbs simulated behaviour —
@@ -72,6 +73,11 @@ AGED_CELLS = (
     ("silc-lock", "mcf", 128, 0.0),
     ("silc", "mcf", CHECKED_MSHR_ENTRIES, CHECK_INTERVAL),
 )
+#: HMA on mcf for long enough to cross its 200k-cycle OS epoch: the
+#: epoch's bulk 2 KB block migrations build the deepest DRAM queues any
+#: cell sees (300 misses per core end before the first epoch).
+EPOCH_MISSES = 4_000
+EPOCH_MSHR_ENTRIES = (0, 128)
 
 
 def golden_json(scheme: str, mshr_entries: int | None = None) -> str:
@@ -95,26 +101,36 @@ def aged_cell_id(scheme: str, workload: str, mshr_entries: int,
     return f"{scheme}-{workload}-{mshr_entries}-aged{checked}"
 
 
+def epoch_cell_id(mshr_entries: int) -> str:
+    """Digest-table key of one HMA epoch cell."""
+    return f"hma-{WORKLOAD}-{mshr_entries}-epoch"
+
+
 def grid_cells() -> Iterator[
-        Tuple[str, str, str, int, float, Optional[SilcFmConfig]]]:
+        Tuple[str, str, str, int, float, Optional[SilcFmConfig], int]]:
     """``(cell id, scheme, workload, mshr_entries, check_interval,
-    silcfm)`` for every cell of the differential grid, in table order;
-    ``silcfm`` is None where the cell runs the default SILC-FM config."""
+    silcfm, misses)`` for every cell of the differential grid, in table
+    order; ``silcfm`` is None where the cell runs the default SILC-FM
+    config."""
     for scheme in sorted(ALL_SCHEMES):
         for workload in GRID_WORKLOADS:
             for entries in GRID_MSHR_ENTRIES:
                 yield (f"{scheme}-{workload}-{entries}", scheme, workload,
-                       entries, 0.0, None)
+                       entries, 0.0, None, MISSES)
     for scheme in sorted(ALL_SCHEMES):
         yield (f"{scheme}-{WORKLOAD}-{CHECKED_MSHR_ENTRIES}-checked", scheme,
-               WORKLOAD, CHECKED_MSHR_ENTRIES, CHECK_INTERVAL, None)
+               WORKLOAD, CHECKED_MSHR_ENTRIES, CHECK_INTERVAL, None, MISSES)
     for cell in AGED_CELLS:
-        yield (aged_cell_id(*cell), *cell, AGED_SILCFM)
+        yield (aged_cell_id(*cell), *cell, AGED_SILCFM, MISSES)
+    for entries in EPOCH_MSHR_ENTRIES:
+        yield (epoch_cell_id(entries), "hma", WORKLOAD, entries, 0.0, None,
+               EPOCH_MISSES)
 
 
 def grid_digest(scheme: str, workload: str, mshr_entries: int,
                 check_interval: float = 0.0,
-                silcfm: Optional[SilcFmConfig] = None) -> str:
+                silcfm: Optional[SilcFmConfig] = None,
+                misses: int = MISSES) -> str:
     """sha256 of one grid cell's canonical ``RunResult`` JSON."""
     config = dataclasses.replace(
         default_config(SCALE), seed=SEED, mshr_entries=mshr_entries,
@@ -123,9 +139,9 @@ def grid_digest(scheme: str, workload: str, mshr_entries: int,
         config = dataclasses.replace(config, silcfm=silcfm)
     if workload.startswith("mix-"):
         result = run_mix(scheme, workload, config,
-                         misses_per_core=MISSES, seed=SEED)
+                         misses_per_core=misses, seed=SEED)
     else:
-        result = run_one(scheme, workload, config, misses_per_core=MISSES)
+        result = run_one(scheme, workload, config, misses_per_core=misses)
     canonical = json.dumps(result.to_dict(), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 

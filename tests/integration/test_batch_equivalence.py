@@ -8,7 +8,7 @@ the sha256 of the canonical ``RunResult`` JSON of every cell below was
 recorded in ``tests/data/golden/grid_digests.json``, and every run must
 still reproduce it.
 
-Four layers, from broad to anchored:
+Five layers, from broad to anchored:
 
 * the **differential grid** — every registered scheme x three workload
   shapes (pointer-chasing mcf, stream-like lbm, the heterogeneous
@@ -21,6 +21,9 @@ Four layers, from broad to anchored:
   hot threshold drive the bypass rows and stale-lock release that the
   default config never reaches at this scale (one of them under the
   oracle);
+* two **HMA epoch cells** — 4,000 misses per core cross HMA's OS epoch,
+  whose bulk 2 KB block migrations build the deepest DRAM channel
+  queues of any cell (compat front door and the default MSHR file);
 * the **golden anchor** — the table's golden cells hash the committed
   full-JSON goldens' bytes, so the digest table and
   ``test_golden_results.py`` pin one history, not two.
@@ -45,9 +48,10 @@ sys.path.insert(0, str(SCRIPTS))
 
 from gen_golden_results import (  # noqa: E402
     AGED_CELLS, AGED_SILCFM, CHECK_INTERVAL, CHECKED_MSHR_ENTRIES,
-    GOLDEN_DIR, GRID_DIGESTS, GRID_MSHR_ENTRIES, GRID_WORKLOADS,
-    SCHEMES as GOLDEN_SCHEMES, WORKLOAD as GOLDEN_WORKLOAD, aged_cell_id,
-    grid_cells, grid_digest)
+    EPOCH_MISSES, EPOCH_MSHR_ENTRIES, GOLDEN_DIR, GRID_DIGESTS,
+    GRID_MSHR_ENTRIES, GRID_WORKLOADS, SCHEMES as GOLDEN_SCHEMES,
+    WORKLOAD as GOLDEN_WORKLOAD, aged_cell_id, epoch_cell_id, grid_cells,
+    grid_digest)
 
 PINNED = json.loads(GRID_DIGESTS.read_text())
 #: the MSHR size ``default_config`` ships (the ``{scheme}-mcf.json``
@@ -90,6 +94,15 @@ def test_aged_silcfm_run(cell):
     """SILC-FM's bypass rows (``row2/3/5-bypass``) and stale-lock
     release: paths the default-config cells never take."""
     _assert_pinned(aged_cell_id(*cell), grid_digest(*cell, AGED_SILCFM))
+
+
+@pytest.mark.parametrize("mshr_entries", EPOCH_MSHR_ENTRIES)
+def test_hma_epoch_run(mshr_entries):
+    """HMA's OS epochs and their bulk block migrations: the deepest
+    channel queues of the grid, which the 300-miss cells never build."""
+    _assert_pinned(epoch_cell_id(mshr_entries),
+                   grid_digest("hma", GOLDEN_WORKLOAD, mshr_entries,
+                               misses=EPOCH_MISSES))
 
 
 @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)

@@ -31,16 +31,13 @@ pinned comparison FAIL:
 a closed-form transcription of the same controller, MSHR and core code;
 the bug classes are unchanged.)
 
-Each fault runs against a cell that exercises its site: ``cf-stall-skip``
-needs HMA in compat mode (``mshr 0``) on a run long enough to cross
-several OS epochs, so its reference is a clean run of that cell; the
-rest fire on every SILC-FM miss stream and are held to the pinned
-``silc-mcf-8`` digest.
+Each fault runs against a pinned cell that exercises its site:
+``cf-stall-skip`` needs HMA in compat mode (``mshr 0``) on a run long
+enough to cross its OS epochs, so it is held to the pinned
+``hma-mcf-0-epoch`` digest; the rest fire on every SILC-FM miss stream
+and are held to the pinned ``silc-mcf-8`` digest.
 """
 
-import dataclasses
-import functools
-import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -52,17 +49,14 @@ from repro.cpu.controller import FlatMemoryController
 from repro.cpu.core import Core
 from repro.cpu.mshr import MSHRFile
 from repro.dram.bank import Bank
-from repro.experiments.runner import run_one
-from repro.sim.config import default_config
 
 SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
 sys.path.insert(0, str(SCRIPTS))
 
-from gen_golden_results import GRID_DIGESTS  # noqa: E402
+from gen_golden_results import (  # noqa: E402
+    EPOCH_MISSES, GRID_DIGESTS, MISSES, epoch_cell_id, grid_digest)
 
 PINNED = json.loads(GRID_DIGESTS.read_text())
-SEED = 7
-MISSES = 300
 #: the refill size the ``window-off-by-one`` fault breaks at
 REFILL = 64
 
@@ -158,37 +152,22 @@ def inject(fault: str):
         _active.clear()
 
 
-#: fault -> (scheme, misses_per_core, mshr_entries) whose run exercises
-#: the planted site.
-CASES = {fault: ("silc", MISSES, 8) for fault in KNOWN}
-CASES["cf-stall-skip"] = ("hma", 4000, 0)
+#: fault -> (scheme, misses_per_core, mshr_entries, pinned grid cell) of
+#: an mcf run that exercises the planted site.
+CASES = {fault: ("silc", MISSES, 8, "silc-mcf-8") for fault in KNOWN}
+CASES["cf-stall-skip"] = ("hma", EPOCH_MISSES, 0, epoch_cell_id(0))
 
 
 def _digest(scheme: str, misses: int, mshr: int) -> str:
-    config = dataclasses.replace(default_config(0.25), seed=SEED,
-                                 mshr_entries=mshr)
-    result = run_one(scheme, "mcf", config, misses_per_core=misses)
-    canonical = json.dumps(result.to_dict(), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-@functools.lru_cache(maxsize=None)
-def _reference(scheme: str, misses: int, mshr: int) -> str:
-    """The pinned digest for grid cells; a clean run otherwise (computed
-    before any fault is planted, so caching cannot leak one)."""
-    if misses == MISSES:
-        return PINNED[f"{scheme}-mcf-{mshr}"]
-    assert not _active
-    return _digest(scheme, misses, mshr)
+    return grid_digest(scheme, "mcf", mshr, misses=misses)
 
 
 @pytest.mark.parametrize("fault", KNOWN)
 def test_planted_fault_trips_the_equivalence_check(fault):
-    scheme, misses, mshr = CASES[fault]
-    reference = _reference(scheme, misses, mshr)
+    scheme, misses, mshr, cell = CASES[fault]
     with inject(fault):
         mutated = _digest(scheme, misses, mshr)
-    assert mutated != reference, (
+    assert mutated != PINNED[cell], (
         f"planted fault {fault!r} survived the pinned-digest check — the "
         "harness cannot detect this bug class")
 
