@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from typing import List, Optional
@@ -93,6 +94,18 @@ def _at_least(low: int):
         return value
     parse.__name__ = "int"  # argparse's "invalid int value: 'x'" message
     return parse
+
+
+def _scale(text: str) -> float:
+    """argparse ``type`` for ``--scale``: a finite float > 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {value}")
+    return value
+
+
+_scale.__name__ = "float"  # argparse's "invalid float value: 'x'" message
 
 
 def _add_executor_flags(sub_parser: argparse.ArgumentParser) -> None:
@@ -177,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--misses", type=_at_least(1), default=5000,
                        help="LLC misses per core (default 5000)")
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--scale", type=float, default=None,
+    run_p.add_argument("--scale", type=_scale, default=None,
                        help="memory capacity scale factor")
     run_p.add_argument("--telemetry-out", default=os.path.join(
         "results", "telemetry"), metavar="DIR",
@@ -193,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=sorted(SCHEMES))
     cmp_p.add_argument("--misses", type=_at_least(1), default=5000)
     cmp_p.add_argument("--seed", type=int, default=None)
-    cmp_p.add_argument("--scale", type=float, default=None)
+    cmp_p.add_argument("--scale", type=_scale, default=None)
     _add_check_flags(cmp_p)
     _add_telemetry_flags(cmp_p)
     _add_mshr_flag(cmp_p)
@@ -204,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        " resumable)")
     fig_p.add_argument("name", choices=report_writer.SECTION_NAMES)
     _add_misses_flag(fig_p)
-    fig_p.add_argument("--scale", type=float, default=None)
+    fig_p.add_argument("--scale", type=_scale, default=None)
     fig_p.add_argument("--workloads", nargs="+", default=None,
                        choices=BENCHMARKS,
                        help="subset of the section's workloads (default:"
@@ -253,6 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument(
         "--top", type=_at_least(0), default=5, metavar="N",
         help="coalescing chains to list (default 5)")
+    for sub_parser in sub.choices.values():
+        # lets a handler report a bad flag combination as a usage error
+        sub_parser.set_defaults(parser=sub_parser)
     return parser
 
 
@@ -293,10 +309,19 @@ def _with_mshr(config, args):
 
 
 def _config(scale: Optional[float], args=None):
-    config = default_config() if scale is None else default_config(scale=scale)
-    if args is not None:
-        config = _with_mshr(
-            _with_telemetry(_with_check(config, args), args), args)
+    """``default_config(scale)`` with the subcommand's flags folded in.
+    A config that fails validation (e.g. a scale too small for one 2 KB
+    block of near memory) is a usage error of the subcommand."""
+    try:
+        config = (default_config() if scale is None
+                  else default_config(scale=scale))
+        if args is not None:
+            config = _with_mshr(
+                _with_telemetry(_with_check(config, args), args), args)
+    except ValueError as exc:
+        if args is None:
+            raise
+        args.parser.error(str(exc))
     return config
 
 
@@ -395,10 +420,11 @@ def _cmd_figure(args) -> int:
     if args.workloads and (name == "claims"
                            or not report_writer.SECTIONS[name].per_workload):
         raise SystemExit(f"--workloads does not apply to {name}")
+    config = _config(args.scale, args)
     executor = _executor(args)
     try:
         tables = report_writer.compute_tables(
-            _config(args.scale, args), args.misses, executor,
+            config, args.misses, executor,
             names=None if name == "claims" else [name],
             workloads=args.workloads)
     finally:

@@ -14,12 +14,13 @@ background (swap/migration) traffic; within a class, row-buffer hits are
 preferred; ties go to the oldest request.
 
 Every DRAM transfer of a run passes through here, so the data plane is
-written for the interpreter: submit, pick and issue share one frame
-with the hot state in locals, and queued requests are recycled through
-a small free pool.  An idle channel's transfer skips the queue
-altogether: :meth:`repro.dram.device.MemoryDevice.access` starts its
-burst directly (the FR-FCFS pick of a one-entry queue is that entry)
-and completes it through :meth:`Channel._complete_idle`.
+written for the interpreter.  An idle channel's transfer skips the
+queue altogether: :meth:`repro.dram.device.MemoryDevice.access` starts
+its burst directly (the FR-FCFS pick of a one-entry queue is that
+entry).  A busy channel's transfer queues a request from a small free
+pool; the request goes back to the pool the moment it issues, because
+its completion event carries the payload.  Either way the burst ends
+in the one completion method, :meth:`Channel._complete`.
 """
 
 from __future__ import annotations
@@ -115,15 +116,13 @@ class Channel:
         #: timing properties — the formulas are pure in ``size``.
         self._cpm = timings.cpu_cycles_per_mem
         self._burst_cpu_cycles: dict = {}
-        #: request free pool: ``_complete`` recycles,
+        #: request free pool: ``_try_issue`` recycles,
         #: ``MemoryDevice.access`` re-acquires.  A request is dead once
-        #: its completion callback has its payload — nothing reads it
-        #: afterwards.
+        #: it issues — its completion event carries the payload.
         self._req_pool: list = []
-        #: completion callbacks bound once — a ``schedule_at`` call site
+        #: completion callback bound once — a ``schedule_at`` call site
         #: builds a fresh bound method per event otherwise.
         self._complete_bound = self._complete
-        self._complete_idle_bound = self._complete_idle
         if timings.t_refi > 0:
             engine.schedule(timings.t_refi * self._cpm, self._refresh)
 
@@ -152,7 +151,10 @@ class Channel:
 
     # ------------------------------------------------------------------
     def submit(self, request: DRAMRequest) -> None:
-        """Enqueue a request; it completes via ``request.on_complete``."""
+        """Enqueue a request, then issue while the pipeline has room; it
+        completes via ``request.on_complete``.  The queue may hold older
+        requests with room to spare: a completion callback can submit to
+        the very channel that is completing, before its drain runs."""
         dq = self._demand_queue
         bq = self._background_queue
         (dq if request.priority == Priority.DEMAND else bq).append(request)
@@ -178,50 +180,30 @@ class Channel:
         load but still consume real bandwidth), prepare the bank, then
         chain the burst onto the bus.
 
-        The bus chain, in-flight count and float stat accumulators live
-        in locals across the loop and are written back once; the adds
-        run in issue order, so every float is what per-request updates
-        would give.  No callback runs inside the loop (completions are
-        scheduled, not invoked), so nothing can observe the cached state
-        mid-drain.
+        A call almost always makes exactly one pick, so channel state is
+        read and written on ``self`` per pick rather than cached in
+        locals for the loop.  The issued request goes back to the pool
+        at once: its completion event carries the payload.
         """
         dq = self._demand_queue
         bq = self._background_queue
-        inflight = self._inflight
-        depth_limit = self.pipeline_depth
-        if inflight >= depth_limit or not (dq or bq):
-            return
-        engine = self._engine
-        now = engine.now
-        banks = self._banks
-        bursts = self._burst_cpu_cycles
-        stats = self.stats
-        bus_free = self._bus_free
-        busy = stats.bus_busy_cycles
-        qwait = stats.total_queue_wait
-        window = self.scheduler_window
-        cap = self.starvation_cap
-        share = self.background_share + 1
-        schedule_at = engine.schedule_at
-        complete = self._complete_bound
-        while (dq or bq) and inflight < depth_limit:
+        while (dq or bq) and self._inflight < self.pipeline_depth:
             if not dq:
                 queue = bq
             elif not bq:
                 queue = dq
             else:
                 self._picks += 1
-                queue = bq if self._picks % share == 0 else dq
+                queue = (bq if self._picks % (self.background_share + 1) == 0
+                         else dq)
+            now = self._engine.now
             best_index = 0
-            if now - queue[0].arrival < cap:
-                limit = len(queue)
-                if limit > window:
-                    limit = window
+            if now - queue[0].arrival < self.starvation_cap:
+                banks = self._banks
                 # islice walks the deque O(1) per step; indexing a deque
                 # is O(i) per probe, which quadraticizes deep-queue scans
-                for i, req in enumerate(islice(queue, limit)):
-                    coords = req.coords
-                    if banks[coords.bank].open_row == coords.row:
+                for i, req in enumerate(islice(queue, self.scheduler_window)):
+                    if banks[req.bank].open_row == req.row:
                         best_index = i
                         break
             if best_index:
@@ -229,66 +211,41 @@ class Channel:
                 del queue[best_index]
             else:
                 best = queue.popleft()
-            coords = best.coords
-            data_ready = banks[coords.bank].prepare(coords.row, now)
-            data_start = data_ready if data_ready > bus_free else bus_free
             size = best.size
-            burst = bursts.get(size)
+            on_complete = best.on_complete
+            span = best.span
+            data_ready = self._banks[best.bank].prepare(best.row, now)
+            bus_free = self._bus_free
+            data_start = data_ready if data_ready > bus_free else bus_free
+            burst = self._burst_cpu_cycles.get(size)
             if burst is None:
                 burst = self.burst_cycles(size)
             completion = data_start + burst
-            bus_free = completion
-            inflight += 1
-            busy += burst
-            qwait += data_start - best.arrival
-            if best.span is not None:
+            self._bus_free = completion
+            self._inflight += 1
+            stats = self.stats
+            stats.bus_busy_cycles += burst
+            wait = data_start - best.arrival
+            stats.total_queue_wait += wait
+            if span is not None:
                 # attribute the queue/service split to the sampled
                 # request: everything before the data starts moving
                 # (bank preparation, bus contention, scheduler backlog)
                 # is queueing, the burst itself is service
-                best.span.add_dram(data_start - best.arrival, burst)
-            schedule_at(completion, complete, best)
-        self._bus_free = bus_free
-        self._inflight = inflight
-        stats.bus_busy_cycles = busy
-        stats.total_queue_wait = qwait
+                span.add_dram(wait, burst)
+                best.span = None
+            self._engine.schedule_at(completion, self._complete_bound, size,
+                                     best.is_write, best.priority, on_complete)
+            best.on_complete = None
+            if len(self._req_pool) < self._REQ_POOL_CAP:
+                self._req_pool.append(best)
 
-    def _complete(self, request: DRAMRequest) -> None:
-        """A queued request's burst finished.  The request goes back to
-        the pool before its callback runs: the callback may submit again
-        (and re-acquire this very object) but never reads the completed
-        request — its payload is already in locals.  The trailing drain
-        reloads channel state, which the callback may have changed."""
-        request.completed_at = now = self._engine.now
-        self._inflight -= 1
-        stats = self.stats
-        size = request.size
-        if request.is_write:
-            stats.writes += 1
-            stats.bytes_written += size
-        else:
-            stats.reads += 1
-            stats.bytes_read += size
-        if request.priority == Priority.DEMAND:
-            stats.demand_bytes += size
-        else:
-            stats.background_bytes += size
-        on_complete = request.on_complete
-        pool = self._req_pool
-        if len(pool) < self._REQ_POOL_CAP:
-            request.on_complete = None
-            request.span = None
-            pool.append(request)
-        if on_complete is not None:
-            on_complete(now)
-        if ((self._demand_queue or self._background_queue)
-                and self._inflight < self.pipeline_depth):
-            self._try_issue()
-
-    def _complete_idle(self, size: int, is_write: bool, priority: Priority,
-                       on_complete) -> None:
-        """``_complete`` for a transfer issued by an idle channel (no
-        request object to stamp or recycle)."""
+    def _complete(self, size: int, is_write: bool, priority: Priority,
+                  on_complete) -> None:
+        """A burst finished, whether the device started it on an idle
+        channel or ``_try_issue`` issued it from the queue.  The callback
+        may submit again; the trailing drain then issues whatever is
+        queued."""
         self._inflight -= 1
         stats = self.stats
         if is_write:

@@ -3,7 +3,9 @@
 Accesses larger than one interleave unit (64 B) are split into chunks
 that land on successive channels; the completion callback fires when the
 last chunk finishes.  This is how a 2 KB PoM migration naturally spreads
-over (and saturates) all channels.
+over (and saturates) all channels.  Every chunk takes the same path:
+:meth:`MemoryDevice.access` maps it inline and either starts its burst
+on an idle channel or queues a recycled request on a busy one.
 """
 
 from __future__ import annotations
@@ -11,10 +13,27 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.dram.channel import Channel, ChannelStats
-from repro.dram.mapping import CHANNEL_INTERLEAVE_BYTES, AddressMapper, DRAMCoordinates
+from repro.dram.mapping import CHANNEL_INTERLEAVE_BYTES
 from repro.dram.request import DRAMRequest, Priority
 from repro.dram.timing import DRAMTimings
 from repro.sim.engine import Engine
+
+
+class _Countdown:
+    """``on_complete`` behind the chunks of one multi-chunk access: it
+    fires once, at the last chunk's completion."""
+
+    __slots__ = ("remaining", "on_complete")
+
+    def __init__(self, remaining: int,
+                 on_complete: Callable[[float], None]) -> None:
+        self.remaining = remaining
+        self.on_complete = on_complete
+
+    def chunk_done(self, when: float) -> None:
+        self.remaining -= 1
+        if not self.remaining:
+            self.on_complete(when)
 
 
 class MemoryDevice:
@@ -31,7 +50,6 @@ class MemoryDevice:
         self.timings = timings
         self.capacity_bytes = capacity_bytes
         self.name = name or timings.name
-        self._mapper = AddressMapper(timings)
         self.channels = [Channel(engine, timings) for _ in range(timings.channels)]
         #: accesses at or beyond ``metadata_base`` are routed to a
         #: dedicated metadata channel (the paper stores remap metadata in
@@ -40,7 +58,7 @@ class MemoryDevice:
         self.metadata_base = metadata_base
         self.meta_channel = Channel(engine, timings) if metadata_base else None
         #: geometry cached as plain ints for ``access``'s inline mapping
-        #: (the mapper's method-call-per-access cost is what it avoids).
+        #: (the same arithmetic as :class:`~repro.dram.mapping.AddressMapper`).
         self._nchan = timings.channels
         self._banks_per_ch = timings.banks
         self._row_bytes = timings.row_bytes
@@ -56,118 +74,96 @@ class MemoryDevice:
         ``span``, when given, rides every chunk so the channels can
         attribute queue vs service cycles to the sampled request.
 
-        The common case — one interleave unit (demand subblock reads) or
-        one metadata entry — is mapped and issued in this one frame:
-        an idle channel (nothing queued, pipeline room) starts the burst
-        at once, because its FR-FCFS pick would be this transfer, and a
-        busy one queues a recycled request.  Larger accesses queue one
-        request per chunk.
+        A metadata access (at or past ``metadata_base``) is one transfer
+        on the metadata channel.  A data access is one transfer per
+        interleave unit it touches, mapped by the data interleave even
+        past ``metadata_base``, all sharing one countdown.  Each transfer
+        is mapped in this frame; an idle channel (nothing queued,
+        pipeline room) starts its burst at once, because its FR-FCFS
+        pick would be this transfer, and a busy one queues a recycled
+        request.
         """
+        end = addr + size
+        if addr < 0 or size <= 0 or end > self.capacity_bytes:
+            self._reject(addr, size)
         mb = self.metadata_base
-        if mb is not None and addr >= mb:
-            if size <= 0 or addr + size > self.capacity_bytes:
-                self._reject(addr, size)
-            # dedicated metadata channel: 32 B groups (one congruence
-            # set's remap entries) interleaved across its banks, so a
-            # serial scan of one set stays in one row while *different*
-            # hot sets hit different banks in parallel — without this
-            # the channel would be tCCD-bound on a single bank.
-            offset = addr - mb
-            group = offset // 32
-            banks = self._banks_per_ch
-            groups_per_row = self._row_bytes // 32
-            chan_no = 0
-            channel = self.meta_channel
-            bank_index = group % banks
-            row = group // banks // groups_per_row
-            column = (group // banks % groups_per_row) * 32 + offset % 32
-        elif (0 <= addr and 0 < size
-              and addr % CHANNEL_INTERLEAVE_BYTES + size
-              <= CHANNEL_INTERLEAVE_BYTES
-              and addr + size <= self.capacity_bytes):
-            nchan = self._nchan
-            unit = addr // CHANNEL_INTERLEAVE_BYTES
-            within = (unit // nchan * CHANNEL_INTERLEAVE_BYTES
-                      + addr % CHANNEL_INTERLEAVE_BYTES)
-            row_bytes = self._row_bytes
-            row_index = within // row_bytes
-            banks = self._banks_per_ch
-            chan_no = unit % nchan
-            channel = self.channels[chan_no]
-            bank_index = row_index % banks
-            row = row_index // banks
-            column = within % row_bytes
-        else:
-            self._access_chunks(addr, size, is_write, priority,
-                                on_complete, span)
-            return
+        meta = mb is not None and addr >= mb
+        if (on_complete is not None and not meta
+                and addr % CHANNEL_INTERLEAVE_BYTES + size
+                > CHANNEL_INTERLEAVE_BYTES):
+            on_complete = _Countdown(
+                (end - 1) // CHANNEL_INTERLEAVE_BYTES
+                - addr // CHANNEL_INTERLEAVE_BYTES + 1,
+                on_complete).chunk_done
+        banks = self._banks_per_ch
         engine = self._engine
         now = engine.now
-        if (channel._demand_queue or channel._background_queue
-                or channel._inflight >= channel.pipeline_depth):
-            pool = channel._req_pool
-            coords = DRAMCoordinates(chan_no, bank_index, row, column)
-            if pool:
-                request = pool.pop()
-                request.addr = addr
-                request.size = size
-                request.is_write = is_write
-                request.priority = priority
-                request.arrival = now
-                request.coords = coords
-                request.on_complete = on_complete
-                request.completed_at = -1.0
-                request.span = span
+        while True:
+            if meta:
+                # dedicated metadata channel: 32 B groups (one congruence
+                # set's remap entries) interleaved across its banks, so a
+                # serial scan of one set stays in one row while
+                # *different* hot sets hit different banks in parallel —
+                # without this the channel would be tCCD-bound on a
+                # single bank.
+                group = (addr - mb) // 32
+                channel = self.meta_channel
+                bank = group % banks
+                row = group // banks // (self._row_bytes // 32)
+                chunk_end = end
             else:
-                request = DRAMRequest(addr, size, is_write, priority, now,
-                                      coords, on_complete, span=span)
-            channel.submit(request)
-            return
-        stats = channel.stats
-        if stats.max_queue_depth < 1:
-            stats.max_queue_depth = 1  # submit would have seen depth 1
-        data_ready = channel._banks[bank_index].prepare(row, now)
-        bus_free = channel._bus_free
-        data_start = data_ready if data_ready > bus_free else bus_free
-        burst = channel._burst_cpu_cycles.get(size)
-        if burst is None:
-            burst = channel.burst_cycles(size)
-        completion = data_start + burst
-        channel._bus_free = completion
-        channel._inflight += 1
-        stats.bus_busy_cycles += burst
-        stats.total_queue_wait += data_start - now
-        if span is not None:
-            span.add_dram(data_start - now, burst)
-        engine.schedule_at(completion, channel._complete_idle_bound,
-                           size, is_write, priority, on_complete)
-
-    def _access_chunks(self, addr: int, size: int, is_write: bool,
-                       priority: Priority,
-                       on_complete: Optional[Callable[[float], None]],
-                       span) -> None:
-        """A multi-unit access (migrations, tag-extended bursts): one
-        queued request per interleave unit, with ``on_complete`` behind
-        a countdown of the chunks.  Chunks map by the data interleave
-        even past ``metadata_base``."""
-        if not 0 <= addr < self.capacity_bytes or size <= 0 \
-                or addr + size > self.capacity_bytes:
-            self._reject(addr, size)
-        chunks = self._chunks(addr, size)
-        remaining = len(chunks)
-
-        def chunk_done(when: float) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0 and on_complete is not None:
-                on_complete(when)
-
-        now = self._engine.now
-        for chunk_addr, chunk_size in chunks:
-            coords = self._mapper.map(chunk_addr)
-            self.channels[coords.channel].submit(DRAMRequest(
-                chunk_addr, chunk_size, is_write, priority, now, coords,
-                chunk_done, span=span))
+                nchan = self._nchan
+                unit = addr // CHANNEL_INTERLEAVE_BYTES
+                row_index = ((unit // nchan * CHANNEL_INTERLEAVE_BYTES
+                              + addr % CHANNEL_INTERLEAVE_BYTES)
+                             // self._row_bytes)
+                channel = self.channels[unit % nchan]
+                bank = row_index % banks
+                row = row_index // banks
+                chunk_end = (unit + 1) * CHANNEL_INTERLEAVE_BYTES
+                if chunk_end > end:
+                    chunk_end = end
+            chunk = chunk_end - addr
+            if (channel._demand_queue or channel._background_queue
+                    or channel._inflight >= channel.pipeline_depth):
+                pool = channel._req_pool
+                if pool:
+                    request = pool.pop()
+                    request.addr = addr
+                    request.size = chunk
+                    request.is_write = is_write
+                    request.priority = priority
+                    request.arrival = now
+                    request.bank = bank
+                    request.row = row
+                    request.on_complete = on_complete
+                    request.span = span
+                else:
+                    request = DRAMRequest(addr, chunk, is_write, priority, now,
+                                          bank, row, on_complete, span)
+                channel.submit(request)
+            else:
+                stats = channel.stats
+                if stats.max_queue_depth < 1:
+                    stats.max_queue_depth = 1  # submit would have seen depth 1
+                data_ready = channel._banks[bank].prepare(row, now)
+                bus_free = channel._bus_free
+                data_start = data_ready if data_ready > bus_free else bus_free
+                burst = channel._burst_cpu_cycles.get(chunk)
+                if burst is None:
+                    burst = channel.burst_cycles(chunk)
+                completion = data_start + burst
+                channel._bus_free = completion
+                channel._inflight += 1
+                stats.bus_busy_cycles += burst
+                stats.total_queue_wait += data_start - now
+                if span is not None:
+                    span.add_dram(data_start - now, burst)
+                engine.schedule_at(completion, channel._complete_bound,
+                                   chunk, is_write, priority, on_complete)
+            if chunk_end == end:
+                return
+            addr = chunk_end
 
     def _reject(self, addr: int, size: int) -> None:
         if not 0 <= addr < self.capacity_bytes:
@@ -178,18 +174,6 @@ class MemoryDevice:
         if size <= 0:
             raise ValueError("size must be positive")
         raise ValueError("access crosses end of device")
-
-    @staticmethod
-    def _chunks(addr: int, size: int):
-        """Split [addr, addr+size) at interleave-unit boundaries."""
-        chunks = []
-        end = addr + size
-        while addr < end:
-            boundary = (addr // CHANNEL_INTERLEAVE_BYTES + 1) * CHANNEL_INTERLEAVE_BYTES
-            chunk_end = min(end, boundary)
-            chunks.append((addr, chunk_end - addr))
-            addr = chunk_end
-        return chunks
 
     # ------------------------------------------------------------------
     # telemetry

@@ -7,8 +7,10 @@ that sequential rows land in different banks:
 
     addr bits:  | row | bank | row-offset-within-channel | channel | 6b |
 
-The mapper is shared by both devices; geometry comes from the device's
-:class:`~repro.dram.timing.DRAMTimings`.
+Geometry comes from the device's :class:`~repro.dram.timing.DRAMTimings`.
+:meth:`repro.dram.device.MemoryDevice.access` inlines the same
+arithmetic per chunk; :class:`AddressMapper` states it once, as the
+reference the device's tests are held to.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ CHANNEL_INTERLEAVE_BYTES = 64
 
 
 class DRAMCoordinates(NamedTuple):
-    """Where a device-local address lands.
-
-    A named tuple rather than a dataclass: one is built per chunk of
-    every device access, and tuple construction is the cheapest
-    immutable record CPython offers.
-    """
+    """Where a device-local address lands."""
 
     channel: int
     bank: int

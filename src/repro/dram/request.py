@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
-
-from repro.dram.mapping import DRAMCoordinates
 
 
 class Priority(IntEnum):
@@ -17,23 +15,27 @@ class Priority(IntEnum):
     BACKGROUND = 1
 
 
-@dataclass(slots=True)
+#: ``eq=False``: requests compare by identity, so two queued requests
+#: with equal fields stay distinct to ``deque.remove`` and ``in``.
+@dataclass(slots=True, eq=False)
 class DRAMRequest:
-    """One channel-level transfer (at most one interleave unit, 64 B)."""
+    """One queued channel-level transfer (at most one interleave unit,
+    64 B, or one metadata entry) at ``(bank, row)`` of its channel.
+
+    The channel recycles a request the moment it issues it: the
+    completion event carries the payload (size, direction, priority,
+    callback), so nothing reads the request afterwards.
+    """
 
     addr: int
     size: int
     is_write: bool
     priority: Priority
     arrival: float
-    coords: DRAMCoordinates
+    bank: int
+    row: int
     on_complete: Optional[Callable[[float], None]] = None
-    completed_at: float = field(default=-1.0)
     #: span of the sampled memory request this transfer serves (see
     #: :mod:`repro.telemetry.spans`); None on unsampled traffic, so the
     #: channel's attribution hook is one ``is None`` check.
     span: Optional[object] = None
-
-    @property
-    def done(self) -> bool:
-        return self.completed_at >= 0.0

@@ -177,6 +177,10 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.nm_bytes % BLOCK_BYTES:
             raise ValueError("nm_bytes must be a multiple of the 2KB block")
+        if self.nm_bytes <= 0:
+            raise ValueError(
+                f"nm_bytes must be positive (at least one 2KB block), got "
+                f"{self.nm_bytes}")
         if self.fm_bytes % BLOCK_BYTES:
             raise ValueError("fm_bytes must be a multiple of the 2KB block")
         if self.fm_bytes < self.nm_bytes:

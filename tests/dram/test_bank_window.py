@@ -17,7 +17,6 @@ import pytest
 
 from repro.dram.bank import Bank
 from repro.dram.channel import Channel
-from repro.dram.mapping import DRAMCoordinates
 from repro.dram.request import DRAMRequest, Priority
 from repro.dram.timing import DDR3_TIMINGS, HBM2_TIMINGS
 from repro.sim.engine import Engine
@@ -47,8 +46,8 @@ def _through_channel(timings, batches):
     def submit(row, count):
         for _ in range(count):
             channel.submit(DRAMRequest(
-                0, SIZE, False, Priority.DEMAND, engine.now,
-                DRAMCoordinates(0, BANK, row, 0), done.append))
+                0, SIZE, False, Priority.DEMAND, engine.now, BANK, row,
+                done.append))
 
     for now, row, count in batches:
         engine.schedule_at(now, submit, row, count)

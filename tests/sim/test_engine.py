@@ -254,35 +254,14 @@ def test_step_interleaves_with_run():
 
 
 # ---------------------------------------------------------------------------
-# edge semantics: free-list recycling bound and integer-timestamp
-# preservation
+# edge semantics: payload isolation and integer-timestamp preservation
 # ---------------------------------------------------------------------------
-def test_free_list_recycling_is_bounded():
-    """A burst of queued events beyond _FREE_LIST_CAP must not pin
-    entry lists forever: the free list never exceeds the cap."""
-    from repro.sim.engine import _FREE_LIST_CAP
-
-    engine = Engine()
-    burst = _FREE_LIST_CAP + 500
-    for _ in range(burst):
-        engine.schedule(1, lambda: None)
-    engine.run()
-    assert engine.events_dispatched == burst
-    assert len(engine._free) <= _FREE_LIST_CAP
-    # and the recycled entries are actually reused: scheduling a second
-    # burst drains the free list instead of allocating
-    before = len(engine._free)
-    for _ in range(before):
-        engine.schedule(1, lambda: None)
-    assert len(engine._free) == 0
-
-
 def test_recycled_entries_do_not_leak_between_events():
-    """An entry recycled mid-run carries no stale callback/args: every
-    dispatch sees exactly the payload scheduled for it."""
+    """No event carries a stale callback/args: every dispatch sees
+    exactly the payload scheduled for it."""
     engine = Engine()
     seen = []
-    # chain long enough to cycle through the same recycled entries
+    # a chain in which each event schedules its successor
     def tick(n):
         seen.append(n)
         if n < 50:

@@ -208,6 +208,26 @@ def test_bad_count_is_a_usage_error(argv, capsys, monkeypatch):
     assert "usage:" in err and "must be >=" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "silc", "mcf", "--misses", "10"],
+    ["compare", "mcf", "--misses", "10"],
+    ["figure", "fig7", "--misses", "10", "--workloads", "mcf"],
+], ids=lambda argv: argv[0])
+# 1e-4 parses, but rounds near memory down to 0 bytes
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "1e-4"])
+def test_bad_scale_is_a_usage_error(command, scale, capsys, monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell was built for a bad --scale")
+
+    monkeypatch.setattr(cli, "run_one", no_cells)
+    monkeypatch.setattr(cli, "_executor", no_cells)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--scale", scale])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"repro {command[0]}: error:" in err
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(SystemExit):
         cli.main(["run", "bogus", "mcf"])
