@@ -60,6 +60,9 @@ def test_invalid_capacities_rejected():
         SystemConfig(nm_bytes=2048 + 7, fm_bytes=4 * 2048)
     with pytest.raises(ValueError):
         SystemConfig(nm_bytes=8 * 2048, fm_bytes=4 * 2048)
+    for empty in (0, -2048):  # default_config(1e-4) rounds NM down to 0
+        with pytest.raises(ValueError, match="nm_bytes must be positive"):
+            SystemConfig(nm_bytes=empty, fm_bytes=4 * 2048)
 
 
 def test_table2_core_parameters():
