@@ -53,12 +53,6 @@ class ActivityMonitor:
         self.agings += 1
 
     # classification --------------------------------------------------------
-    def nm_block_hot(self, frame: FrameMetadata) -> bool:
-        return frame.nm_count >= self.hot_threshold
-
-    def fm_block_hot(self, frame: FrameMetadata) -> bool:
-        return frame.remap is not None and frame.fm_count >= self.hot_threshold
-
     def stale_locks(self) -> Iterable[int]:
         """Indices of frames whose locked owner has cooled below the
         threshold (Section III-C: clearing the lock bit)."""

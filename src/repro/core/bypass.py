@@ -87,20 +87,9 @@ class BandwidthBalancer:
         return self._window_nm / self._window_total
 
     @property
-    def current_window_rate(self) -> float:
-        if self._window_total == 0:
-            return 0.0
-        return self._window_nm / self._window_total
-
-    @property
     def lifetime_rate(self) -> float:
         """NM fraction over *every* recorded miss — including the
         partial final window that the windowed state discards."""
         if self.total_accesses == 0:
             return 0.0
         return self.nm_accesses / self.total_accesses
-
-    @property
-    def pending_window_accesses(self) -> int:
-        """Misses recorded in the not-yet-evaluated window."""
-        return self._window_total

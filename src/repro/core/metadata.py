@@ -66,11 +66,6 @@ class FrameMetadata:
         if not 0 <= index < SUBBLOCKS_PER_BLOCK:
             raise ValueError(f"subblock index {index} out of range")
 
-    def swapped_in_indices(self):
-        """Indices of subblocks currently swapped in from the FM block."""
-        vec = self.bitvec
-        return [i for i in range(SUBBLOCKS_PER_BLOCK) if vec >> i & 1]
-
     def missing_indices(self):
         """Indices whose FM subblocks are *not* resident."""
         vec = self.bitvec
@@ -82,14 +77,6 @@ class FrameMetadata:
         return self.remap is not None and 0 < self.bitvec < FULL_BITVEC
 
     # counters -------------------------------------------------------------
-    def bump_nm(self) -> int:
-        self.nm_count = min(COUNTER_MAX, self.nm_count + 1)
-        return self.nm_count
-
-    def bump_fm(self) -> int:
-        self.fm_count = min(COUNTER_MAX, self.fm_count + 1)
-        return self.fm_count
-
     def age(self) -> None:
         """Right-shift both counters (Section III-B aging)."""
         self.nm_count >>= 1

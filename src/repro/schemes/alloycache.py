@@ -54,7 +54,6 @@ class AlloyCacheScheme(MemoryScheme):
 
     # ------------------------------------------------------------------
     def access(self, paddr: int, is_write: bool, pc: int = 0) -> AccessPlan:
-        self.on_memory_access()
         if self.space.is_nm(paddr):
             raise ValueError(
                 "Alloy cache exposes only FM capacity; allocate pages with "

@@ -211,9 +211,6 @@ class MemoryScheme(abc.ABC):
         """Run one epoch: returns (migration traffic, OS stall cycles)."""
         return [], 0.0
 
-    def on_memory_access(self) -> None:
-        """Called once per LLC miss for age/epoch bookkeeping."""
-
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def check_invariants(self) -> None:

@@ -48,7 +48,6 @@ class CameoScheme(MemoryScheme):
 
     # ------------------------------------------------------------------
     def access(self, paddr: int, is_write: bool, pc: int = 0) -> AccessPlan:
-        self.on_memory_access()
         plan = self._demand_access(paddr)
         self.record_plan(plan)
         return plan
@@ -158,7 +157,6 @@ class CameoPrefetchScheme(CameoScheme):
         self.prefetches_issued = 0
 
     def access(self, paddr: int, is_write: bool, pc: int = 0) -> AccessPlan:
-        self.on_memory_access()
         plan = self._demand_access(paddr)
         if plan.serviced_from is Level.FM:
             sb = paddr // SUBBLOCK_BYTES

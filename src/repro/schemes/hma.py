@@ -75,7 +75,6 @@ class HmaScheme(MemoryScheme):
 
     # ------------------------------------------------------------------
     def access(self, paddr: int, is_write: bool, pc: int = 0) -> AccessPlan:
-        self.on_memory_access()
         block = paddr // BLOCK_BYTES
         within = paddr % BLOCK_BYTES
         aligned = within - within % SUBBLOCK_BYTES

@@ -71,7 +71,6 @@ class PomScheme(MemoryScheme):
 
     # ------------------------------------------------------------------
     def access(self, paddr: int, is_write: bool, pc: int = 0) -> AccessPlan:
-        self.on_memory_access()
         block = paddr // BLOCK_BYTES
         frame = block % self.num_frames
         within = paddr % BLOCK_BYTES

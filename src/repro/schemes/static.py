@@ -30,7 +30,6 @@ class StaticScheme(MemoryScheme):
         super().__init__(space)
 
     def access(self, paddr: int, is_write: bool, pc: int = 0) -> AccessPlan:
-        self.on_memory_access()
         level, offset = self.locate(paddr)
         aligned = offset - offset % 64
         plan = AccessPlan.single(

@@ -4,12 +4,25 @@ import pytest
 
 from repro.core.activity import ActivityMonitor
 from repro.core.metadata import FrameMetadata
+from repro.core.silcfm import SilcFmScheme
+from repro.sim.config import BLOCK_BYTES, SilcFmConfig
+from repro.xmem.address import AddressSpace
+
+NM_BLOCKS = 16
 
 
 def make_monitor(n_frames=4, threshold=5, period=100):
     frames = [FrameMetadata() for _ in range(n_frames)]
     return frames, ActivityMonitor(frames, hot_threshold=threshold,
                                    aging_period=period)
+
+
+def make_silcfm(threshold):
+    """SILC-FM classifies hotness inline in ``access``: a block is hot,
+    and its frame locks, when its counter reaches the threshold."""
+    space = AddressSpace(NM_BLOCKS * BLOCK_BYTES, 4 * NM_BLOCKS * BLOCK_BYTES)
+    return SilcFmScheme(space, SilcFmConfig(hot_threshold=threshold,
+                                            enable_bypass=False))
 
 
 def test_tick_counts_and_triggers_aging():
@@ -22,19 +35,30 @@ def test_tick_counts_and_triggers_aging():
 
 
 def test_hotness_classification():
-    frames, monitor = make_monitor(threshold=5)
-    frames[0].nm_count = 5
-    assert monitor.nm_block_hot(frames[0])
-    frames[0].nm_count = 4
-    assert not monitor.nm_block_hot(frames[0])
+    scheme = make_silcfm(threshold=5)
+    frame = scheme.frame(0)
+    for _ in range(4):
+        scheme.access(0, False)  # frame 0's native block
+    assert frame.nm_count == 4 and not frame.locked
+    scheme.access(0, False)
+    assert frame.nm_count == 5
+    assert frame.locked and frame.lock_owner == "nm"
 
 
 def test_fm_hotness_requires_remap():
-    frames, monitor = make_monitor(threshold=5)
-    frames[1].fm_count = 10
-    assert not monitor.fm_block_hot(frames[1])  # nothing remapped
-    frames[1].remap = 77
-    assert monitor.fm_block_hot(frames[1])
+    scheme = make_silcfm(threshold=5)
+    for frame in scheme.frames:
+        frame.fm_count = 10  # nothing remapped: the count means nothing
+    scheme.access(0, False)
+    assert not any(frame.locked for frame in scheme.frames)
+    remote = (NM_BLOCKS + 5) * BLOCK_BYTES
+    scheme.access(remote, False)  # installs: the block counts from 1
+    frame = scheme.frame(scheme.way_of_block(remote // BLOCK_BYTES))
+    for _ in range(3):
+        scheme.access(remote, False)
+    assert frame.fm_count == 4 and not frame.locked
+    scheme.access(remote, False)
+    assert frame.locked and frame.lock_owner == "fm"
 
 
 def test_stale_locks_detected_after_cooling():

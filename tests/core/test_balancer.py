@@ -22,7 +22,12 @@ def test_lifetime_counts_every_access():
     assert balancer.nm_accesses == 20
     assert balancer.lifetime_rate == pytest.approx(0.5)
     assert balancer.windows_observed == 2
-    assert balancer.pending_window_accesses == 8
+    # 8 misses sit in the open window: 8 more complete it
+    for _ in range(7):
+        balancer.record(True)
+    assert balancer.windows_observed == 2
+    balancer.record(True)
+    assert balancer.windows_observed == 3
 
 
 def test_lifetime_rate_differs_from_window_rate():
@@ -42,7 +47,7 @@ def test_lifetime_rate_empty():
 
 
 # ----------------------------------------------------------------------
-# current_rate vs current_window_rate
+# current_rate
 # ----------------------------------------------------------------------
 def test_current_rate_tracks_inflight_window():
     balancer = BandwidthBalancer(0.8, window=16)
@@ -58,10 +63,8 @@ def test_current_rate_falls_back_at_window_boundary():
     balancer = BandwidthBalancer(0.8, window=16)
     for i in range(16):
         balancer.record(i < 12)  # completes a 0.75 window
-    assert balancer.pending_window_accesses == 0
+    assert balancer.windows_observed == 1  # the open window is empty
     assert balancer.current_rate() == pytest.approx(0.75)
-    # the legacy property keeps its pinned empty-window behaviour
-    assert balancer.current_window_rate == 0.0
 
 
 def test_last_window_rate_updates_per_window():

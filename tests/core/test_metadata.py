@@ -5,6 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.metadata import COUNTER_MAX, FULL_BITVEC, FrameMetadata
+from repro.core.silcfm import SilcFmScheme
+from repro.sim.config import BLOCK_BYTES, SilcFmConfig
+from repro.xmem.address import AddressSpace
+
+
+def swapped_in(frame):
+    return [i for i in range(32) if frame.bit(i)]
 
 
 def test_bits_start_clear():
@@ -34,8 +41,8 @@ def test_swapped_and_missing_partition():
     frame = FrameMetadata()
     for i in (0, 7, 31):
         frame.set_bit(i)
-    assert frame.swapped_in_indices() == [0, 7, 31]
-    assert set(frame.swapped_in_indices()) | set(frame.missing_indices()) == set(
+    assert swapped_in(frame) == [0, 7, 31]
+    assert set(swapped_in(frame)) | set(frame.missing_indices()) == set(
         range(32))
 
 
@@ -51,12 +58,20 @@ def test_interleaved_predicate():
 
 
 def test_counters_saturate_at_6_bits():
-    frame = FrameMetadata()
+    """SILC-FM's ``access`` bumps a frame's native (NM-space miss) and
+    remapped-block (FM-space miss) counters, saturating at 6 bits."""
+    nm_blocks = 16
+    scheme = SilcFmScheme(
+        AddressSpace(nm_blocks * BLOCK_BYTES, 4 * nm_blocks * BLOCK_BYTES),
+        SilcFmConfig(enable_locking=False, enable_bypass=False))
+    native = 2 * BLOCK_BYTES          # NM-space: frame 2's own block
+    remote = (nm_blocks + 5) * BLOCK_BYTES  # FM-space: interleaves in
     for _ in range(100):
-        frame.bump_nm()
-        frame.bump_fm()
-    assert frame.nm_count == COUNTER_MAX == 63
-    assert frame.fm_count == 63
+        scheme.access(native, False)
+        scheme.access(remote, False)
+    assert scheme.frame(2).nm_count == COUNTER_MAX == 63
+    way = scheme.way_of_block(remote // BLOCK_BYTES)
+    assert scheme.frame(way).fm_count == 63
 
 
 def test_aging_halves_counters():
@@ -93,5 +108,5 @@ def test_bitvec_matches_set_of_bits(bits):
     frame = FrameMetadata()
     for b in bits:
         frame.set_bit(b)
-    assert frame.swapped_in_indices() == sorted(set(bits))
+    assert swapped_in(frame) == sorted(set(bits))
     assert 0 <= frame.bitvec <= FULL_BITVEC
