@@ -148,9 +148,10 @@ def _add_mshr_flag(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--mshr-entries", type=_at_least(0), default=None, metavar="N",
         help="MSHR file size: same-subblock read misses coalesce onto"
-             " one in-flight transaction, arrivals beyond N entries"
-             " stall structurally (default: the config's MLP-sized"
-             " file; pass 0 for the compat mode with no MSHR)")
+             " one in-flight or queued transaction, arrivals beyond N"
+             " entries stall structurally (default: the config's"
+             " MLP-sized file; 0 is the compat file, which never fills"
+             " or coalesces)")
 
 
 def _add_telemetry_flags(sub_parser: argparse.ArgumentParser) -> None:
@@ -447,8 +448,8 @@ def _cmd_schemes(_args) -> int:
     return 0
 
 
-def _cmd_suite(_args) -> int:
-    config = default_config()
+def _cmd_suite(args) -> int:
+    config = _config(None, args)
     rows = []
     for name in BENCHMARKS:
         spec = per_core_spec(name, config)
@@ -464,10 +465,11 @@ def _cmd_suite(_args) -> int:
 
 
 def _cmd_report(args) -> int:
+    config = _config(None, args)
     executor = _executor(args)
     try:
         verdicts = report_writer.write_experiments_report(
-            args.path, _config(None, args), args.misses, executor)
+            args.path, config, args.misses, executor)
     finally:
         failed = _report_failures(executor)
     print(f"wrote {args.path}")
@@ -475,7 +477,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    config = default_config()
+    config = _config(None, args)
     if args.scheme is not None:
         from repro.telemetry import run_metadata, write_trace
 

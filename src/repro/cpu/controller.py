@@ -3,10 +3,10 @@ two memory devices.
 
 Responsibilities:
 
-* drive each :class:`~repro.cpu.mshr.MemoryRequest` transaction through
-  its plan's critical-path stages (stage *i+1* issues when stage *i*'s
-  last operation completes) at demand priority, then wake the
-  transaction's waiters;
+* drive each :class:`~repro.cpu.mshr.MemoryRequest` transaction the MSHR
+  file admits through its plan's critical-path stages (stage *i+1*
+  issues when stage *i*'s last operation completes) at demand priority,
+  then hand it back to the file, which wakes its waiters;
 * fire background traffic (swaps, migrations, prefetches, writebacks)
   without blocking anyone — it still competes for channel bandwidth;
 * drive epoch-based schemes (HMA): run the scheme's epoch at its period,
@@ -22,6 +22,9 @@ transaction object per miss carries everything, and the oracle and
 telemetry hooks fire on its lifecycle events (dispatch, completion).
 The common plan shape — one critical-path op — skips the walk: the
 device completes the transaction directly (``MemoryRequest.fast_done``).
+A span-sampled miss takes the same paths: its device ops carry the span
+(``None`` when unsampled), and a one-op plan's stage opens at dispatch
+and closes when the span retires.
 
 Every placement decision goes through the scheme's ``access`` /
 ``writeback`` / ``epoch`` and every device operation through
@@ -33,9 +36,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.cpu.mshr import COMPLETE, DISPATCHED, QUEUED, STAGING, MemoryRequest
+from repro.cpu.mshr import COMPLETE, DISPATCHED, STAGING, MemoryRequest
 from repro.dram.device import MemoryDevice
 from repro.dram.request import Priority
 from repro.schemes.base import Level, MemoryScheme, Op
@@ -44,9 +47,6 @@ from repro.telemetry.spans import stage_label
 
 if TYPE_CHECKING:
     from repro.validate.oracle import ValidationOracle
-
-#: recycled compat-mode transactions kept by the controller.
-_TXN_POOL_CAP = 64
 
 
 @dataclass
@@ -115,9 +115,6 @@ class FlatMemoryController:
         #: ``System.run`` stops exactly at the end of warmup.
         self.halt_at_misses = math.inf
         self._stall_until = 0.0
-        #: recycled transactions for the compatibility front door
-        #: (``mshr_entries = 0``; with an MSHR file the file owns them).
-        self._pool: List[MemoryRequest] = []
         period = scheme.epoch_period_cycles()
         if period is not None:
             engine.schedule(period, self._run_epoch, period)
@@ -144,27 +141,6 @@ class FlatMemoryController:
         hub.gauge("ctrl.mean_miss_latency", lambda: stats.mean_miss_latency)
 
     # ------------------------------------------------------------------
-    def handle_miss(self, paddr: int, is_write: bool, pc: int,
-                    on_done: Callable[[float], None]) -> None:
-        """Compatibility front door (``mshr_entries = 0`` and the
-        test-suite): wrap one miss in a single-waiter transaction."""
-        now = self._engine.now
-        pool = self._pool
-        if pool:
-            txn = pool.pop()
-            txn.paddr = paddr
-            txn.is_write = is_write
-            txn.pc = pc
-            txn.issue_time = now
-            txn.state = QUEUED
-        else:
-            txn = MemoryRequest(paddr, is_write, pc, now)
-        txn.waiters.append(on_done)
-        spans = self.spans
-        if spans is not None and spans.arrival():
-            txn.span = spans.start(paddr, is_write)
-        self.handle_request(txn)
-
     def handle_request(self, txn: MemoryRequest) -> None:
         """Dispatch one transaction: consult the scheme, fire background
         traffic, and start walking the critical-path stages."""
@@ -204,12 +180,16 @@ class FlatMemoryController:
         self._issue_background(plan.background)
         self.inflight += 1
         txn.state = STAGING
-        if span is None and len(stages) == 1 and len(stages[0]) == 1:
+        if len(stages) == 1 and len(stages[0]) == 1:
             # one critical-path op: its completion completes the miss
-            op = stages[0][0]
+            # (a sampled miss's stage closes when its span retires)
+            ops = stages[0]
+            op = ops[0]
+            if span is not None:
+                span.begin_stage(stage_label(ops), now)
             (self._nm if op.level is Level.NM else self._fm).access(
                 op.addr, op.size, op.is_write, Priority.DEMAND,
-                txn.fast_done)
+                txn.fast_done, span)
             return
         txn.stage_index = -1
         self._advance(txn, now)
@@ -245,17 +225,12 @@ class FlatMemoryController:
                 txn.stage_index = i
                 txn.remaining_ops = len(ops)
                 op_done = txn.op_done
-                if span is None:
-                    for op in ops:
-                        (nm if op.level is Level.NM else fm).access(
-                            op.addr, op.size, op.is_write,
-                            Priority.DEMAND, op_done)
-                else:
+                if span is not None:
                     span.begin_stage(stage_label(ops), when)
-                    for op in ops:
-                        (nm if op.level is Level.NM else fm).access(
-                            op.addr, op.size, op.is_write,
-                            Priority.DEMAND, op_done, span)
+                for op in ops:
+                    (nm if op.level is Level.NM else fm).access(
+                        op.addr, op.size, op.is_write, Priority.DEMAND,
+                        op_done, span)
                 return
             i += 1
         self._complete(txn, self._engine.now)
@@ -269,17 +244,7 @@ class FlatMemoryController:
         txn.finish_time = when
         if txn.span is not None:
             self.spans.retire(txn, when)
-        mshr = txn.mshr
-        if mshr is not None:
-            mshr.release(txn, when)
-            return
-        for waiter in txn.waiters:
-            waiter(when)
-        # nothing holds a completed compat transaction: recycle it
-        txn.waiters.clear()
-        pool = self._pool
-        if len(pool) < _TXN_POOL_CAP:
-            pool.append(txn)
+        txn.mshr.release(txn, when)
 
     def _issue_background(self, ops: List[Op]) -> None:
         """Fire traffic nobody waits on, tallying its bytes per level."""

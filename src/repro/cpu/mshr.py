@@ -1,9 +1,9 @@
-"""Miss-status holding registers: the transaction front door to the
-flat-memory controller.
+"""Miss-status holding registers: the one front door from the cores to
+the flat-memory controller.
 
-Every LLC miss is a first-class :class:`MemoryRequest` transaction that
-flows core -> MSHR file -> controller -> scheme -> devices as an explicit
-state machine::
+Every LLC miss is one :class:`MemoryRequest` transaction from arrival to
+retire.  It flows core -> MSHR file -> controller -> scheme -> devices
+as an explicit state machine::
 
     QUEUED ----------> DISPATCHED ----------> STAGING ----------> COMPLETE
     (waiting for an    (scheme consulted,     (critical-path      (waiters
@@ -15,27 +15,29 @@ The MSHR file itself (:class:`MSHRFile`) models the two behaviours real
 hybrid-memory controllers get from their request queues:
 
 * **read coalescing** — a second *read* miss to a 64 B subblock whose
-  fill is already in flight for a *read* does not consult the scheme or
-  touch the devices again; it joins that transaction's waiter list and
-  wakes when the one fill completes.  Coalescing is read-only by
-  design: a store carries a state change the scheme must observe (dirty
-  bits, migration triggers), and chaining an independent miss onto an
-  in-flight *write* serializes it behind traffic the scheme might have
-  served faster had it been consulted — the silc-mshr32 postmortem
-  (docs/architecture.md) measured write coalescing costing SILC-FM its
-  entire speedup, because waiters were welded to slow far-memory fetches
-  that a fresh consult would have resolved as near-memory hits after
-  the first miss's swap-in.
+  fill is already in flight (or queued) for a *read* does not consult
+  the scheme or touch the devices again; it joins that transaction's
+  waiter list and wakes when the one fill completes.  Coalescing is
+  read-only by design: a store carries a state change the scheme must
+  observe (dirty bits, migration triggers), and chaining an independent
+  miss onto an in-flight *write* serializes it behind traffic the
+  scheme might have served faster had it been consulted — the
+  silc-mshr32 postmortem (docs/architecture.md) measured write
+  coalescing costing SILC-FM its entire speedup, because waiters were
+  welded to slow far-memory fetches that a fresh consult would have
+  resolved as near-memory hits after the first miss's swap-in.
 * **structural stalls** — the file has a configurable number of entries
-  (``SystemConfig.mshr_entries``); when all are occupied, new misses
-  queue FIFO until an entry frees.  These stalls are counted separately
+  (``SystemConfig.mshr_entries``); a miss that arrives while all are
+  occupied is allocated as a ``QUEUED`` transaction and waits in a FIFO
+  until an entry frees.  These stalls are counted separately
   (:class:`MSHRStats`) from the cores' full-ROB stalls
   (``CoreStats.stall_events``) so the two bottlenecks are
-  distinguishable in the results.  A read that arrives while a read to
-  the same subblock is *queued* joins the queued miss directly — it
-  burns neither a structural stall nor a fresh entry when the queue
-  drains — and a drained miss keeps its original arrival time as its
-  ``issue_time`` so latency attribution sees the queue wait.
+  distinguishable in the results.  One line-to-read map holds queued
+  and in-flight reads alike, so a read that arrives while a read to the
+  same subblock is queued joins it — it burns neither a structural
+  stall nor a fresh entry — and a queued transaction keeps its arrival
+  time as its ``issue_time`` (a sampled one, its span) so latency
+  attribution sees the queue wait.
 
 The default ``SystemConfig.mshr_entries`` is sized to the machine's
 aggregate memory-level parallelism (cores × per-core outstanding
@@ -43,11 +45,12 @@ misses): any smaller file is a structural concurrency cap that no
 dispatch policy can tune away, which is exactly what the silc-mshr32
 bench anomaly turned out to be.
 
-``mshr_entries = 0`` is the *compatibility* value: no MSHR file is built
-at all and cores talk to the controller directly (via
-``FlatMemoryController.handle_miss``, which wraps each miss in a
-transaction with a single waiter) — simulated results are bit-identical
-to the pre-MSHR design.
+``mshr_entries = 0`` is the *compatibility* value: a file that never
+fills and never coalesces, so every miss dispatches at arrival with its
+own scheme consult — simulated results are bit-identical to the
+pre-MSHR design.  It publishes no ``mshr_*`` result extras and registers
+no ``mshr.*`` telemetry probes, so compat output stays byte-identical,
+telemetry included.
 
 Dirty-eviction writebacks never enter the MSHR: they are fire-and-forget
 background traffic with no completion to coalesce onto, and routing them
@@ -57,6 +60,7 @@ stalls structurally.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
@@ -141,8 +145,10 @@ class MemoryRequest:
 class MSHRStats:
     """MSHR-file accounting.  ``reset()`` supports warmup discarding."""
 
+    #: transactions admitted into an entry (queued ones count when they
+    #: are admitted, not when they arrive).
     allocations: int = 0
-    #: misses absorbed by an in-flight same-subblock transaction.
+    #: misses absorbed by an in-flight or queued same-subblock read.
     coalesced: int = 0
     #: arrivals that found the file full and had to queue (the MSHR's
     #: structural stall — distinct from the cores' full-ROB
@@ -159,45 +165,19 @@ class MSHRStats:
         self.peak_pending = 0
 
 
-class PendingMiss:
-    """A miss waiting in the FIFO for a free MSHR entry.
-
-    Carries its own waiter list so later same-subblock *reads* can join
-    it while it queues (no structural stall, no extra queue slot, no
-    second entry at drain time) and remembers the original arrival time
-    so the admitted transaction's ``issue_time`` — and therefore span
-    latency attribution — includes the queue wait.
-    """
-
-    __slots__ = ("paddr", "is_write", "pc", "waiters", "issue_time",
-                 "span_issue", "joins")
-
-    def __init__(self, paddr: int, is_write: bool, pc: int,
-                 on_done: Callable[[float], None], issue_time: float,
-                 span_issue: Optional[float]) -> None:
-        self.paddr = paddr
-        self.is_write = is_write
-        self.pc = pc
-        self.waiters: List[Callable[[float], None]] = [on_done]
-        self.issue_time = issue_time
-        #: arrival time when the miss was span-sampled, None otherwise
-        #: (the sampling decision happens at arrival so the modulo
-        #: sequence is queue-independent).
-        self.span_issue = span_issue
-        #: join timestamps of reads that coalesced onto this queued
-        #: miss, replayed as span siblings if it was sampled.
-        self.joins: List[float] = []
-
-
 class MSHRFile:
-    """A shared LLC-level MSHR file in front of the controller."""
+    """A shared LLC-level MSHR file in front of the controller: the only
+    way a miss reaches it.  ``entries = 0`` is the compat file, which
+    never fills and never coalesces."""
 
     def __init__(self, engine: Engine, entries: int, controller,
                  subblock_bytes: int = SUBBLOCK_BYTES) -> None:
-        if entries < 1:
-            raise ValueError("an MSHR file needs at least one entry")
+        if entries < 0:
+            raise ValueError("an MSHR file needs entries >= 0 (0 = compat)")
         self._engine = engine
         self.entries = entries
+        #: entries that may be occupied at once; a compat file never fills.
+        self._capacity = entries if entries else math.inf
         self._controller = controller
         self._shift = subblock_bytes.bit_length() - 1
         #: occupied entries.  A plain counter: reads register in
@@ -205,20 +185,17 @@ class MSHRFile:
         #: (nothing may coalesce onto them), so a dict of all in-flight
         #: transactions would be dead weight.
         self._occupied = 0
-        #: coalescable in-flight *read* transaction per subblock line.
+        #: coalescable *read* transaction per subblock line, in flight or
+        #: queued.  At most one exists per line: a second read joins the
+        #: first.  A compat file registers none, so nothing coalesces.
         self._reads: Dict[int, MemoryRequest] = {}
-        #: FIFO of misses that arrived while the file was full.
-        self._pending: Deque[PendingMiss] = deque()
-        #: queued *read* per subblock line, for arrival coalescing onto
-        #: pending misses.  Invariant: at most one queued read per line
-        #: (a second read joins the first instead of queueing).
-        self._pending_reads: Dict[int, PendingMiss] = {}
+        #: FIFO of ``QUEUED`` transactions that arrived while the file
+        #: was full.
+        self._pending: Deque[MemoryRequest] = deque()
         self._draining = False
-        #: recycled MemoryRequest transactions.  More than ``entries``
-        #: can never be live, so the pool never thrashes; the headroom
-        #: covers drains.
+        #: recycled transactions.  One is built only when the pool is
+        #: empty, so the pool never outgrows the peak count of live ones.
         self._pool: List[MemoryRequest] = []
-        self._pool_cap = entries + 32
         self.stats = MSHRStats()
         #: span recorder (:class:`repro.telemetry.spans.SpanRecorder`)
         #: when span tracing is enabled; None keeps the hot path to one
@@ -235,7 +212,10 @@ class MSHRFile:
         return len(self._pending)
 
     def attach_telemetry(self, hub) -> None:
-        """Coalescing/stall meters plus occupancy gauges."""
+        """Coalescing/stall meters plus occupancy gauges (none for a
+        compat file, whose telemetry predates the MSHR file)."""
+        if not self.entries:
+            return
         stats = self.stats  # warmup reset keeps the object identity
         hub.meter("mshr.allocations", lambda: stats.allocations)
         hub.meter("mshr.coalesced", lambda: stats.coalesced)
@@ -244,58 +224,40 @@ class MSHRFile:
         hub.gauge("mshr.occupancy", lambda: float(self._occupied))
         hub.gauge("mshr.pending", lambda: float(len(self._pending)))
 
+    def extras(self) -> Dict[str, float]:
+        """The ``mshr_*`` result extras (none for a compat file, whose
+        results predate the MSHR file)."""
+        if not self.entries:
+            return {}
+        stats = self.stats
+        return {
+            "mshr_allocations": float(stats.allocations),
+            "mshr_coalesced": float(stats.coalesced),
+            "mshr_structural_stalls": float(stats.structural_stalls),
+            "mshr_peak_occupancy": float(stats.peak_occupancy),
+        }
+
     # ------------------------------------------------------------------
     def issue(self, paddr: int, is_write: bool, pc: int,
               on_done: Callable[[float], None]) -> None:
-        """Core-facing entry point (same signature as
-        ``FlatMemoryController.handle_miss``)."""
+        """Core-facing entry point: coalesce a read onto the line's read,
+        else allocate a transaction and admit it, or queue it while the
+        file is full."""
         line = paddr >> self._shift
         spans = self.spans
-        if not is_write:
+        coalescable = not is_write and self.entries
+        if coalescable:
             txn = self._reads.get(line)
             if txn is not None:
-                # read-onto-read coalesce: join the in-flight fill.
+                # read-onto-read coalesce: join the line's fill, in
+                # flight or still queued
                 txn.waiters.append(on_done)
                 txn.coalesced += 1
                 self.stats.coalesced += 1
                 if spans is not None:
                     spans.coalesce(txn)
                 return
-            pend = self._pending_reads.get(line)
-            if pend is not None:
-                # the line's fill is queued, not yet in flight: join it
-                # there — no structural stall, no second queue slot, no
-                # fresh entry at drain time.
-                pend.waiters.append(on_done)
-                self.stats.coalesced += 1
-                if spans is not None:
-                    pend.joins.append(self._engine.now)
-                return
         now = self._engine.now
-        span_issue = None
-        if spans is not None and spans.arrival():
-            span_issue = now
-        if self._occupied >= self.entries:
-            self.stats.structural_stalls += 1
-            pend = PendingMiss(paddr, is_write, pc, on_done, now,
-                               span_issue)
-            self._pending.append(pend)
-            if not is_write:
-                self._pending_reads[line] = pend
-            if len(self._pending) > self.stats.peak_pending:
-                self.stats.peak_pending = len(self._pending)
-            return
-        self._allocate(line, paddr, is_write, pc, [on_done], now,
-                       span_issue, None)
-
-    def _allocate(self, line: int, paddr: int, is_write: bool, pc: int,
-                  waiters: List[Callable[[float], None]],
-                  issue_time: float, span_issue: Optional[float],
-                  joins: Optional[List[float]]) -> None:
-        """Take an entry and dispatch.  ``issue_time`` is the miss's
-        original arrival time — for drained pending misses that predates
-        ``engine.now`` by the queue wait.  ``waiters`` is adopted, not
-        copied."""
         pool = self._pool
         if pool:
             txn = pool.pop()
@@ -303,26 +265,37 @@ class MSHRFile:
             txn.is_write = is_write
             txn.pc = pc
             txn.state = QUEUED
-            txn.issue_time = issue_time
+            txn.issue_time = now
+            txn.coalesced = 0
         else:
-            txn = MemoryRequest(paddr, is_write, pc, issue_time)
+            txn = MemoryRequest(paddr, is_write, pc, now)
+            txn.mshr = self
         txn.line = line
-        txn.mshr = self
-        txn.waiters = waiters
-        txn.coalesced = len(waiters) - 1
-        if span_issue is not None:
-            span = self.spans.start(paddr, is_write, span_issue)
-            span.admit(self._engine.now)
-            if joins:
-                for join_t in joins:
-                    span.join(join_t)
-            txn.span = span
-        self._occupied += 1
-        if not is_write:
+        txn.waiters.append(on_done)
+        if spans is not None and spans.arrival():
+            txn.span = spans.start(paddr, is_write)
+        if coalescable:
             self._reads[line] = txn
-        self.stats.allocations += 1
-        if self._occupied > self.stats.peak_occupancy:
-            self.stats.peak_occupancy = self._occupied
+        if self._occupied >= self._capacity:
+            self.stats.structural_stalls += 1
+            pending = self._pending
+            pending.append(txn)
+            if len(pending) > self.stats.peak_pending:
+                self.stats.peak_pending = len(pending)
+            return
+        self._admit(txn)
+
+    def _admit(self, txn: MemoryRequest) -> None:
+        """Take an entry and dispatch.  A queued transaction keeps its
+        arrival time as ``issue_time``, so the queue wait is part of its
+        latency."""
+        self._occupied += 1
+        stats = self.stats
+        stats.allocations += 1
+        if self._occupied > stats.peak_occupancy:
+            stats.peak_occupancy = self._occupied
+        if txn.span is not None:
+            txn.span.admit(self._engine.now)
         self._controller.handle_request(txn)
 
     # ------------------------------------------------------------------
@@ -333,7 +306,8 @@ class MSHRFile:
         self._occupied -= 1
         if not txn.is_write and self._reads.get(txn.line) is txn:
             del self._reads[txn.line]
-        for waiter in txn.waiters:
+        waiters = txn.waiters
+        for waiter in waiters:
             waiter(when)
         if self._pending and not self._draining:
             # a nested completion during admission skips this: the outer
@@ -342,26 +316,15 @@ class MSHRFile:
         # nothing holds a completed transaction past this point (device
         # completions are scheduled, never synchronous, so no event can
         # still carry a stale reference): recycle it
-        pool = self._pool
-        if len(pool) < self._pool_cap:
-            txn.waiters.clear()
-            txn.span = None
-            pool.append(txn)
+        waiters.clear()
+        self._pool.append(txn)
 
     def _drain_pending(self) -> None:
-        """Admit queued misses (FIFO) into freed entries."""
+        """Admit queued transactions (FIFO) into freed entries."""
         self._draining = True
         try:
-            while self._pending and self._occupied < self.entries:
-                pend = self._pending.popleft()
-                line = pend.paddr >> self._shift
-                if not pend.is_write:
-                    # a queued read cannot find an in-flight read to its
-                    # line here: any read that could have become one
-                    # joined this queued miss at arrival instead.
-                    self._pending_reads.pop(line, None)
-                self._allocate(line, pend.paddr, pend.is_write, pend.pc,
-                               pend.waiters, pend.issue_time,
-                               pend.span_issue, pend.joins)
+            pending = self._pending
+            while pending and self._occupied < self._capacity:
+                self._admit(pending.popleft())
         finally:
             self._draining = False

@@ -1,5 +1,8 @@
-"""End-to-end system: cores -> (optional cache hierarchy) -> scheme ->
-DRAM devices, in the paper's 16-copy rate mode.
+"""End-to-end system: cores -> (optional cache hierarchy) -> MSHR file
+-> controller -> scheme -> DRAM devices, in the paper's 16-copy rate
+mode.  Every LLC miss enters through the MSHR file, whatever its size
+(``mshr_entries = 0`` builds the compat file, which never fills or
+coalesces).
 
 ``System.run`` builds everything from a :class:`SystemConfig`, a scheme
 factory and a workload spec, steps the discrete-event engine until every
@@ -177,16 +180,12 @@ class System:
         self.controller = FlatMemoryController(
             self.engine, self.scheme, self.nm_device, self.fm_device,
             oracle=self.oracle)
-        #: MSHR file between the cores and the controller; None at the
-        #: compatibility value (``mshr_entries = 0``), where misses go
-        #: straight to ``handle_miss`` and results are bit-identical to
-        #: the pre-MSHR design.
-        self.mshr: Optional[MSHRFile] = None
-        if config.mshr_entries > 0:
-            self.mshr = MSHRFile(
-                self.engine, config.mshr_entries, self.controller)
-        send_miss = (self.mshr.issue if self.mshr is not None
-                     else self.controller.handle_miss)
+        #: MSHR file between the cores and the controller, the only way a
+        #: miss reaches it; at the compatibility value
+        #: (``mshr_entries = 0``) the file never fills or coalesces, and
+        #: results are bit-identical to the pre-MSHR design.
+        self.mshr = MSHRFile(self.engine, config.mshr_entries,
+                             self.controller)
         self.hierarchy = (
             CacheHierarchy(config.caches, config.cores) if mode == "reference" else None
         )
@@ -214,7 +213,7 @@ class System:
                 issue_width=config.core.issue_width,
                 max_outstanding=config.core.max_outstanding_misses,
                 translate=table.translate,
-                send_miss=send_miss,
+                send_miss=self.mshr.issue,
                 send_writeback=self.controller.handle_writeback,
                 classify=classify,
                 on_finished=self._core_finished,
@@ -233,8 +232,7 @@ class System:
                 config.span_sample_rate, self.engine,
                 tracer=self.telemetry.tracer)
             self.controller.spans = self.spans
-            if self.mshr is not None:
-                self.mshr.spans = self.spans
+            self.mshr.spans = self.spans
 
     # ------------------------------------------------------------------
     def _setup_telemetry(self) -> None:
@@ -256,8 +254,7 @@ class System:
         self.fm_device.attach_telemetry(hub)
         if self.oracle is not None:
             self.oracle.attach_telemetry(hub)
-        if self.mshr is not None:
-            self.mshr.attach_telemetry(hub)
+        self.mshr.attach_telemetry(hub)
         cores = self.cores
         hub.meter("cpu.instructions",
                   lambda: sum(c.stats.instructions for c in cores))
@@ -292,8 +289,7 @@ class System:
             self._warmup_done_at = self.engine.now
             self.scheme.stats.reset()
             self.controller.stats.reset()
-            if self.mshr is not None:
-                self.mshr.stats.reset()
+            self.mshr.stats.reset()
             if self.spans is not None:
                 self.spans.reset_stats()
             for device in (self.nm_device, self.fm_device):
@@ -382,15 +378,7 @@ class System:
             extras["oracle_accesses_checked"] = float(
                 self.oracle.accesses_checked)
             extras["oracle_full_scans"] = float(self.oracle.full_scans)
-        if self.mshr is not None:
-            # only when the MSHR file exists, so compatibility-mode
-            # results stay bit-identical to pre-MSHR runs.
-            extras["mshr_allocations"] = float(self.mshr.stats.allocations)
-            extras["mshr_coalesced"] = float(self.mshr.stats.coalesced)
-            extras["mshr_structural_stalls"] = float(
-                self.mshr.stats.structural_stalls)
-            extras["mshr_peak_occupancy"] = float(
-                self.mshr.stats.peak_occupancy)
+        extras.update(self.mshr.extras())
         telemetry_snap = None
         if self.telemetry is not None:
             telemetry_snap = self.telemetry.snapshot()

@@ -19,8 +19,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.dram.timing import DDR3_TIMINGS, HBM2_TIMINGS, DRAMTimings
 
@@ -156,9 +158,9 @@ class SystemConfig:
     #: 16 × 8): the silc-mshr32 postmortem (docs/architecture.md)
     #: showed any smaller file is a hard concurrency cap that costs far
     #: more than coalescing recovers.  0 is the *compatibility* value:
-    #: misses flow straight to the controller exactly as before the
-    #: transaction-pipeline refactor existed, and results are
-    #: bit-identical to pre-MSHR runs.  Like the knobs above, the field
+    #: a file that never fills and never coalesces, so every miss
+    #: dispatches at arrival with its own scheme consult and results
+    #: are bit-identical to pre-MSHR runs.  Like the knobs above, the field
     #: is part of this config and so participates in the experiment
     #: executor's cache key.
     mshr_entries: int = 128
@@ -254,18 +256,27 @@ def paper_config() -> SystemConfig:
     return SystemConfig(nm_bytes=4 * GB, fm_bytes=16 * GB)
 
 
-def default_config(scale: float = 2.0) -> SystemConfig:
+def default_config(scale: Optional[float] = None) -> SystemConfig:
     """The scaled simulation config.
 
-    The default scale (NM = 8 MiB, 4096 frames) is the smallest at which
-    hot working sets populate enough DRAM rows per bank for row-buffer
-    behaviour to look like the paper's full-size system.  ``scale`` can
-    be raised for higher fidelity and can also be set with the
-    ``REPRO_SCALE`` environment variable.
+    The default scale, 2.0 (NM = 8 MiB, 4096 frames), is the smallest at
+    which hot working sets populate enough DRAM rows per bank for
+    row-buffer behaviour to look like the paper's full-size system.  An
+    explicit ``scale`` wins; without one, the ``REPRO_SCALE`` environment
+    variable supplies the default when set (``repro report`` has no
+    ``--scale`` flag).  Either must be a finite number > 0; anything
+    else raises a ``ValueError`` that names its source.
     """
-    env = os.environ.get("REPRO_SCALE")
-    if env is not None:
-        scale = float(env)
+    source, value = "scale", scale
+    if scale is None:
+        source, value = "REPRO_SCALE", os.environ.get("REPRO_SCALE", "2.0")
+        try:
+            scale = float(value)
+        except ValueError:
+            scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(
+            f"{source} must be a finite number > 0, got {value!r}")
     nm = int(4 * MB * scale) // BLOCK_BYTES * BLOCK_BYTES
     # the shared LLC scales with memory capacity (the paper's 8 MB L2
     # sits under GB-scale footprints; an unscaled L2 would swallow the

@@ -291,8 +291,8 @@ class SpanRecorder:
     """Deterministic sampling front door plus trace emission.
 
     One recorder per :class:`~repro.cpu.system.System`; the MSHR file
-    (or the compat controller path) asks :meth:`arrival` for each new
-    transaction, starts a :class:`Span` for the sampled ones, and the
+    asks :meth:`arrival` for each new transaction, starts a
+    :class:`Span` for the sampled ones when they arrive, and the
     controller/channel hooks do the per-stage stamping.  The sampling
     counter and span ids are **never reset** (unlike the collector's
     aggregates at warmup) so which requests get sampled is a pure
@@ -319,16 +319,11 @@ class SpanRecorder:
         self._seq = seq + 1
         return seq % self.sample_rate == 0
 
-    def start(self, paddr: int, is_write: bool,
-              issue_t: Optional[float] = None) -> Span:
-        """Begin a span for a sampled request.  ``issue_t`` defaults to
-        now; the MSHR passes the original arrival time for misses that
-        waited in its pending queue."""
+    def start(self, paddr: int, is_write: bool) -> Span:
+        """Begin a span for a sampled request arriving now."""
         sid = self._spans
         self._spans = sid + 1
-        if issue_t is None:
-            issue_t = self._engine.now
-        return Span(sid, paddr, is_write, issue_t)
+        return Span(sid, paddr, is_write, self._engine.now)
 
     def coalesce(self, txn) -> None:
         """A miss coalesced onto ``txn``; note the join on its span."""
@@ -340,7 +335,7 @@ class SpanRecorder:
         """Transaction completed: close, aggregate, and emit its span."""
         span = txn.span
         txn.span = None
-        span.end_stage(when)  # defensive: stages normally close in _advance
+        span.end_stage(when)  # a one-op plan's stage; walks close in _advance
         span.finish_t = when
         self._retired += 1
         self.collector.record(span)

@@ -1,8 +1,15 @@
-"""Tests for the flat-memory controller."""
+"""Tests for the flat-memory controller.
+
+Misses reach the controller only through an MSHR file; these tests use
+the compat file (``MSHRFile(engine, 0, controller)``), which dispatches
+every miss at arrival with its own scheme consult, so each test drives
+the controller's plan execution directly.
+"""
 
 import pytest
 
 from repro.cpu.controller import FlatMemoryController
+from repro.cpu.mshr import MSHRFile
 from repro.dram.device import MemoryDevice
 from repro.schemes.base import AccessPlan, Level, MemoryScheme, Op
 from repro.sim.config import default_config
@@ -56,7 +63,7 @@ def build(plans, epoch_period=None, epoch_result=([], 0.0)):
     scheme._epoch_period = epoch_period
     scheme._epoch_result = epoch_result
     controller = FlatMemoryController(engine, scheme, nm, fm)
-    return engine, controller, nm, fm
+    return engine, controller, MSHRFile(engine, 0, controller), nm, fm
 
 
 def nm_read(addr=0, size=64):
@@ -69,9 +76,9 @@ def fm_read(addr=0, size=64):
 
 def test_single_stage_plan_completes():
     plan = AccessPlan(serviced_from=Level.NM, stages=[[nm_read()]])
-    engine, controller, nm, fm = build([plan])
+    engine, controller, mshr, nm, fm = build([plan])
     done = []
-    controller.handle_miss(0, False, 0, done.append)
+    mshr.issue(0, False, 0, done.append)
     engine.run()
     assert len(done) == 1
     assert controller.stats.misses_completed == 1
@@ -81,17 +88,17 @@ def test_single_stage_plan_completes():
 def test_stages_execute_serially():
     plan = AccessPlan(serviced_from=Level.FM,
                       stages=[[nm_read()], [fm_read()]])
-    engine, controller, nm, fm = build([plan])
+    engine, controller, mshr, nm, fm = build([plan])
     done = []
-    controller.handle_miss(NM, False, 0, done.append)
+    mshr.issue(NM, False, 0, done.append)
     engine.run()
     serial = done[0]
 
     plan2 = AccessPlan(serviced_from=Level.FM,
                        stages=[[nm_read(), fm_read()]])
-    engine2, controller2, __, __ = build([plan2])
+    engine2, controller2, mshr2, __, __ = build([plan2])
     done2 = []
-    controller2.handle_miss(NM, False, 0, done2.append)
+    mshr2.issue(NM, False, 0, done2.append)
     engine2.run()
     parallel = done2[0]
     assert serial > parallel
@@ -100,15 +107,15 @@ def test_stages_execute_serially():
 def test_background_ops_do_not_block_completion():
     plan = AccessPlan(serviced_from=Level.NM, stages=[[nm_read()]],
                       background=[Op(Level.FM, 0, 2048, True)] * 4)
-    engine, controller, nm, fm = build([plan])
+    engine, controller, mshr, nm, fm = build([plan])
     done = []
-    controller.handle_miss(0, False, 0, done.append)
+    mshr.issue(0, False, 0, done.append)
     engine.run()
     # completion time unaffected by the 8KB of background traffic
     plan_only = AccessPlan(serviced_from=Level.NM, stages=[[nm_read()]])
-    engine2, controller2, __, __ = build([plan_only])
+    engine2, controller2, mshr2, __, __ = build([plan_only])
     done2 = []
-    controller2.handle_miss(0, False, 0, done2.append)
+    mshr2.issue(0, False, 0, done2.append)
     engine2.run()
     assert done[0] == done2[0]
     assert fm.stats().bytes_written == 4 * 2048
@@ -117,8 +124,8 @@ def test_background_ops_do_not_block_completion():
 def test_demand_vs_background_accounting():
     plan = AccessPlan(serviced_from=Level.NM, stages=[[nm_read(size=64)]],
                       background=[fm_read(size=64)])
-    engine, controller, __, __ = build([plan])
-    controller.handle_miss(0, False, 0, lambda t: None)
+    engine, controller, mshr, __, __ = build([plan])
+    mshr.issue(0, False, 0, lambda t: None)
     engine.run()
     assert controller.stats.demand_nm_bytes == 64
     assert controller.stats.background_fm_bytes == 64
@@ -127,15 +134,15 @@ def test_demand_vs_background_accounting():
 
 def test_empty_stage_skipped():
     plan = AccessPlan(serviced_from=Level.NM, stages=[[], [nm_read()]])
-    engine, controller, __, __ = build([plan])
+    engine, controller, mshr, __, __ = build([plan])
     done = []
-    controller.handle_miss(0, False, 0, done.append)
+    mshr.issue(0, False, 0, done.append)
     engine.run()
     assert done
 
 
 def test_writeback_uses_locate():
-    engine, controller, nm, fm = build([])
+    engine, controller, mshr, nm, fm = build([])
     controller.handle_writeback(NM + 128)
     engine.run()
     assert fm.stats().bytes_written == 64
@@ -144,14 +151,14 @@ def test_writeback_uses_locate():
 
 def test_epoch_scheduling_and_stall():
     plan = AccessPlan(serviced_from=Level.NM, stages=[[nm_read()]])
-    engine, controller, __, __ = build(
+    engine, controller, mshr, __, __ = build(
         [plan], epoch_period=1000.0, epoch_result=([], 500.0))
     # let one epoch fire
     engine.run(until=1100)
     assert controller.scheme.epoch_calls == 1
     # a miss arriving during the stall is delayed to its end
     done = []
-    controller.handle_miss(0, False, 0, done.append)
+    mshr.issue(0, False, 0, done.append)
     engine.run(until=1800)
     assert done and done[0] >= 1500.0
     assert controller.stats.epoch_stall_cycles == 500.0
@@ -160,8 +167,8 @@ def test_epoch_scheduling_and_stall():
 def test_mean_miss_latency():
     plans = [AccessPlan(serviced_from=Level.NM, stages=[[nm_read()]])
              for _ in range(3)]
-    engine, controller, __, __ = build(plans)
+    engine, controller, mshr, __, __ = build(plans)
     for i in range(3):
-        controller.handle_miss(0, False, 0, lambda t: None)
+        mshr.issue(0, False, 0, lambda t: None)
     engine.run()
     assert controller.stats.mean_miss_latency > 0

@@ -212,7 +212,7 @@ def test_structural_stall_distinct_from_rob_stall():
     # ROB stalls live in the core stats, untouched by the MSHR counters
     assert hasattr(result.core_stats[0], "stall_events")
     # compat run (explicit mshr_entries=0, the escape hatch from the
-    # nonzero default): no MSHR, so no mshr_* keys at all
+    # nonzero default): the compat file publishes no mshr_* keys at all
     compat = run_one(
         "silc", "mcf",
         dataclasses.replace(default_config(scale=0.25), mshr_entries=0),
@@ -230,9 +230,9 @@ def test_writebacks_bypass_a_full_mshr():
     issued = []
     real_access = fm.access
 
-    def spy(addr, size, is_write, priority, on_complete=None):
+    def spy(addr, size, is_write, priority, on_complete=None, span=None):
         issued.append((engine.now, is_write))
-        real_access(addr, size, is_write, priority, on_complete)
+        real_access(addr, size, is_write, priority, on_complete, span)
 
     fm.access = spy
     mshr.issue(0, False, 0, lambda t: None)
@@ -255,9 +255,9 @@ def test_writeback_order_preserved_under_coalescing():
     order = []
     real_access = fm.access
 
-    def spy(addr, size, is_write, priority, on_complete=None):
+    def spy(addr, size, is_write, priority, on_complete=None, span=None):
         order.append("write" if is_write else "read")
-        real_access(addr, size, is_write, priority, on_complete)
+        real_access(addr, size, is_write, priority, on_complete, span)
 
     fm.access = spy
     mshr.issue(0, False, 0, lambda t: None)
@@ -270,12 +270,37 @@ def test_writeback_order_preserved_under_coalescing():
 
 
 # ----------------------------------------------------------------------
+# the compat file (entries = 0)
+# ----------------------------------------------------------------------
+def test_compat_file_never_coalesces_and_never_stalls():
+    """``entries = 0`` is the compat file: two reads of one subblock
+    each consult the scheme, and more misses than any file size all
+    dispatch at arrival — no coalescing, no queue, no structural stall."""
+    engine, mshr, controller, scheme, __, __ = build(entries=0)
+    done = []
+    mshr.issue(0, False, 0, done.append)
+    mshr.issue(8, False, 0, done.append)  # same 64 B subblock
+    assert scheme.accesses == 2
+    misses = 2 + 256
+    for i in range(2, misses):
+        mshr.issue(64 * i, i % 2 == 0, 0, done.append)
+    assert scheme.accesses == misses  # every miss dispatched at arrival
+    assert mshr.pending == 0
+    assert mshr.stats.coalesced == 0
+    assert mshr.stats.structural_stalls == 0
+    engine.run()
+    assert len(done) == misses
+    assert controller.stats.misses_completed == misses
+    assert mshr.occupancy == 0
+
+
+# ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
-def test_mshr_needs_at_least_one_entry():
+def test_mshr_rejects_negative_entries():
     engine, __, controller, __, __, __ = build(entries=1)
     with pytest.raises(ValueError):
-        MSHRFile(engine, 0, controller)
+        MSHRFile(engine, -1, controller)
 
 
 def test_config_rejects_negative_entry_count():

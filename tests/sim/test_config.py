@@ -65,6 +65,31 @@ def test_invalid_capacities_rejected():
             SystemConfig(nm_bytes=empty, fm_bytes=4 * 2048)
 
 
+def test_explicit_scale_beats_repro_scale(monkeypatch):
+    """``REPRO_SCALE`` only supplies the default: an explicit scale (the
+    CLI's ``--scale``) wins over it."""
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    quarter = default_config(0.25).nm_bytes
+    half = default_config(0.5).nm_bytes
+    monkeypatch.setenv("REPRO_SCALE", "0.5")
+    assert default_config(0.25).nm_bytes == quarter == 1024 * 1024
+    assert default_config().nm_bytes == half == 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "big"])
+def test_bad_repro_scale_names_its_source(value, monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", value)
+    with pytest.raises(ValueError, match="REPRO_SCALE"):
+        default_config()
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -1.0])
+def test_bad_explicit_scale_names_its_source(scale, monkeypatch):
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    with pytest.raises(ValueError, match="^scale must be"):
+        default_config(scale)
+
+
 def test_table2_core_parameters():
     cfg = default_config()
     assert cfg.core.issue_width == 4

@@ -228,6 +228,27 @@ def test_bad_scale_is_a_usage_error(command, scale, capsys, monkeypatch):
     assert err.startswith("usage:") and f"repro {command[0]}: error:" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "silc", "mcf", "--misses", "10"],
+    ["report"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_bad_repro_scale_is_a_usage_error(command, value, capsys,
+                                          monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell was built for a bad REPRO_SCALE")
+
+    monkeypatch.setattr(cli, "run_one", no_cells)
+    monkeypatch.setattr(cli, "_executor", no_cells)
+    monkeypatch.setenv("REPRO_SCALE", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"repro {command[0]}: error:" in err
+    assert "REPRO_SCALE" in err
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(SystemExit):
         cli.main(["run", "bogus", "mcf"])
