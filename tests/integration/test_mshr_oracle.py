@@ -77,7 +77,7 @@ def test_mshr_sweep_speedup_is_monotone(scheme):
 def test_default_mshr_dominates_compat(scheme, scale, misses, seed,
                                        check_interval):
     """The flip gate: the default (nonzero) MSHR file must be at least
-    as fast as the compat front door it replaced — sized to the
+    as fast as the compat file it replaced — sized to the
     aggregate MLP and coalescing reads only, the pipeline is a pure
     win, not a modeling tax.  Checked oracle-on at scale 0.25 and
     oracle-off on silc/mcf at the default scale."""

@@ -245,7 +245,7 @@ def test_cell_key_changes_when_spans_enabled():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def span_result():
-    # compat front door (mshr_entries=0): the Table-I row coverage this
+    # compat file (mshr_entries=0): the Table-I row coverage this
     # fixture pins (bypass + lock rows post-warmup) is a property of
     # the uncoalesced consult stream; MSHR-mode span behaviour has its
     # own fixture below (coalescing_result).
