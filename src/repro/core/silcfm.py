@@ -36,7 +36,7 @@ from repro.core.bitvector import BitVectorHistoryTable
 from repro.core.bypass import BandwidthBalancer
 from repro.core.metadata import COUNTER_MAX, FULL_BITVEC, FrameMetadata
 from repro.core.predictor import Prediction, WayPredictor
-from repro.schemes.base import AccessPlan, Level, MemoryScheme, Op
+from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
 from repro.sim.config import (
     BLOCK_BYTES,
     SUBBLOCK_BYTES,
@@ -47,9 +47,6 @@ from repro.xmem.address import AddressSpace
 
 #: one remap entry (remap field + bit vector + counters + lock/LRU bits)
 METADATA_ENTRY_BYTES = 8
-
-NM = Level.NM
-FM = Level.FM
 
 
 class SilcFmScheme(MemoryScheme):
@@ -97,8 +94,6 @@ class SilcFmScheme(MemoryScheme):
         self._bypass_on = config.enable_bypass
         self._predict_on = config.enable_predictor
         self._history_on = config.enable_bitvector_history
-        self._nm_bytes = space.nm_bytes
-        self._total_bytes = space.total_bytes
         self._block_shift = BLOCK_BYTES.bit_length() - 1
         self._subblock_shift = SUBBLOCK_BYTES.bit_length() - 1
         self._index_mask = SUBBLOCKS_PER_BLOCK - 1
@@ -649,67 +644,69 @@ class SilcFmScheme(MemoryScheme):
         ``_frame_of_block`` reverse map and the lock owners must tell
         one consistent story (the flat-space bijection depends on it)."""
         remap_seen: Dict[int, int] = {}
+        sets = self.num_sets
+        nm_blocks = self.space.nm_blocks
+        total_blocks = self.space.total_blocks
+        frame_of_block = self._frame_of_block
         for way, frame in enumerate(self.frames):
-            self._invariant(0 <= frame.bitvec <= FULL_BITVEC,
-                            f"way {way} bit vector {frame.bitvec:#x} "
-                            "out of range")
-            self._invariant(0 <= frame.nm_count <= COUNTER_MAX
-                            and 0 <= frame.fm_count <= COUNTER_MAX,
-                            f"way {way} activity counter out of 6-bit range")
+            if not 0 <= frame.bitvec <= FULL_BITVEC:
+                self._fail(f"way {way} bit vector {frame.bitvec:#x} "
+                           "out of range")
+            if not (0 <= frame.nm_count <= COUNTER_MAX
+                    and 0 <= frame.fm_count <= COUNTER_MAX):
+                self._fail(f"way {way} activity counter out of 6-bit range")
             if frame.locked:
-                self._invariant(frame.lock_owner in ("nm", "fm"),
-                                f"way {way} locked with owner "
-                                f"{frame.lock_owner!r}")
-            else:
-                self._invariant(frame.lock_owner is None,
-                                f"way {way} unlocked but owner "
-                                f"{frame.lock_owner!r} lingers")
+                if frame.lock_owner not in ("nm", "fm"):
+                    self._fail(f"way {way} locked with owner "
+                               f"{frame.lock_owner!r}")
+            elif frame.lock_owner is not None:
+                self._fail(f"way {way} unlocked but owner "
+                           f"{frame.lock_owner!r} lingers")
             if frame.remap is None:
-                self._invariant(frame.bitvec == 0,
-                                f"way {way} has residency bits "
-                                f"{frame.bitvec:#x} but no remapped block")
-                self._invariant(frame.fm_count == 0,
-                                f"way {way} counts FM activity with no "
-                                "remapped block")
-                self._invariant(frame.lock_owner != "fm",
-                                f"way {way} fm-locked with no remapped block")
+                if frame.bitvec != 0:
+                    self._fail(f"way {way} has residency bits "
+                               f"{frame.bitvec:#x} but no remapped block")
+                if frame.fm_count != 0:
+                    self._fail(f"way {way} counts FM activity with no "
+                               "remapped block")
+                if frame.lock_owner == "fm":
+                    self._fail(f"way {way} fm-locked with no remapped block")
                 continue
             block = frame.remap
-            self._invariant(block >= self.space.nm_blocks,
-                            f"way {way} remaps NM-native block {block}")
-            self._invariant(block < self.space.total_blocks,
-                            f"way {way} remaps out-of-space block {block}")
-            self._invariant(block % self.num_sets == way % self.num_sets,
-                            f"way {way} (set {way % self.num_sets}) remaps "
-                            f"block {block} of set {block % self.num_sets}")
-            self._invariant(block not in remap_seen,
-                            f"block {block} interleaved into both way "
-                            f"{remap_seen.get(block)} and way {way}")
+            if block < nm_blocks:
+                self._fail(f"way {way} remaps NM-native block {block}")
+            if block >= total_blocks:
+                self._fail(f"way {way} remaps out-of-space block {block}")
+            if block % sets != way % sets:
+                self._fail(f"way {way} (set {way % sets}) remaps "
+                           f"block {block} of set {block % sets}")
+            if block in remap_seen:
+                self._fail(f"block {block} interleaved into both way "
+                           f"{remap_seen[block]} and way {way}")
             remap_seen[block] = way
-            self._invariant(self._frame_of_block.get(block) == way,
-                            f"way {way} remaps block {block} but the "
-                            "reverse map says "
-                            f"{self._frame_of_block.get(block)}")
+            if frame_of_block.get(block) != way:
+                self._fail(f"way {way} remaps block {block} but the "
+                           "reverse map says "
+                           f"{frame_of_block.get(block)}")
             if frame.locked and frame.lock_owner == "fm":
-                self._invariant(frame.bitvec == FULL_BITVEC,
-                                f"way {way} fm-locked with partial bit "
-                                f"vector {frame.bitvec:#x}")
+                if frame.bitvec != FULL_BITVEC:
+                    self._fail(f"way {way} fm-locked with partial bit "
+                               f"vector {frame.bitvec:#x}")
             elif frame.locked:
-                self._invariant(False,
-                                f"way {way} nm-locked while block {block} is "
-                                "remapped into it (restore must precede the "
-                                "lock)")
-            else:
-                self._invariant(frame.bitvec != 0,
-                                f"way {way} remaps block {block} with an "
-                                "empty bit vector (drain should have "
-                                "forgotten it)")
-        for block, way in self._frame_of_block.items():
-            self._invariant(0 <= way < len(self.frames),
-                            f"block {block} mapped to bad way {way}")
-            self._invariant(self.frames[way].remap == block,
-                            f"reverse map says way {way} holds block "
-                            f"{block} but the frame metadata disagrees")
+                self._fail(f"way {way} nm-locked while block {block} is "
+                           "remapped into it (restore must precede the "
+                           "lock)")
+            elif frame.bitvec == 0:
+                self._fail(f"way {way} remaps block {block} with an "
+                           "empty bit vector (drain should have "
+                           "forgotten it)")
+        frames = self.frames
+        for block, way in frame_of_block.items():
+            if not 0 <= way < len(frames):
+                self._fail(f"block {block} mapped to bad way {way}")
+            if frames[way].remap != block:
+                self._fail(f"reverse map says way {way} holds block "
+                           f"{block} but the frame metadata disagrees")
 
     # ------------------------------------------------------------------
     # introspection for tests / reports

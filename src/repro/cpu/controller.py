@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.cpu.mshr import COMPLETE, DISPATCHED, STAGING, MemoryRequest
+from repro.cpu.mshr import MemoryRequest
 from repro.dram.device import MemoryDevice
 from repro.dram.request import Priority
 from repro.schemes.base import Level, MemoryScheme, Op
@@ -150,7 +150,6 @@ class FlatMemoryController:
             self._engine.schedule_at(
                 self._stall_until, self.handle_request, txn)
             return
-        txn.state = DISPATCHED
         txn.dispatch_time = now
         txn.controller = self
         scheme = self.scheme
@@ -168,7 +167,6 @@ class FlatMemoryController:
             span.dispatch(now)
             span.decide(scheme.span_row(plan),
                         plan.serviced_from.value, plan.bypassed, now)
-        txn.plan = plan
         stages = txn.stages = plan.stages
         stats = self.stats
         for stage in stages:
@@ -179,7 +177,6 @@ class FlatMemoryController:
                     stats.demand_fm_bytes += op.size
         self._issue_background(plan.background)
         self.inflight += 1
-        txn.state = STAGING
         if len(stages) == 1 and len(stages[0]) == 1:
             # one critical-path op: its completion completes the miss
             # (a sampled miss's stage closes when its span retires)
@@ -240,8 +237,6 @@ class FlatMemoryController:
         stats = self.stats
         stats.misses_completed += 1
         stats.total_miss_latency += when - txn.dispatch_time
-        txn.state = COMPLETE
-        txn.finish_time = when
         if txn.span is not None:
             self.spans.retire(txn, when)
         txn.mshr.release(txn, when)

@@ -3,12 +3,14 @@ the flat-memory controller.
 
 Every LLC miss is one :class:`MemoryRequest` transaction from arrival to
 retire.  It flows core -> MSHR file -> controller -> scheme -> devices
-as an explicit state machine::
+in four steps.  Which step a transaction is at follows from what holds
+it (the file's FIFO, the controller, a device), so it carries no state
+field::
 
-    QUEUED ----------> DISPATCHED ----------> STAGING ----------> COMPLETE
-    (waiting for an    (scheme consulted,     (critical-path      (waiters
-     MSHR entry; only   plan attached; may     stages in flight    woken,
-     when the file is   be held here by an     on the devices)     entry
+    queued ----------> dispatched ----------> staging ----------> retired
+    (waiting for an    (holds an entry;       (critical-path      (waiters
+     MSHR entry; only   scheme consulted;      stages in flight    woken,
+     when the file is   may wait out an        on the devices)     entry
      full)              OS epoch stall)                            freed)
 
 The MSHR file itself (:class:`MSHRFile`) models the two behaviours real
@@ -28,8 +30,8 @@ hybrid-memory controllers get from their request queues:
   resolved as near-memory hits after the first miss's swap-in.
 * **structural stalls** — the file has a configurable number of entries
   (``SystemConfig.mshr_entries``); a miss that arrives while all are
-  occupied is allocated as a ``QUEUED`` transaction and waits in a FIFO
-  until an entry frees.  These stalls are counted separately
+  occupied is allocated at arrival and waits in a FIFO until an entry
+  frees.  These stalls are counted separately
   (:class:`MSHRStats`) from the cores' full-ROB stalls
   (``CoreStats.stall_events``) so the two bottlenecks are
   distinguishable in the results.  One line-to-read map holds queued
@@ -68,32 +70,20 @@ from typing import Callable, Deque, Dict, List, Optional
 from repro.sim.config import SUBBLOCK_BYTES
 from repro.sim.engine import Engine
 
-# ---------------------------------------------------------------------------
-# transaction states (plain ints: state checks sit on the hot path)
-# ---------------------------------------------------------------------------
-QUEUED = 0      #: allocated, waiting for a free MSHR entry
-DISPATCHED = 1  #: entered the controller; scheme consulted, plan attached
-STAGING = 2     #: critical-path stages in flight on the devices
-COMPLETE = 3    #: finished; waiters woken, entry freed
-
-STATE_NAMES = {QUEUED: "QUEUED", DISPATCHED: "DISPATCHED",
-               STAGING: "STAGING", COMPLETE: "COMPLETE"}
-
 
 class MemoryRequest:
     """One LLC miss as an explicit transaction.
 
-    Carries everything the old closure chain captured implicitly — the
-    current stage index, the count of outstanding ops in that stage, and
-    the issue/dispatch/finish timestamps — as plain fields, so the
-    controller's stage walk allocates nothing per stage and the state of
-    every in-flight miss is inspectable.
+    Carries what the controller's stage walk needs — the plan's stages,
+    the current stage index, the count of outstanding ops in that stage,
+    and the issue and dispatch timestamps — as plain fields, so the walk
+    allocates nothing per stage.
     """
 
-    __slots__ = ("paddr", "is_write", "pc", "state",
-                 "issue_time", "dispatch_time", "finish_time",
-                 "plan", "stages", "stage_index", "remaining_ops",
-                 "waiters", "coalesced", "line", "mshr", "controller",
+    __slots__ = ("paddr", "is_write", "pc",
+                 "issue_time", "dispatch_time",
+                 "stages", "stage_index", "remaining_ops",
+                 "waiters", "line", "mshr", "controller",
                  "span")
 
     def __init__(self, paddr: int, is_write: bool, pc: int,
@@ -101,11 +91,8 @@ class MemoryRequest:
         self.paddr = paddr
         self.is_write = is_write
         self.pc = pc
-        self.state = QUEUED
         self.issue_time = issue_time
         self.dispatch_time = 0.0
-        self.finish_time = 0.0
-        self.plan = None
         self.stages = None
         self.stage_index = -1
         self.remaining_ops = 0
@@ -116,7 +103,6 @@ class MemoryRequest:
         #: the issuing core's, the rest are coalesced same-subblock
         #: misses.
         self.waiters: List[Callable[[float], None]] = []
-        self.coalesced = 0
         self.line = -1
         self.mshr: Optional["MSHRFile"] = None
         self.controller = None
@@ -137,7 +123,6 @@ class MemoryRequest:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MemoryRequest(paddr={self.paddr:#x}, "
-                f"state={STATE_NAMES[self.state]}, "
                 f"stage={self.stage_index}, waiters={len(self.waiters)})")
 
 
@@ -155,14 +140,12 @@ class MSHRStats:
     #: ``CoreStats.stall_events``).
     structural_stalls: int = 0
     peak_occupancy: int = 0
-    peak_pending: int = 0
 
     def reset(self) -> None:
         self.allocations = 0
         self.coalesced = 0
         self.structural_stalls = 0
         self.peak_occupancy = 0
-        self.peak_pending = 0
 
 
 class MSHRFile:
@@ -189,8 +172,7 @@ class MSHRFile:
         #: queued.  At most one exists per line: a second read joins the
         #: first.  A compat file registers none, so nothing coalesces.
         self._reads: Dict[int, MemoryRequest] = {}
-        #: FIFO of ``QUEUED`` transactions that arrived while the file
-        #: was full.
+        #: FIFO of transactions that arrived while the file was full.
         self._pending: Deque[MemoryRequest] = deque()
         self._draining = False
         #: recycled transactions.  One is built only when the pool is
@@ -252,7 +234,6 @@ class MSHRFile:
                 # read-onto-read coalesce: join the line's fill, in
                 # flight or still queued
                 txn.waiters.append(on_done)
-                txn.coalesced += 1
                 self.stats.coalesced += 1
                 if spans is not None:
                     spans.coalesce(txn)
@@ -264,9 +245,7 @@ class MSHRFile:
             txn.paddr = paddr
             txn.is_write = is_write
             txn.pc = pc
-            txn.state = QUEUED
             txn.issue_time = now
-            txn.coalesced = 0
         else:
             txn = MemoryRequest(paddr, is_write, pc, now)
             txn.mshr = self
@@ -278,10 +257,7 @@ class MSHRFile:
             self._reads[line] = txn
         if self._occupied >= self._capacity:
             self.stats.structural_stalls += 1
-            pending = self._pending
-            pending.append(txn)
-            if len(pending) > self.stats.peak_pending:
-                self.stats.peak_pending = len(pending)
+            self._pending.append(txn)
             return
         self._admit(txn)
 

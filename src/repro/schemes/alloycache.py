@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.schemes.base import AccessPlan, Level, MemoryScheme, Op
+from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
 from repro.sim.config import SUBBLOCK_BYTES
 from repro.xmem.address import AddressSpace
 
@@ -99,15 +99,17 @@ class AlloyCacheScheme(MemoryScheme):
         copy while it is cached (it may be the only up-to-date copy when
         dirty) and the FM home otherwise.
         """
-        if self.space.is_nm(paddr):
+        if not 0 <= paddr < self._total_bytes:
+            raise ValueError(f"address {paddr:#x} outside flat space")
+        offset = paddr - self._nm_bytes
+        if offset < 0:
             raise ValueError("NM is not part of the address space here")
-        offset = self.space.fm_offset(paddr)
         line = offset // SUBBLOCK_BYTES
         slot = line % self.num_slots
         cached = self._slot.get(slot)
         if cached is not None and cached[0] == line:
-            return Level.NM, slot * SUBBLOCK_BYTES + offset % SUBBLOCK_BYTES
-        return Level.FM, offset
+            return NM, slot * SUBBLOCK_BYTES + offset % SUBBLOCK_BYTES
+        return FM, offset
 
     def attach_telemetry(self, hub) -> None:
         """A cache's story is its hit rate and writeback pressure; the
@@ -122,16 +124,17 @@ class AlloyCacheScheme(MemoryScheme):
         """Tag-array consistency: every cached line maps to the slot it
         occupies and names a real FM line."""
         fm_lines = self.space.fm_bytes // SUBBLOCK_BYTES
+        slots = self.num_slots
         for slot, (line, dirty) in self._slot.items():
-            self._invariant(0 <= slot < self.num_slots,
-                            f"tag entry for out-of-range slot {slot}")
-            self._invariant(0 <= line < fm_lines,
-                            f"slot {slot} caches out-of-space FM line {line}")
-            self._invariant(line % self.num_slots == slot,
-                            f"slot {slot} caches line {line} that maps to "
-                            f"slot {line % self.num_slots}")
-            self._invariant(isinstance(dirty, bool),
-                            f"slot {slot} dirty bit is not a bool")
+            if not 0 <= slot < slots:
+                self._fail(f"tag entry for out-of-range slot {slot}")
+            if not 0 <= line < fm_lines:
+                self._fail(f"slot {slot} caches out-of-space FM line {line}")
+            if line % slots != slot:
+                self._fail(f"slot {slot} caches line {line} that maps to "
+                           f"slot {line % slots}")
+            if not isinstance(dirty, bool):
+                self._fail(f"slot {slot} dirty bit is not a bool")
 
     @property
     def hit_rate(self) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.schemes.base import AccessPlan, Level, MemoryScheme, Op
+from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
 from repro.sim.config import SUBBLOCK_BYTES
 from repro.xmem.address import AddressSpace
 
@@ -90,9 +90,12 @@ class CameoScheme(MemoryScheme):
         within = paddr % SUBBLOCK_BYTES
         group = sb % self.num_slots
         if self._present[group] == sb:
-            return Level.NM, group * SUBBLOCK_BYTES + within
+            return NM, group * SUBBLOCK_BYTES + within
         home = self._home_of.get(sb, sb)
-        return Level.FM, self._fm_offset_of_subblock(home) + within
+        offset = home * SUBBLOCK_BYTES - self._nm_bytes
+        if offset < 0:
+            raise ValueError(f"subblock {home} is an NM home, not FM")
+        return FM, offset + within
 
     def _fm_offset_of_subblock(self, subblock: int) -> int:
         """Device-local FM offset of a global subblock home (must be FM)."""
@@ -113,27 +116,30 @@ class CameoScheme(MemoryScheme):
         """Congruence-group bookkeeping consistency: every slot holds a
         member of its own group, and the displaced-member map never
         duplicates a home or contradicts slot occupancy."""
-        for group, occupant in enumerate(self._present):
-            self._invariant(0 <= occupant < self._total_subblocks,
-                            f"slot {group} holds out-of-space line {occupant}")
-            self._invariant(occupant % self.num_slots == group,
-                            f"slot {group} holds line {occupant} from a "
-                            "different congruence group")
+        slots = self.num_slots
+        total = self._total_subblocks
+        present = self._present
+        for group, occupant in enumerate(present):
+            if not 0 <= occupant < total:
+                self._fail(f"slot {group} holds out-of-space line {occupant}")
+            if occupant % slots != group:
+                self._fail(f"slot {group} holds line {occupant} from a "
+                           "different congruence group")
         homes_seen = {}
         for member, home in self._home_of.items():
-            self._invariant(member % self.num_slots == home % self.num_slots,
-                            f"line {member} stored at home {home} outside "
-                            "its congruence group")
-            self._invariant(home >= self.num_slots,
-                            f"line {member} claims NM-range home {home}")
-            self._invariant(home < self._total_subblocks,
-                            f"line {member} home {home} out of space")
-            self._invariant(self._present[member % self.num_slots] != member,
-                            f"line {member} recorded as displaced while its "
-                            "NM slot also holds it (duplication)")
-            self._invariant(home not in homes_seen,
-                            f"FM home {home} stores both line "
-                            f"{homes_seen.get(home)} and line {member}")
+            if member % slots != home % slots:
+                self._fail(f"line {member} stored at home {home} outside "
+                           "its congruence group")
+            if home < slots:
+                self._fail(f"line {member} claims NM-range home {home}")
+            if home >= total:
+                self._fail(f"line {member} home {home} out of space")
+            if present[member % slots] == member:
+                self._fail(f"line {member} recorded as displaced while its "
+                           "NM slot also holds it (duplication)")
+            if home in homes_seen:
+                self._fail(f"FM home {home} stores both line "
+                           f"{homes_seen[home]} and line {member}")
             homes_seen[home] = member
 
     # exposed for tests ----------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.schemes.base import AccessPlan, Level, MemoryScheme, Op
+from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
 from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES
 from repro.xmem.address import AddressSpace
 
@@ -183,9 +183,12 @@ class HmaScheme(MemoryScheme):
         within = paddr % BLOCK_BYTES
         frame = self._frame_of.get(block)
         if frame is not None:
-            return Level.NM, frame * BLOCK_BYTES + within
+            return NM, frame * BLOCK_BYTES + within
         home = self._home_of.get(block, block)
-        return Level.FM, self._fm_offset_of_block(home) + within
+        offset = home * BLOCK_BYTES - self._nm_bytes
+        if offset < 0:
+            raise ValueError(f"block {home} is an NM home, not FM")
+        return FM, offset + within
 
     def _fm_offset_of_block(self, block: int) -> int:
         offset = block * BLOCK_BYTES - self.space.nm_bytes
@@ -198,28 +201,31 @@ class HmaScheme(MemoryScheme):
         are mutual inverses, and a displaced block is never also
         NM-resident."""
         total_blocks = self.space.total_blocks
-        self._invariant(len(self._present) == self.num_frames,
-                        "frame table size drifted")
-        for frame, block in enumerate(self._present):
-            self._invariant(0 <= block < total_blocks,
-                            f"frame {frame} holds out-of-space block {block}")
-            self._invariant(self._frame_of.get(block) == frame,
-                            f"frame {frame} holds block {block} but the "
-                            "reverse map disagrees")
-        for block, frame in self._frame_of.items():
-            self._invariant(0 <= frame < self.num_frames,
-                            f"block {block} mapped to bad frame {frame}")
-            self._invariant(self._present[frame] == block,
-                            f"reverse map says frame {frame} holds block "
-                            f"{block} but the frame table disagrees")
+        if len(self._present) != self.num_frames:
+            self._fail("frame table size drifted")
+        present = self._present
+        frame_of = self._frame_of
+        for frame, block in enumerate(present):
+            if not 0 <= block < total_blocks:
+                self._fail(f"frame {frame} holds out-of-space block {block}")
+            if frame_of.get(block) != frame:
+                self._fail(f"frame {frame} holds block {block} but the "
+                           "reverse map disagrees")
+        for block, frame in frame_of.items():
+            if not 0 <= frame < self.num_frames:
+                self._fail(f"block {block} mapped to bad frame {frame}")
+            if present[frame] != block:
+                self._fail(f"reverse map says frame {frame} holds block "
+                           f"{block} but the frame table disagrees")
         homes_seen = {}
+        nm_blocks = self.space.nm_blocks
         for block, home in self._home_of.items():
-            self._invariant(block not in self._frame_of,
-                            f"block {block} is both NM-resident and "
-                            "recorded as displaced (duplication)")
-            self._invariant(self.space.nm_blocks <= home < total_blocks,
-                            f"block {block} claims non-FM home {home}")
-            self._invariant(home not in homes_seen,
-                            f"FM home {home} stores both block "
-                            f"{homes_seen.get(home)} and block {block}")
+            if block in frame_of:
+                self._fail(f"block {block} is both NM-resident and "
+                           "recorded as displaced (duplication)")
+            if not nm_blocks <= home < total_blocks:
+                self._fail(f"block {block} claims non-FM home {home}")
+            if home in homes_seen:
+                self._fail(f"FM home {home} stores both block "
+                           f"{homes_seen[home]} and block {block}")
             homes_seen[home] = block

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
-from repro.schemes.base import AccessPlan, Level, MemoryScheme, Op
+from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
 from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES
 from repro.xmem.address import AddressSpace
 
@@ -139,9 +139,12 @@ class PomScheme(MemoryScheme):
         within = paddr % BLOCK_BYTES
         frame = block % self.num_frames
         if self._present[frame] == block:
-            return Level.NM, frame * BLOCK_BYTES + within
+            return NM, frame * BLOCK_BYTES + within
         home = self._home_of.get(block, block)
-        return Level.FM, self._fm_offset_of_block(home) + within
+        offset = home * BLOCK_BYTES - self._nm_bytes
+        if offset < 0:
+            raise ValueError(f"block {home} is an NM home, not FM")
+        return FM, offset + within
 
     def _fm_offset_of_block(self, block: int) -> int:
         offset = block * BLOCK_BYTES - self.space.nm_bytes
@@ -167,33 +170,38 @@ class PomScheme(MemoryScheme):
         its own congruence class, displaced homes are unique FM blocks,
         and competing counters only exist for non-resident blocks."""
         total_blocks = self.space.total_blocks
-        for frame, occupant in enumerate(self._present):
-            self._invariant(0 <= occupant < total_blocks,
-                            f"frame {frame} holds out-of-space block {occupant}")
-            self._invariant(occupant % self.num_frames == frame,
-                            f"frame {frame} holds block {occupant} from a "
-                            "different congruence class")
-            self._invariant(self._occupant_count[frame] >= 0,
-                            f"frame {frame} occupant count negative")
+        frames = self.num_frames
+        present = self._present
+        counts = self._occupant_count
+        for frame, occupant in enumerate(present):
+            if not 0 <= occupant < total_blocks:
+                self._fail(f"frame {frame} holds out-of-space block "
+                           f"{occupant}")
+            if occupant % frames != frame:
+                self._fail(f"frame {frame} holds block {occupant} from a "
+                           "different congruence class")
+            if counts[frame] < 0:
+                self._fail(f"frame {frame} occupant count negative")
         homes_seen = {}
         for block, home in self._home_of.items():
-            self._invariant(block % self.num_frames == home % self.num_frames,
-                            f"block {block} stored at home {home} outside "
-                            "its congruence class")
-            self._invariant(self.num_frames <= home < total_blocks,
-                            f"block {block} claims non-FM home {home}")
-            self._invariant(self._present[block % self.num_frames] != block,
-                            f"block {block} recorded as displaced while its "
-                            "frame also holds it (duplication)")
-            self._invariant(home not in homes_seen,
-                            f"FM home {home} stores both block "
-                            f"{homes_seen.get(home)} and block {block}")
+            if block % frames != home % frames:
+                self._fail(f"block {block} stored at home {home} outside "
+                           "its congruence class")
+            if not frames <= home < total_blocks:
+                self._fail(f"block {block} claims non-FM home {home}")
+            if present[block % frames] == block:
+                self._fail(f"block {block} recorded as displaced while its "
+                           "frame also holds it (duplication)")
+            if home in homes_seen:
+                self._fail(f"FM home {home} stores both block "
+                           f"{homes_seen[home]} and block {block}")
             homes_seen[home] = block
         for block, count in self._counters.items():
-            self._invariant(count >= 0, f"block {block} counter negative")
-            self._invariant(self._present[block % self.num_frames] != block,
-                            f"resident block {block} still has a competing "
-                            "counter")
+            if count < 0:
+                self._fail(f"block {block} counter negative")
+            if present[block % frames] == block:
+                self._fail(f"resident block {block} still has a competing "
+                           "counter")
 
     # exposed for tests ----------------------------------------------------
     def frame_occupant(self, frame: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.schemes.base import AccessPlan, Level, MemoryScheme
+from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme
 from repro.xmem.address import AddressSpace
 
 
@@ -38,9 +38,11 @@ class StaticScheme(MemoryScheme):
         return plan
 
     def locate(self, paddr: int) -> Tuple[Level, int]:
-        if self.space.is_nm(paddr):
-            return Level.NM, self.space.nm_offset(paddr)
-        return Level.FM, self.space.fm_offset(paddr)
+        if not 0 <= paddr < self._total_bytes:
+            raise ValueError(f"address {paddr:#x} outside flat space")
+        if paddr < self._nm_bytes:
+            return NM, paddr
+        return FM, paddr - self._nm_bytes
 
     def attach_telemetry(self, hub) -> None:
         """Static placement moves nothing, so beyond the base signals
@@ -56,14 +58,13 @@ class StaticScheme(MemoryScheme):
         """The identity mapping carries no mutable metadata; verify the
         address-space split itself is coherent (the oracle's shadow
         covers the rest)."""
-        self._invariant(self.space.nm_bytes + self.space.fm_bytes
-                        == self.space.total_bytes,
-                        "NM+FM regions do not tile the flat space")
-        self._invariant(self.locate(0) == (Level.NM, 0),
-                        "flat address 0 must be NM-resident, offset 0")
-        first_fm = self.space.nm_bytes
-        self._invariant(self.locate(first_fm) == (Level.FM, 0),
-                        "first FM address must map to FM offset 0")
+        if (self.space.nm_bytes + self.space.fm_bytes
+                != self.space.total_bytes):
+            self._fail("NM+FM regions do not tile the flat space")
+        if self.locate(0) != (NM, 0):
+            self._fail("flat address 0 must be NM-resident, offset 0")
+        if self.locate(self.space.nm_bytes) != (FM, 0):
+            self._fail("first FM address must map to FM offset 0")
 
     def _op(self, level: Level, offset: int, is_write: bool):
         if level is Level.NM:

@@ -16,10 +16,16 @@ For every serviced LLC miss the oracle checks, in order:
    the shadow about where the requested subblock now lives.
 
 Every ``check_every`` misses (and once at end of run) a **full check**
-additionally runs :meth:`MemoryScheme.check_invariants` and scans the
-whole flat space: every subblock's ``locate`` must round-trip against
-the shadow — this is the bijection proof (no subblock duplicated, none
-lost), at the cost of a full-space scan.
+additionally runs :meth:`MemoryScheme.check_invariants` and the
+shadow's own bijection check, then scans the whole flat space: every
+subblock's ``locate`` must round-trip against the shadow — this is the
+bijection proof (no subblock duplicated, none lost).  The scan is one
+``locate`` call and one comparison per subblock: it feeds
+``map(scheme.locate, ...)`` over the ledger's slot order (see
+:meth:`ShadowMemory.placements`) into a C-level comparison with the
+slots themselves.  Only when that comparison fails does the oracle
+rescan in address order, one :meth:`ValidationOracle._check_locate` at
+a time, so the violation names the lowest failing address.
 
 The oracle is pure observation: it never mutates scheme state, so a
 checked run's figures of merit are identical to an unchecked run's
@@ -28,7 +34,8 @@ checked run's figures of merit are identical to an unchecked run's
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from operator import eq
+from typing import Iterable, List, NoReturn, Optional
 
 from repro.core.silcfm import SilcFmScheme
 from repro.schemes.base import AccessPlan, InvariantViolation, MemoryScheme, Op
@@ -154,14 +161,36 @@ class ValidationOracle:
         """Scheme self-consistency plus the whole-space bijection scan."""
         self.scheme.check_invariants()
         self.shadow.check_self_bijection()
-        start = self.shadow.nm_slots if self.shadow.copy_mode else 0
-        for sid in range(start, self.shadow.nm_slots + self.shadow.fm_slots):
-            self._check_locate(sid * SUBBLOCK_BYTES)
+        addresses, placements = self.shadow.placements()
+        try:
+            agreed = all(map(eq, map(self.scheme.locate, addresses),
+                             placements))
+        except Exception:
+            # locate itself raised: the rescan raises it again, for the
+            # lowest address it fails at
+            agreed = False
+        if not agreed:
+            self._raise_first_disagreement()
         self.full_scans += 1
         if self.telemetry is not None:
             self.telemetry.instant("oracle-full-check", cat="oracle",
                                    scan=self.full_scans,
                                    accesses_checked=self.accesses_checked)
+
+    def _raise_first_disagreement(self) -> NoReturn:
+        """The scan saw a disagreement: rescan in address order so the
+        violation is the one :meth:`_check_locate` raises for the lowest
+        failing address.  Only a ``locate`` that answers differently the
+        second time gets through the rescan, and that is a violation
+        too."""
+        shadow = self.shadow
+        start = shadow.nm_slots if shadow.copy_mode else 0
+        for sid in range(start, shadow.nm_slots + shadow.fm_slots):
+            self._check_locate(sid * SUBBLOCK_BYTES)
+        raise OracleViolation(
+            f"{self.scheme.name}: the whole-space scan disagreed with the "
+            "shadow but an address-order rescan did not (locate is not "
+            "deterministic)")
 
     # ------------------------------------------------------------------
     # SILC-FM Table I row prediction

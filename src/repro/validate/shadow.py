@@ -19,6 +19,15 @@ without a matching write (demand reads, speculative predictor reads,
 metadata fetches) and writes without a matching read (LLC writebacks,
 in-place demand writes) move nothing.
 
+The ledger numbers every slot in one **position space** — NM slot *s*
+is position *s*, FM slot *s* is position ``nm_slots + s`` — and keeps
+two plain lists over it: ``_ids[position]``, the identity stored there,
+and ``_pos[id]``, the position holding that identity.  Each is the
+other's inverse; an exchange swaps two entries of each.  Both start as
+the identity, and :meth:`ShadowMemory.placements` streams the ledger
+slot by slot, so the oracle's whole-space scan compares it against
+``locate`` without building anything per subblock.
+
 Cache-style schemes (Alloy) are not bijective: FM is always the home
 and NM holds copies.  ``copy_mode=True`` switches the shadow to copy
 tracking — an NM write paired with an FM read records a fill; FM
@@ -27,9 +36,11 @@ contents stay the identity mapping.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import chain, count, repeat
+from operator import eq, mul
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.schemes.base import InvariantViolation, Level, Op
+from repro.schemes.base import FM, NM, InvariantViolation, Level, Op
 from repro.sim.config import SUBBLOCK_BYTES, SUBBLOCKS_PER_BLOCK
 from repro.xmem.address import AddressSpace
 
@@ -43,7 +54,8 @@ class ShadowMemory:
 
     Identities are global flat-space subblock numbers (``addr // 64``).
     NM slot *s* is device-local offset ``s * 64`` of the NM data region;
-    FM slot *s* likewise on the FM device.
+    FM slot *s* likewise on the FM device.  In bijective mode NM slot *s*
+    is ledger position *s* and FM slot *s* is position ``nm_slots + s``.
     """
 
     def __init__(self, space: AddressSpace, copy_mode: bool = False) -> None:
@@ -55,14 +67,12 @@ class ShadowMemory:
             #: NM slot -> logical id of the FM subblock copied there.
             self._nm_copy: Dict[int, int] = {}
         else:
-            self._nm: List[int] = list(range(self.nm_slots))
-            self._fm: List[int] = [self.nm_slots + s
-                                   for s in range(self.fm_slots)]
-            #: logical id -> (level, slot) — the inverse of the arrays.
-            self._where: List[Tuple[Level, int]] = (
-                [(Level.NM, s) for s in range(self.nm_slots)]
-                + [(Level.FM, s) for s in range(self.fm_slots)]
-            )
+            ids = list(range(self.nm_slots + self.fm_slots))
+            #: position -> logical id stored there.
+            self._ids: List[int] = ids
+            #: logical id -> position holding it, the inverse of ``_ids``
+            #: (a copy, so the two lists share their int objects).
+            self._pos: List[int] = ids.copy()
         self.exchanges_replayed = 0
 
     # ------------------------------------------------------------------
@@ -83,7 +93,10 @@ class ShadowMemory:
             if self._nm_copy.get(nm_slot) == sid:
                 return Level.NM, nm_slot
             return Level.FM, fm_slot
-        return self._where[sid]
+        position = self._pos[sid]
+        if position < self.nm_slots:
+            return NM, position
+        return FM, position - self.nm_slots
 
     def id_at(self, level: Level, slot: int) -> Optional[int]:
         """Logical id stored in a slot (copy mode: None = no NM copy)."""
@@ -91,7 +104,48 @@ class ShadowMemory:
             if level is Level.FM:
                 return self.nm_slots + slot
             return self._nm_copy.get(slot)
-        return (self._nm if level is Level.NM else self._fm)[slot]
+        return self._ids[self._position(level, slot)]
+
+    def _position(self, level: Level, slot: int) -> int:
+        return slot if level is NM else self.nm_slots + slot
+
+    def placements(self) -> Tuple[Iterable[int],
+                                  Iterable[Tuple[Level, int]]]:
+        """Two streams in step, for a whole-space scan: the flat address
+        of every tracked subblock, and the ``(level, device byte offset)``
+        the ledger holds it at — what ``locate`` of that address must
+        return.  Bijective mode walks the positions (NM slots, then FM
+        slots) with the address of the id each holds; copy mode walks the
+        FM lines in address order, each at its NM copy when it has one.
+        Both are lazy: a scan builds no list per subblock.  The address
+        stream names every id exactly once only while the ledger is a
+        bijection, so scan after :meth:`check_self_bijection`."""
+        nm_bytes = self.space.nm_bytes
+        if self.copy_mode:
+            return (range(nm_bytes, self.space.total_bytes, SUBBLOCK_BYTES),
+                    chain.from_iterable(self._copy_runs()))
+        return (map(mul, self._ids, repeat(SUBBLOCK_BYTES)),
+                chain(zip(repeat(NM, self.nm_slots),
+                          range(0, nm_bytes, SUBBLOCK_BYTES)),
+                      self._fm_homes(0, self.fm_slots)))
+
+    def _copy_runs(self) -> Iterator[Iterable[Tuple[Level, int]]]:
+        """Copy mode's placements as runs: FM lines at their homes up to
+        the next copied line, then that line at its NM copy."""
+        line = 0
+        for copied, slot in sorted((sid - self.nm_slots, slot)
+                                   for slot, sid in self._nm_copy.items()):
+            yield self._fm_homes(line, copied)
+            yield ((NM, slot * SUBBLOCK_BYTES),)
+            line = copied + 1
+        yield self._fm_homes(line, self.fm_slots)
+
+    @staticmethod
+    def _fm_homes(first: int, end: int) -> Iterable[Tuple[Level, int]]:
+        """FM slots ``[first, end)``, each at its own offset."""
+        return zip(repeat(FM, end - first),
+                   range(first * SUBBLOCK_BYTES, end * SUBBLOCK_BYTES,
+                         SUBBLOCK_BYTES))
 
     def check_self_bijection(self) -> None:
         """The ledger itself must stay a bijection (exchange replay
@@ -103,9 +157,13 @@ class ShadowMemory:
                         f"NM slot {slot} copies line {sid} of a different "
                         "congruence class")
             return
-        for sid, (level, slot) in enumerate(self._where):
-            stored = self.id_at(level, slot)
+        ids, pos = self._ids, self._pos
+        if all(map(eq, map(ids.__getitem__, pos), count())):
+            return
+        for sid, position in enumerate(pos):
+            stored = ids[position]
             if stored != sid:
+                level, slot = self.location(sid)
                 raise ShadowViolation(
                     f"ledger corrupt: id {sid} indexed at {level.value} slot "
                     f"{slot} which holds {stored}")
@@ -164,16 +222,13 @@ class ShadowMemory:
     def _exchange(self, a: Tuple[Level, int], b: Tuple[Level, int]) -> None:
         """Position-for-position content swap between an NM and an FM
         slot (the single movement primitive of every bijective scheme)."""
-        ida = self.id_at(*a)
-        idb = self.id_at(*b)
-        self._set(a, idb)
-        self._set(b, ida)
+        ids, pos = self._ids, self._pos
+        pa = self._position(*a)
+        pb = self._position(*b)
+        ida, idb = ids[pa], ids[pb]
+        ids[pa], ids[pb] = idb, ida
+        pos[idb], pos[ida] = pa, pb
         self.exchanges_replayed += 1
-
-    def _set(self, key: Tuple[Level, int], sid: int) -> None:
-        level, slot = key
-        (self._nm if level is Level.NM else self._fm)[slot] = sid
-        self._where[sid] = key
 
     # ------------------------------------------------------------------
     def _apply_copy_mode(self, ops: List[Op]) -> None:

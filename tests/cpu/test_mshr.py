@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from repro.cpu.controller import FlatMemoryController
-from repro.cpu.mshr import COMPLETE, MSHRFile
+from repro.cpu.mshr import MSHRFile
 from repro.dram.device import MemoryDevice
 from repro.experiments.runner import run_one
 from repro.schemes.base import AccessPlan, Level, MemoryScheme, Op
@@ -102,7 +102,6 @@ def test_full_mshr_queues_fifo_and_counts_structural_stalls():
     assert done_a and done_b
     assert done_b[0] > done_a[0]  # B admitted only after A freed its entry
     assert mshr.stats.allocations == 2
-    assert mshr.stats.peak_pending == 1
     assert controller.stats.misses_completed == 2
 
 
@@ -121,7 +120,6 @@ def test_queued_read_coalesces_without_burning_stall_or_entry():
     mshr.issue(128 + 8, False, 0, done.append)  # joins the queued read
     assert mshr.stats.structural_stalls == 1
     assert mshr.pending == 1
-    assert mshr.stats.peak_pending == 1
     assert mshr.stats.coalesced == 1
     engine.run()
     # one drained admission serves both waiters with one scheme consult

@@ -2,8 +2,10 @@
 
 The mutation tests are the oracle's proof of usefulness: each subclasses
 a real scheme, re-introduces a representative bookkeeping bug (skipped
-``set_bit``, dropped reverse-map entry, metadata swap without device
-traffic) and asserts the differential oracle aborts the run.
+``set_bit``, dropped reverse-map entry) and asserts the differential
+oracle aborts the run.  The plant tests record a move in one scheme's
+metadata without device traffic and assert the whole-space scan names
+the lowest address it misplaces.
 """
 
 import dataclasses
@@ -12,8 +14,11 @@ import pytest
 
 from repro.core.silcfm import SilcFmScheme
 from repro.cpu.system import System
-from repro.schemes.base import InvariantViolation
+from repro.schemes.alloycache import AlloyCacheScheme
+from repro.schemes.base import InvariantViolation, Level
 from repro.schemes.cameo import CameoScheme
+from repro.schemes.hma import HmaScheme
+from repro.schemes.pom import PomScheme
 from repro.sim.config import (
     BLOCK_BYTES, SUBBLOCK_BYTES, SilcFmConfig, SystemConfig)
 from repro.validate import OracleViolation, ValidationOracle
@@ -112,13 +117,144 @@ def test_baseline_sanity_clean_parent_passes():
     run_system(lambda space, cfg: SilcFmScheme(space, cfg.silcfm))
 
 
-def test_full_check_catches_metadata_only_swap():
-    """A swap recorded in metadata without any device traffic leaves the
-    shadow behind; the whole-space scan must notice."""
-    space = AddressSpace(4 * BLOCK_BYTES, 16 * BLOCK_BYTES)
-    scheme = CameoScheme(space)
+# ----------------------------------------------------------------------
+# whole-space scan: a wrong placement anywhere, no ops replayed
+# ----------------------------------------------------------------------
+SCAN_SPACE = AddressSpace(4 * BLOCK_BYTES, 16 * BLOCK_BYTES)
+
+
+def _swap_cameo_line(scheme):
+    """NM line 0 and FM line ``num_slots`` (its group) trade places."""
+    scheme._swap_in(0, scheme.num_slots, scheme.num_slots)
+    return 0
+
+
+def _interleave_silcfm_subblock(scheme):
+    """Way 0's native subblock 3 and the first FM block's subblock 3
+    trade places."""
+    block = scheme.space.nm_blocks
+    assert block % scheme.num_sets == 0
+    frame = scheme.frames[0]
+    frame.remap = block
+    frame.set_bit(3)
+    scheme._frame_of_block[block] = 0
+    return 3 * SUBBLOCK_BYTES
+
+
+def _migrate_pom_block(scheme):
+    """NM block 0 and FM block ``num_frames`` (its frame) trade places:
+    a block scheme's smallest move."""
+    block = scheme.num_frames
+    scheme._counters[block] = 1
+    scheme._migrate(0, block, block)
+    return 0
+
+
+def _migrate_hma_page(scheme):
+    """NM page 0 and the first FM page trade places."""
+    scheme._swap_into_frame(0, scheme.num_frames)
+    return 0
+
+
+def _fill_alloy_lines(scheme):
+    """FM lines 0 and 1 claim NM copies that were never filled."""
+    scheme._slot[0] = (0, False)
+    scheme._slot[1] = (1, False)
+    return scheme.space.nm_bytes
+
+
+@pytest.mark.parametrize("build, plant", [
+    (CameoScheme, _swap_cameo_line),
+    (SilcFmScheme, _interleave_silcfm_subblock),
+    (PomScheme, _migrate_pom_block),
+    (HmaScheme, _migrate_hma_page),
+    (AlloyCacheScheme, _fill_alloy_lines),
+], ids=["cameo", "silcfm", "pom", "hma", "alloy"])
+def test_full_check_catches_metadata_only_swap(build, plant):
+    """A move recorded in metadata without any device traffic leaves the
+    shadow behind; the whole-space scan must notice, and name the lower
+    of the moved addresses."""
+    scheme = build(SCAN_SPACE)
     oracle = ValidationOracle(scheme, check_every=1)
     oracle.full_check()  # identity state is consistent
-    scheme._swap_in(0, scheme.num_slots, scheme.num_slots)  # ops discarded
-    with pytest.raises(OracleViolation):
+    lower = plant(scheme)  # ops discarded
+    scheme.check_invariants()  # the metadata alone stays coherent
+    with pytest.raises(OracleViolation, match=rf"locate\({lower:#x}\)"):
         oracle.full_check()
+    assert oracle.full_scans == 1
+
+
+def _misplace_last_cameo_line(scheme):
+    """The last line's home entry points at a group-mate's home."""
+    last = scheme._total_subblocks - 1
+    scheme._home_of[last] = last - scheme.num_slots
+
+
+def _cache_last_alloy_line(scheme):
+    """The last line's slot claims a copy that was never filled."""
+    line = scheme.space.fm_bytes // SUBBLOCK_BYTES - 1
+    scheme._slot[line % scheme.num_slots] = (line, False)
+
+
+@pytest.mark.parametrize("build, plant", [
+    (CameoScheme, _misplace_last_cameo_line),
+    (AlloyCacheScheme, _cache_last_alloy_line),
+], ids=["cameo", "alloy"])
+def test_full_check_reaches_the_last_subblock(build, plant):
+    """Only the flat space's last subblock changes its ``locate``: a scan
+    that stops one subblock short passes this plant."""
+    scheme = build(SCAN_SPACE)
+    oracle = ValidationOracle(scheme, check_every=1)
+    plant(scheme)
+    scheme.check_invariants()
+    last = SCAN_SPACE.total_bytes - SUBBLOCK_BYTES
+    with pytest.raises(OracleViolation, match=rf"locate\({last:#x}\)"):
+        oracle.full_check()
+
+
+def test_full_check_names_the_lowest_address_after_swaps():
+    """Once replayed swaps permute the ledger, the scan meets a higher
+    address first; the violation still names the lowest failing one."""
+    scheme = CameoScheme(SCAN_SPACE)
+    oracle = ValidationOracle(scheme, check_every=0)
+    line = scheme.num_slots  # FM line of group 0
+    paddr = line * SUBBLOCK_BYTES
+    oracle.before_access(paddr, False)
+    oracle.after_access(paddr, False, scheme.access(paddr, False))
+    assert oracle.shadow.id_at(Level.NM, 0) == line
+    oracle.full_check()
+    # swap line 0 back in metadata only: line 0 (FM slot 0 per the
+    # shadow) and the line in NM slot 0 both fail, the higher one first
+    # in slot order
+    scheme._swap_in(0, 0, line)
+    with pytest.raises(OracleViolation, match=r"locate\(0x0\)"):
+        oracle.full_check()
+
+
+class _FlakyLocate(CameoScheme):
+    """``locate`` misbehaves on its first call for the last line only:
+    it answers wrong, or raises."""
+
+    def __init__(self, space, raises):
+        super().__init__(space)
+        self.raises = raises
+        self.flaked = False
+
+    def locate(self, paddr):
+        last = self.space.total_bytes - SUBBLOCK_BYTES
+        if paddr == last and not self.flaked:
+            self.flaked = True
+            if self.raises:
+                raise ValueError("transient")
+            return Level.NM, 0
+        return super().locate(paddr)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["wrong", "raises"])
+def test_full_check_never_passes_after_a_disagreement(raises):
+    """A scan that saw a disagreement raises even when the address-order
+    rescan cannot reproduce it."""
+    oracle = ValidationOracle(_FlakyLocate(SCAN_SPACE, raises), check_every=0)
+    with pytest.raises(OracleViolation, match="not deterministic"):
+        oracle.full_check()
+    assert oracle.full_scans == 0

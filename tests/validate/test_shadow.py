@@ -163,8 +163,8 @@ def test_metadata_region_and_partial_slots_are_filtered():
 
 def test_self_bijection_check_detects_ledger_corruption():
     s = shadow()
-    s._nm[0] = s._nm[1] = 1  # duplicate an identity
-    with pytest.raises(ShadowViolation):
+    s._ids[0] = s._ids[1] = 1  # duplicate an identity
+    with pytest.raises(ShadowViolation, match="ledger corrupt: id 0 "):
         s.check_self_bijection()
 
 
