@@ -18,6 +18,13 @@ Two kinds of pin, both fixed config+seed grids:
   config never reaches in 300 misses per core, and two HMA cells long
   enough to cross its OS epochs.
   ``tests/integration/test_batch_equivalence.py`` replays it.
+* ``trace_digests.json`` — the sha256 of generated trace records
+  (``pc``, ``vaddr``, ``is_write``, ``gap_instr`` of each, in order):
+  ``WorkloadModel.miss_stream`` of every Table III benchmark's per-core
+  spec at two seeds, gemsFDTD run past its hot-set phase boundary, a
+  custom spec whose hot set drifts after every spatial run, and
+  ``reference_stream`` of two benchmarks.
+  ``tests/workloads/test_trace_pins.py`` replays it.
 
 Any change to the hot path that silently perturbs simulated behaviour —
 reordered events, changed float arithmetic, a dropped counter — fails
@@ -41,9 +48,16 @@ from repro.experiments.mixes import run_mix  # noqa: E402
 from repro.experiments.runner import SCHEMES as ALL_SCHEMES  # noqa: E402
 from repro.experiments.runner import run_one  # noqa: E402
 from repro.sim.config import SilcFmConfig, default_config  # noqa: E402
+from repro.workloads import (  # noqa: E402
+    BENCHMARKS,
+    WorkloadModel,
+    WorkloadSpec,
+    per_core_spec,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden"
 GRID_DIGESTS = GOLDEN_DIR / "grid_digests.json"
+TRACE_DIGESTS = GOLDEN_DIR / "trace_digests.json"
 
 #: the pinned grid: one epoch scheme (hma), one non-bijective scheme
 #: (alloy), the paper scheme (silc), plus cam and the no-NM baseline.
@@ -86,6 +100,22 @@ SPAN_SCHEMES = ("silc", "cam")
 SPAN_MSHR_ENTRIES = (0, 8, 128)
 SPAN_TELEMETRY_WINDOW = 5_000
 SPAN_SAMPLE_RATE = 1
+
+#: generator pins: per-core specs at this scale, each benchmark's miss
+#: stream at both seeds for this many records.
+TRACE_SEEDS = (7, 1234)
+TRACE_MISSES = 3_000
+#: gemsFDTD, the one benchmark whose hot set drifts, for long enough to
+#: cross its phase boundary (every 20,000 misses) twice.
+PHASE_BENCHMARK = "gemsFDTD"
+PHASE_MISSES = 45_000
+#: a hot set that drifts after every spatial run, over half-dense pages.
+CHURNY = WorkloadSpec(name="churny", mpki=5.0, footprint_pages=40,
+                      phase_misses=1, page_density=0.5)
+#: ``reference_stream`` pins: misses expanded with cache-hitting
+#: re-references (lbm's 40 MPKI and mcf's 55 give different ratios).
+REFERENCE_BENCHMARKS = ("mcf", "lbm")
+REFERENCE_MISSES = 1_000
 
 
 def golden_json(scheme: str, mshr_entries: int | None = None) -> str:
@@ -170,6 +200,41 @@ def grid_digest(scheme: str, workload: str, mshr_entries: int,
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def trace_streams() -> Iterator[Tuple[str, WorkloadSpec, int, str, int]]:
+    """``(stream id, spec, seed, kind, records)`` of every generator
+    pin, in table order; ``kind`` names the ``WorkloadModel`` method
+    (``miss_stream`` or ``reference_stream``), and ``records`` is its
+    ``n_misses`` argument."""
+    config = default_config(SCALE)
+    for name in BENCHMARKS:
+        spec = per_core_spec(name, config)
+        for seed in TRACE_SEEDS:
+            yield (f"miss-{name}-{seed}", spec, seed, "miss_stream",
+                   TRACE_MISSES)
+    yield (f"miss-{PHASE_BENCHMARK}-phases",
+           per_core_spec(PHASE_BENCHMARK, config), SEED, "miss_stream",
+           PHASE_MISSES)
+    yield ("miss-churny", CHURNY, SEED, "miss_stream", TRACE_MISSES)
+    for name in REFERENCE_BENCHMARKS:
+        yield (f"ref-{name}", per_core_spec(name, config), SEED,
+               "reference_stream", REFERENCE_MISSES)
+
+
+def trace_digest(spec: WorkloadSpec, seed: int, kind: str,
+                 records: int) -> str:
+    """sha256 over ``pc,vaddr,is_write,gap_instr;`` of each record."""
+    sha = hashlib.sha256()
+    for r in getattr(WorkloadModel(spec, seed=seed), kind)(records):
+        sha.update(b"%d,%d,%d,%d;" % (r.pc, r.vaddr, r.is_write, r.gap_instr))
+    return sha.hexdigest()
+
+
+def write_trace_digests() -> None:
+    table = {stream: trace_digest(*args) for stream, *args in trace_streams()}
+    TRACE_DIGESTS.write_text(json.dumps(table, indent=2) + "\n")
+    print(f"wrote {TRACE_DIGESTS} ({len(table)} streams)")
+
+
 def write_grid_digests() -> None:
     table = {cell: grid_digest(*args) for cell, *args in grid_cells()}
     GRID_DIGESTS.write_text(json.dumps(table, indent=2) + "\n")
@@ -186,6 +251,7 @@ def main() -> None:
         compat.write_text(golden_json(scheme, mshr_entries=0))
         print(f"wrote {compat}")
     write_grid_digests()
+    write_trace_digests()
 
 
 if __name__ == "__main__":
