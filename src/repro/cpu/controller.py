@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.cpu.mshr import MemoryRequest
 from repro.dram.device import MemoryDevice
-from repro.dram.request import Priority
-from repro.schemes.base import Level, MemoryScheme, Op
+from repro.dram.request import BACKGROUND, DEMAND
+from repro.schemes.base import NM, MemoryScheme, Op
 from repro.sim.engine import Engine
 from repro.telemetry.spans import stage_label
 
@@ -171,11 +171,13 @@ class FlatMemoryController:
         stats = self.stats
         for stage in stages:
             for op in stage:
-                if op.level is Level.NM:
+                if op.level is NM:
                     stats.demand_nm_bytes += op.size
                 else:
                     stats.demand_fm_bytes += op.size
-        self._issue_background(plan.background)
+        background = plan.background
+        if background:
+            self._issue_background(background)
         self.inflight += 1
         if len(stages) == 1 and len(stages[0]) == 1:
             # one critical-path op: its completion completes the miss
@@ -184,9 +186,8 @@ class FlatMemoryController:
             op = ops[0]
             if span is not None:
                 span.begin_stage(stage_label(ops), now)
-            (self._nm if op.level is Level.NM else self._fm).access(
-                op.addr, op.size, op.is_write, Priority.DEMAND,
-                txn.fast_done, span)
+            (self._nm if op.level is NM else self._fm).access(
+                op.addr, op.size, op.is_write, DEMAND, txn.fast_done, span)
             return
         txn.stage_index = -1
         self._advance(txn, now)
@@ -225,9 +226,8 @@ class FlatMemoryController:
                 if span is not None:
                     span.begin_stage(stage_label(ops), when)
                 for op in ops:
-                    (nm if op.level is Level.NM else fm).access(
-                        op.addr, op.size, op.is_write, Priority.DEMAND,
-                        op_done, span)
+                    (nm if op.level is NM else fm).access(
+                        op.addr, op.size, op.is_write, DEMAND, op_done, span)
                 return
             i += 1
         self._complete(txn, self._engine.now)
@@ -247,12 +247,12 @@ class FlatMemoryController:
         nm = self._nm
         fm = self._fm
         for op in ops:
-            if op.level is Level.NM:
+            if op.level is NM:
                 stats.background_nm_bytes += op.size
-                nm.access(op.addr, op.size, op.is_write, Priority.BACKGROUND)
+                nm.access(op.addr, op.size, op.is_write, BACKGROUND)
             else:
                 stats.background_fm_bytes += op.size
-                fm.access(op.addr, op.size, op.is_write, Priority.BACKGROUND)
+                fm.access(op.addr, op.size, op.is_write, BACKGROUND)
 
     # ------------------------------------------------------------------
     def _run_epoch(self, period: float) -> None:

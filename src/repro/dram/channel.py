@@ -31,7 +31,7 @@ from itertools import islice
 from typing import Deque
 
 from repro.dram.bank import Bank
-from repro.dram.request import DRAMRequest, Priority
+from repro.dram.request import DEMAND, DRAMRequest, Priority
 from repro.dram.timing import DRAMTimings
 from repro.sim.engine import Engine
 
@@ -157,7 +157,7 @@ class Channel:
         the very channel that is completing, before its drain runs."""
         dq = self._demand_queue
         bq = self._background_queue
-        (dq if request.priority == Priority.DEMAND else bq).append(request)
+        (dq if request.priority == DEMAND else bq).append(request)
         depth = len(dq) + len(bq)
         stats = self.stats
         if depth > stats.max_queue_depth:
@@ -254,7 +254,7 @@ class Channel:
         else:
             stats.reads += 1
             stats.bytes_read += size
-        if priority == Priority.DEMAND:
+        if priority == DEMAND:
             stats.demand_bytes += size
         else:
             stats.background_bytes += size

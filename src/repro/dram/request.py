@@ -15,6 +15,13 @@ class Priority(IntEnum):
     BACKGROUND = 1
 
 
+#: the classes as module globals, for per-op and per-transfer code (like
+#: the levels in :mod:`repro.schemes.base`): on CPython 3.11 reading
+#: ``Priority.DEMAND`` costs ~155 ns, a global ~11 ns.
+DEMAND = Priority.DEMAND
+BACKGROUND = Priority.BACKGROUND
+
+
 #: ``eq=False``: requests compare by identity, so two queued requests
 #: with equal fields stay distinct to ``deque.remove`` and ``in``.
 @dataclass(slots=True, eq=False)

@@ -60,14 +60,14 @@ class AlloyCacheScheme(MemoryScheme):
                 "the fm_only policy")
         line = self.space.fm_offset(paddr) // SUBBLOCK_BYTES
         slot = line % self.num_slots
-        tad_read = Op(Level.NM, slot * SUBBLOCK_BYTES, TAD_BYTES, False)
+        tad_read = Op(NM, slot * SUBBLOCK_BYTES, TAD_BYTES, False)
 
         cached = self._slot.get(slot)
         if cached is not None and cached[0] == line:
             self.hits += 1
             if is_write:
                 self._slot[slot] = (line, True)
-            plan = AccessPlan.single(Level.NM, tad_read, "hit")
+            plan = AccessPlan.single(NM, tad_read, "hit")
             self.record_plan(plan)
             return plan
 
@@ -77,14 +77,14 @@ class AlloyCacheScheme(MemoryScheme):
             # dirty victim: write the line back to its FM home
             self.dirty_writebacks += 1
             background.append(
-                Op(Level.FM, cached[0] * SUBBLOCK_BYTES, SUBBLOCK_BYTES, True))
+                Op(FM, cached[0] * SUBBLOCK_BYTES, SUBBLOCK_BYTES, True))
         # fill: install line + tag into the slot
-        background.append(Op(Level.NM, slot * SUBBLOCK_BYTES, TAD_BYTES, True))
+        background.append(Op(NM, slot * SUBBLOCK_BYTES, TAD_BYTES, True))
         self._slot[slot] = (line, is_write)
         plan = AccessPlan(
-            Level.FM,
+            FM,
             [[tad_read],
-             [Op(Level.FM, line * SUBBLOCK_BYTES, SUBBLOCK_BYTES, False)]],
+             [Op(FM, line * SUBBLOCK_BYTES, SUBBLOCK_BYTES, False)]],
             background, False, "miss")
         self.record_plan(plan)
         return plan

@@ -116,12 +116,6 @@ class AccessPlan:
         """One critical-path op, no background — the hot-hit shape."""
         return cls(serviced_from, [[op]], [], bypassed, note, locked)
 
-    @classmethod
-    def background_only(cls, serviced_from: Level, ops: List[Op],
-                        note: str = "") -> "AccessPlan":
-        """No critical path (writebacks, pure installs)."""
-        return cls(serviced_from, [], ops, False, note)
-
     def critical_ops(self) -> List[Op]:
         """All critical-path operations, flattened across stages."""
         return [op for stage in self.stages for op in stage]
@@ -144,7 +138,7 @@ class AccessPlan:
 
 @dataclass
 class SchemeStats:
-    """Counters every scheme maintains via ``record_plan``."""
+    """Counters every scheme maintains, via ``record_plan`` or inline."""
 
     misses: int = 0
     nm_serviced: int = 0
@@ -211,8 +205,7 @@ class MemoryScheme(abc.ABC):
         Pure background traffic; does not move data or update metadata.
         """
         level, offset = self.locate(paddr)
-        op = Op(level, offset - offset % 64, 64, True)
-        return AccessPlan.background_only(level, [op])
+        return AccessPlan(level, [], [Op(level, offset - offset % 64, 64, True)])
 
     def epoch_period_cycles(self) -> Optional[float]:
         """Epoch-driven schemes (HMA) return their interval; others None."""
@@ -285,16 +278,7 @@ class MemoryScheme(abc.ABC):
         self.stats.misses += 1
         if plan.bypassed:
             self.stats.bypassed += 1
-        if plan.serviced_from is Level.NM:
+        if plan.serviced_from is NM:
             self.stats.nm_serviced += 1
         else:
             self.stats.fm_serviced += 1
-
-    # helpers shared by subclasses ----------------------------------------
-    def _nm_data_op(self, nm_offset: int, size: int = 64,
-                    is_write: bool = False) -> Op:
-        return Op(Level.NM, nm_offset, size, is_write)
-
-    def _fm_data_op(self, fm_offset: int, size: int = 64,
-                    is_write: bool = False) -> Op:
-        return Op(Level.FM, fm_offset, size, is_write)

@@ -55,15 +55,15 @@ class CameoScheme(MemoryScheme):
     def _demand_access(self, paddr: int) -> AccessPlan:
         sb = paddr // SUBBLOCK_BYTES
         group = sb % self.num_slots
-        tag_read = Op(Level.NM, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, False)
+        tag_read = Op(NM, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, False)
         if self._present[group] == sb:
-            return AccessPlan.single(Level.NM, tag_read, "nm-hit")
+            return AccessPlan.single(NM, tag_read, "nm-hit")
 
         home = self._home_of.get(sb, sb)
-        fm_read = Op(Level.FM, self._fm_offset_of_subblock(home), SUBBLOCK_BYTES, False)
+        fm_read = Op(FM, self._fm_offset_of_subblock(home), SUBBLOCK_BYTES, False)
         background = self._swap_in(group, sb, home)
         return AccessPlan(
-            Level.FM, [[tag_read], [fm_read]], background, False, "fm-swap")
+            FM, [[tag_read], [fm_read]], background, False, "fm-swap")
 
     def _swap_in(self, group: int, sb: int, home: int) -> List[Op]:
         """Install ``sb`` (read from FM ``home``) into NM slot ``group``,
@@ -79,9 +79,9 @@ class CameoScheme(MemoryScheme):
         self.stats.subblock_swaps += 1
         return [
             # install new line + updated metadata into the NM row
-            Op(Level.NM, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, True),
+            Op(NM, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, True),
             # displaced occupant written to the vacated FM home
-            Op(Level.FM, self._fm_offset_of_subblock(home), SUBBLOCK_BYTES, True),
+            Op(FM, self._fm_offset_of_subblock(home), SUBBLOCK_BYTES, True),
         ]
 
     # ------------------------------------------------------------------
@@ -164,7 +164,7 @@ class CameoPrefetchScheme(CameoScheme):
 
     def access(self, paddr: int, is_write: bool, pc: int = 0) -> AccessPlan:
         plan = self._demand_access(paddr)
-        if plan.serviced_from is Level.FM:
+        if plan.serviced_from is FM:
             sb = paddr // SUBBLOCK_BYTES
             for offset in range(1, self.prefetch_lines + 1):
                 nxt = sb + offset
@@ -193,8 +193,8 @@ class CameoPrefetchScheme(CameoScheme):
         home = self._home_of.get(sb, sb)
         self.prefetches_issued += 1
         ops = [
-            Op(Level.NM, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, False),
-            Op(Level.FM, self._fm_offset_of_subblock(home), SUBBLOCK_BYTES, False),
+            Op(NM, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, False),
+            Op(FM, self._fm_offset_of_subblock(home), SUBBLOCK_BYTES, False),
         ]
         ops.extend(self._swap_in(group, sb, home))
         return ops

@@ -83,14 +83,13 @@ class HmaScheme(MemoryScheme):
         frame = self._frame_of.get(block)
         if frame is not None:
             plan = AccessPlan.single(
-                Level.NM, Op(Level.NM, frame * BLOCK_BYTES + aligned,
-                             SUBBLOCK_BYTES, False), "nm-resident")
+                NM, Op(NM, frame * BLOCK_BYTES + aligned,
+                       SUBBLOCK_BYTES, False), "nm-resident")
         else:
             home = self._home_of.get(block, block)
             plan = AccessPlan.single(
-                Level.FM, Op(Level.FM,
-                             self._fm_offset_of_block(home) + aligned,
-                             SUBBLOCK_BYTES, False), "fm-resident")
+                FM, Op(FM, self._fm_offset_of_block(home) + aligned,
+                       SUBBLOCK_BYTES, False), "fm-resident")
         self.record_plan(plan)
         return plan
 
@@ -171,10 +170,10 @@ class HmaScheme(MemoryScheme):
         fm_base = self._fm_offset_of_block(home)
         nm_base = frame * BLOCK_BYTES
         return [
-            Op(Level.FM, fm_base, BLOCK_BYTES, False),
-            Op(Level.NM, nm_base, BLOCK_BYTES, False),
-            Op(Level.NM, nm_base, BLOCK_BYTES, True),
-            Op(Level.FM, fm_base, BLOCK_BYTES, True),
+            Op(FM, fm_base, BLOCK_BYTES, False),
+            Op(NM, nm_base, BLOCK_BYTES, False),
+            Op(NM, nm_base, BLOCK_BYTES, True),
+            Op(FM, fm_base, BLOCK_BYTES, True),
         ]
 
     # ------------------------------------------------------------------

@@ -79,9 +79,9 @@ class PomScheme(MemoryScheme):
 
         if self._present[frame] == block:
             self._occupant_count[frame] += 1
-            meta_stage.append([Op(Level.NM, frame * BLOCK_BYTES + aligned,
+            meta_stage.append([Op(NM, frame * BLOCK_BYTES + aligned,
                                   SUBBLOCK_BYTES, False)])
-            plan = AccessPlan(Level.NM, meta_stage, [], False, "nm-hit")
+            plan = AccessPlan(NM, meta_stage, [], False, "nm-hit")
             self.record_plan(plan)
             return plan
 
@@ -91,8 +91,8 @@ class PomScheme(MemoryScheme):
         self._counters[block] = self._counters.get(block, 0) + 1
         if self._counters[block] >= self._occupant_count[frame] + self.threshold:
             background = self._migrate(frame, block, home)
-        meta_stage.append([Op(Level.FM, fm_offset, SUBBLOCK_BYTES, False)])
-        plan = AccessPlan(Level.FM, meta_stage, background, False,
+        meta_stage.append([Op(FM, fm_offset, SUBBLOCK_BYTES, False)])
+        plan = AccessPlan(FM, meta_stage, background, False,
                           "fm-migrate" if background else "fm")
         self.record_plan(plan)
         return plan
@@ -108,7 +108,7 @@ class PomScheme(MemoryScheme):
         self._remap_cache[frame] = None
         if len(self._remap_cache) > self._remap_cache_entries:
             self._remap_cache.popitem(last=False)
-        return [[Op(Level.NM, self._meta_base + frame * METADATA_ENTRY_BYTES,
+        return [[Op(NM, self._meta_base + frame * METADATA_ENTRY_BYTES,
                     METADATA_ENTRY_BYTES, False)]]
 
     # ------------------------------------------------------------------
@@ -127,10 +127,10 @@ class PomScheme(MemoryScheme):
         fm_base = self._fm_offset_of_block(home)
         nm_base = frame * BLOCK_BYTES
         return [
-            Op(Level.FM, fm_base, BLOCK_BYTES, False),   # fetch new block
-            Op(Level.NM, nm_base, BLOCK_BYTES, False),   # read occupant out
-            Op(Level.NM, nm_base, BLOCK_BYTES, True),    # install new block
-            Op(Level.FM, fm_base, BLOCK_BYTES, True),    # evict occupant
+            Op(FM, fm_base, BLOCK_BYTES, False),   # fetch new block
+            Op(NM, nm_base, BLOCK_BYTES, False),   # read occupant out
+            Op(NM, nm_base, BLOCK_BYTES, True),    # install new block
+            Op(FM, fm_base, BLOCK_BYTES, True),    # evict occupant
         ]
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme
+from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
 from repro.xmem.address import AddressSpace
 
 
@@ -30,12 +30,20 @@ class StaticScheme(MemoryScheme):
         super().__init__(space)
 
     def access(self, paddr: int, is_write: bool, pc: int = 0) -> AccessPlan:
-        level, offset = self.locate(paddr)
-        aligned = offset - offset % 64
-        plan = AccessPlan.single(
-            level, self._op(level, aligned, is_write), "static")
-        self.record_plan(plan)
-        return plan
+        """One 64 B op where the address lives, decided in this frame
+        (``locate`` and ``record_plan`` inline)."""
+        if not 0 <= paddr < self._total_bytes:
+            raise ValueError(f"address {paddr:#x} outside flat space")
+        stats = self.stats
+        stats.misses += 1
+        offset = paddr - self._nm_bytes
+        if offset < 0:
+            stats.nm_serviced += 1
+            return AccessPlan(NM, [[Op(NM, paddr - paddr % 64, 64, is_write)]],
+                              [], False, "static")
+        stats.fm_serviced += 1
+        return AccessPlan(FM, [[Op(FM, offset - offset % 64, 64, is_write)]],
+                          [], False, "static")
 
     def locate(self, paddr: int) -> Tuple[Level, int]:
         if not 0 <= paddr < self._total_bytes:
@@ -65,8 +73,3 @@ class StaticScheme(MemoryScheme):
             self._fail("flat address 0 must be NM-resident, offset 0")
         if self.locate(self.space.nm_bytes) != (FM, 0):
             self._fail("first FM address must map to FM offset 0")
-
-    def _op(self, level: Level, offset: int, is_write: bool):
-        if level is Level.NM:
-            return self._nm_data_op(offset, is_write=is_write)
-        return self._fm_data_op(offset, is_write=is_write)

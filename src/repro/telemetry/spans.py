@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.schemes.base import Level, Op
+from repro.schemes.base import NM, Op
 from repro.sim.config import SUBBLOCK_BYTES
 from repro.stats.collectors import Histogram
 from repro.telemetry.tracer import EventTracer
@@ -66,7 +66,7 @@ def stage_label(ops: Sequence[Op]) -> str:
     for op in ops:
         if op.size >= SUBBLOCK_BYTES:
             meta = False
-        if op.level is Level.NM:
+        if op.level is NM:
             nm = True
         else:
             fm = True

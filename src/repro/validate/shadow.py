@@ -91,8 +91,8 @@ class ShadowMemory:
                     "exposes only FM capacity")
             nm_slot = fm_slot % self.nm_slots
             if self._nm_copy.get(nm_slot) == sid:
-                return Level.NM, nm_slot
-            return Level.FM, fm_slot
+                return NM, nm_slot
+            return FM, fm_slot
         position = self._pos[sid]
         if position < self.nm_slots:
             return NM, position
@@ -101,7 +101,7 @@ class ShadowMemory:
     def id_at(self, level: Level, slot: int) -> Optional[int]:
         """Logical id stored in a slot (copy mode: None = no NM copy)."""
         if self.copy_mode:
-            if level is Level.FM:
+            if level is FM:
                 return self.nm_slots + slot
             return self._nm_copy.get(slot)
         return self._ids[self._position(level, slot)]
@@ -176,7 +176,7 @@ class ShadowMemory:
         to the data region.  Metadata traffic (the NM metadata region,
         sub-64 B remap-entry reads, the 8 B tail of a tag-and-data burst)
         therefore contributes no slots."""
-        limit = self.nm_slots if op.level is Level.NM else self.fm_slots
+        limit = self.nm_slots if op.level is NM else self.fm_slots
         first = (op.addr + SUBBLOCK_BYTES - 1) // SUBBLOCK_BYTES
         last = (op.addr + op.size) // SUBBLOCK_BYTES  # exclusive
         return range(min(first, limit), min(last, limit))
@@ -238,12 +238,12 @@ class ShadowMemory:
         writes) leaves the ledger alone."""
         fm_reads: Dict[int, List[int]] = {}
         for op in ops:
-            if op.level is Level.FM and not op.is_write:
+            if op.level is FM and not op.is_write:
                 for slot in self.data_slots(op):
                     fm_reads.setdefault(slot % SUBBLOCKS_PER_BLOCK,
                                         []).append(self.nm_slots + slot)
         for op in ops:
-            if op.level is not Level.NM or not op.is_write:
+            if op.level is not NM or not op.is_write:
                 continue
             for slot in self.data_slots(op):
                 sources = fm_reads.get(slot % SUBBLOCKS_PER_BLOCK, [])

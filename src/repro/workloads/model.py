@@ -106,32 +106,32 @@ class WorkloadModel:
         """Yield ``n_misses`` LLC-miss records."""
         spec = self.spec
         rng = self._rng("miss")
+        random = rng.random
+        expovariate = rng.expovariate
         hot = self._initial_hot_set(rng)
         pages = spec.footprint_pages
-        mean_gap = 1000.0 / spec.mpki
+        gap_rate = 1.0 / (1000.0 / spec.mpki)
+        write_fraction = spec.write_fraction
+        phase_misses = spec.phase_misses
         emitted = 0
         since_phase = 0
         while emitted < n_misses:
             page = self._pick_page(rng, hot, pages)
             active_start, active_len = self._active_region(page)
-            run = min(self._run_length(rng), active_len)
+            # a run cut short by the end of the stream draws nothing more
+            run = min(self._run_length(rng), active_len, n_misses - emitted)
             start = rng.randrange(active_len)
             pc = PC_BASE + (page % PC_POOL_SIZE) * 4
-            for i in range(run):
-                if emitted >= n_misses:
-                    break
-                subblock = active_start + (start + i) % active_len
-                vaddr = page * BLOCK_BYTES + subblock * SUBBLOCK_BYTES
-                gap = max(1, int(rng.expovariate(1.0 / mean_gap)))
-                yield MemoryAccess(
-                    pc=pc,
-                    vaddr=vaddr,
-                    is_write=rng.random() < spec.write_fraction,
-                    gap_instr=gap,
-                )
-                emitted += 1
-                since_phase += 1
-            if spec.phase_misses is not None and since_phase >= spec.phase_misses:
+            base = page * BLOCK_BYTES + active_start * SUBBLOCK_BYTES
+            for i in range(start, start + run):
+                # gap before direction: the pinned traces fix the draw order
+                gap = int(expovariate(gap_rate))
+                yield MemoryAccess(pc, base + i % active_len * SUBBLOCK_BYTES,
+                                   random() < write_fraction,
+                                   gap if gap > 1 else 1)
+            emitted += run
+            since_phase += run
+            if phase_misses is not None and since_phase >= phase_misses:
                 self._shift_hot_set(rng, hot, pages)
                 since_phase = 0
 
@@ -150,9 +150,8 @@ class WorkloadModel:
             n_refs = max(0, int(total_gap * spec.refs_per_instr) - 1)
             per_gap = total_gap // (n_refs + 1)
             remainder = total_gap - per_gap * n_refs
-            yield MemoryAccess(pc=miss.pc, vaddr=miss.vaddr,
-                               is_write=miss.is_write,
-                               gap_instr=max(1, remainder))
+            yield MemoryAccess(miss.pc, miss.vaddr, miss.is_write,
+                               max(1, remainder))
             recent.append(miss.vaddr)
             if len(recent) > 32:
                 recent.pop(0)
@@ -160,12 +159,9 @@ class WorkloadModel:
             # miss count stays the miss stream's.
             for _ in range(n_refs):
                 vaddr = rng.choice(recent)
-                yield MemoryAccess(
-                    pc=PC_BASE + rng.randrange(PC_POOL_SIZE) * 4,
-                    vaddr=vaddr,
-                    is_write=rng.random() < spec.write_fraction,
-                    gap_instr=max(1, per_gap),
-                )
+                yield MemoryAccess(PC_BASE + rng.randrange(PC_POOL_SIZE) * 4,
+                                   vaddr, rng.random() < spec.write_fraction,
+                                   max(1, per_gap))
 
     # ------------------------------------------------------------------
     # internals

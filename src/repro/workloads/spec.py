@@ -54,39 +54,6 @@ _TABLE3: Dict[str, tuple] = {
 
 #: per-benchmark personality beyond MPKI/footprint
 _PERSONALITY: Dict[str, dict] = {
-    "bwaves": dict(spatial_run=16.0, hot_fraction=0.35, hot_weight=0.85,
-                   page_density=0.9),
-    "cactusADM": dict(spatial_run=6.0, hot_fraction=0.50, hot_weight=0.80,
-                      page_density=0.5, phase_misses=10_000, phase_shift=0.3),
-    "dealII": dict(spatial_run=6.0, hot_fraction=0.50, hot_weight=0.80,
-                   page_density=0.5, phase_misses=12_000, phase_shift=0.3),
-    "xalancbmk": dict(spatial_run=6.0, hot_fraction=0.08, hot_weight=0.92,
-                      page_density=0.4),
-    "gcc": dict(spatial_run=5.0, hot_fraction=0.60, hot_weight=0.60,
-                page_density=0.45, phase_misses=8_000, phase_shift=0.3),
-    "gemsFDTD": dict(spatial_run=8.0, hot_fraction=0.30, hot_weight=0.85,
-                     phase_misses=3_000, phase_shift=0.6, page_density=0.6),
-    "leslie3d": dict(spatial_run=12.0, hot_fraction=0.40, hot_weight=0.80,
-                     page_density=0.8, phase_misses=8_000, phase_shift=0.3),
-    "omnetpp": dict(spatial_run=2.5, hot_fraction=0.40, hot_weight=0.80,
-                    page_density=0.25, phase_misses=6_000, phase_shift=0.4),
-    "zeusmp": dict(spatial_run=8.0, hot_fraction=0.40, hot_weight=0.75,
-                   page_density=0.6, phase_misses=8_000, phase_shift=0.3),
-    "lbm": dict(spatial_run=16.0, hot_fraction=0.50, hot_weight=0.70,
-                write_fraction=0.40, page_density=1.0,
-                phase_misses=5_000, phase_shift=0.5),
-    "libquantum": dict(spatial_run=24.0, hot_fraction=0.60, hot_weight=0.85,
-                       page_density=1.0),
-    "mcf": dict(spatial_run=2.0, hot_fraction=0.35, hot_weight=0.75,
-                page_density=0.2, phase_misses=6_000, phase_shift=0.4),
-    "milc": dict(spatial_run=4.0, hot_fraction=0.60, hot_weight=0.70,
-                 page_density=0.5, phase_misses=5_000, phase_shift=0.4),
-    "soplex": dict(spatial_run=5.0, hot_fraction=0.40, hot_weight=0.75,
-                   page_density=0.4, phase_misses=9_000, phase_shift=0.3),
-}
-
-#: per-benchmark personality beyond MPKI/footprint
-_PERSONALITY: Dict[str, dict] = {
     "bwaves": dict(spatial_run=16.0, hot_fraction=0.20, hot_weight=0.85,
                    page_density=0.9),
     "cactusADM": dict(spatial_run=6.0, hot_fraction=0.15, hot_weight=0.80,

@@ -98,6 +98,15 @@ def test_trace_record_validation():
         MemoryAccess(pc=-1, vaddr=0, is_write=False, gap_instr=1)
     with pytest.raises(ValueError):
         MemoryAccess(pc=0, vaddr=-5, is_write=False, gap_instr=1)
+    with pytest.raises(ValueError):
+        MemoryAccess(pc=0, vaddr=0, is_write=False, gap_instr=-1)
+    # trace round trips compare records by value
+    fields = dict(pc=1 << 40, vaddr=4096, is_write=True, gap_instr=7)
+    record = MemoryAccess(1 << 40, 4096, True, 7)
+    assert record == MemoryAccess(**fields)
+    for name, other in (("pc", (1 << 40) + 4), ("vaddr", 4160),
+                        ("is_write", False), ("gap_instr", 8)):
+        assert record != MemoryAccess(**{**fields, name: other})
 
 
 def test_round_robin_interleave():
