@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Regenerate the golden ``RunResult`` pins under ``tests/data/golden/``.
 
-Two kinds of pin, both fixed config+seed grids:
+Four kinds of pin, each over fixed configs and seeds:
 
 * ``{scheme}-mcf.json`` / ``{scheme}-mcf-compat.json`` — the full
   ``RunResult`` JSON (every stats counter, every float) of six schemes
@@ -25,6 +25,11 @@ Two kinds of pin, both fixed config+seed grids:
   custom spec whose hot set drifts after every spatial run, and
   ``reference_stream`` of two benchmarks.
   ``tests/workloads/test_trace_pins.py`` replays it.
+* ``report_digest.txt`` — the sha256 of the body of a tiny
+  EXPERIMENTS.md (``repro report`` on 2 cores at scale 0.25, 300 misses
+  per core): every section from the first ``## `` heading on, so the
+  header's config digest is left out.
+  ``tests/experiments/test_report_writer.py`` replays it.
 
 Any change to the hot path that silently perturbs simulated behaviour —
 reordered events, changed float arithmetic, a dropped counter — fails
@@ -39,15 +44,22 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.experiments.executor import ExperimentExecutor  # noqa: E402
 from repro.experiments.mixes import run_mix  # noqa: E402
+from repro.experiments.report_writer import write_experiments_report  # noqa: E402
 from repro.experiments.runner import SCHEMES as ALL_SCHEMES  # noqa: E402
 from repro.experiments.runner import run_one  # noqa: E402
-from repro.sim.config import SilcFmConfig, default_config  # noqa: E402
+from repro.sim.config import (  # noqa: E402
+    SilcFmConfig,
+    SystemConfig,
+    default_config,
+)
 from repro.workloads import (  # noqa: E402
     BENCHMARKS,
     WorkloadModel,
@@ -58,6 +70,7 @@ from repro.workloads import (  # noqa: E402
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden"
 GRID_DIGESTS = GOLDEN_DIR / "grid_digests.json"
 TRACE_DIGESTS = GOLDEN_DIR / "trace_digests.json"
+REPORT_DIGEST = GOLDEN_DIR / "report_digest.txt"
 
 #: the pinned grid: one epoch scheme (hma), one non-bijective scheme
 #: (alloy), the paper scheme (silc), plus cam and the no-NM baseline.
@@ -116,6 +129,12 @@ CHURNY = WorkloadSpec(name="churny", mpki=5.0, footprint_pages=40,
 #: re-references (lbm's 40 MPKI and mcf's 55 give different ratios).
 REFERENCE_BENCHMARKS = ("mcf", "lbm")
 REFERENCE_MISSES = 1_000
+
+#: the report pin: every artefact of EXPERIMENTS.md on a 2-core system
+#: at this scale, with the main grid at this many misses per core.
+REPORT_SCALE = 0.25
+REPORT_CORES = 2
+REPORT_MISSES = 300
 
 
 def golden_json(scheme: str, mshr_entries: int | None = None) -> str:
@@ -235,6 +254,28 @@ def write_trace_digests() -> None:
     print(f"wrote {TRACE_DIGESTS} ({len(table)} streams)")
 
 
+def report_config() -> SystemConfig:
+    """The pinned report's system: 2 cores at :data:`REPORT_SCALE`."""
+    return dataclasses.replace(default_config(scale=REPORT_SCALE),
+                               cores=REPORT_CORES)
+
+
+def report_body_digest(text: str) -> str:
+    """sha256 of a report's body: everything from its first ``## ``
+    heading on (the header, with its config digest, is left out)."""
+    return hashlib.sha256(text[text.index("\n## ") + 1:].encode()).hexdigest()
+
+
+def write_report_digest() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "EXPERIMENTS.md"
+        write_experiments_report(path, report_config(), REPORT_MISSES,
+                                 ExperimentExecutor(jobs=1))
+        digest = report_body_digest(path.read_text())
+    REPORT_DIGEST.write_text(digest + "\n")
+    print(f"wrote {REPORT_DIGEST}")
+
+
 def write_grid_digests() -> None:
     table = {cell: grid_digest(*args) for cell, *args in grid_cells()}
     GRID_DIGESTS.write_text(json.dumps(table, indent=2) + "\n")
@@ -252,6 +293,7 @@ def main() -> None:
         print(f"wrote {compat}")
     write_grid_digests()
     write_trace_digests()
+    write_report_digest()
 
 
 if __name__ == "__main__":

@@ -9,24 +9,34 @@ tests use; the liveness tests check each claim on hand-built tables.
 """
 
 import contextlib
-import dataclasses
 import io
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.__main__ as cli
 from repro.experiments import report_writer
 from repro.experiments.executor import ExperimentExecutor
-from repro.sim.config import default_config
 from repro.workloads.spec import BENCHMARKS, HIGH_MPKI, LOW_MPKI
 
-MISSES = ["--misses", "300"]
+SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+
+from gen_golden_results import (  # noqa: E402
+    REPORT_DIGEST,
+    REPORT_MISSES,
+    report_body_digest,
+    report_config,
+)
+
+MISSES = ["--misses", str(REPORT_MISSES)]
 
 
 @pytest.fixture(scope="module")
 def tiny_cli():
-    small = dataclasses.replace(default_config(scale=0.25), cores=2)
+    small = report_config()
     shared = ExperimentExecutor(jobs=1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "default_config", lambda scale=None: small)
@@ -77,6 +87,13 @@ def test_report_contains_all_sections(report):
     assert "| geomean |" in text
     assert len(claim_keys(text, "PASS") + claim_keys(text, "**FAIL**")) \
         == len(report_writer.CLAIMS)
+
+
+def test_report_body_matches_pin(report):
+    """Every number of every section, byte for byte: the body the golden
+    script recorded (``python scripts/gen_golden_results.py``)."""
+    _code, text, _err = report
+    assert report_body_digest(text) == REPORT_DIGEST.read_text().strip()
 
 
 def test_report_mentions_paper_reference_points(report):
