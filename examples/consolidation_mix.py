@@ -12,9 +12,10 @@ wins when the hot sets of unrelated programs compete for NM.
 
 import sys
 
-from repro import default_config
-from repro.experiments.mixes import MIXES, mix_speedups, run_mix
+from repro import MIXES, Cell, ExperimentExecutor, default_config
 from repro.stats.report import bar_chart, format_table
+
+SCHEMES = ["hma", "cam", "pom", "silc"]
 
 
 def main() -> None:
@@ -26,12 +27,19 @@ def main() -> None:
     config = default_config()
     print(f"Mix {mix!r}: cores run {MIXES[mix]} round-robin\n")
 
-    speedups = mix_speedups(mix, config, scheme_keys=["hma", "cam", "pom", "silc"],
-                            misses_per_core=misses)
+    # a mix is a workload name like any benchmark: one cell per scheme,
+    # plus the no-NM baseline, run as one parallel executor batch
+    cells = {key: Cell(key, mix, config, misses_per_core=misses)
+             for key in ["nonm"] + SCHEMES}
+    results = ExperimentExecutor(jobs=2).run_cells(cells.values(),
+                                                   strict=True)
+    baseline = results[cells["nonm"]]
+    speedups = {key: results[cells[key]].speedup_over(baseline)
+                for key in SCHEMES}
     print(bar_chart(speedups, title="Speedup over no-NM baseline", unit="x"))
 
     # per-core fairness under SILC-FM: who finished when?
-    result = run_mix("silc", mix, config, misses_per_core=misses)
+    result = results[cells["silc"]]
     rows = [
         [core, MIXES[mix][core % len(MIXES[mix])],
          f"{stats.finish_time:,.0f}", f"{stats.ipc():.2f}"]

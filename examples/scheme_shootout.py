@@ -11,10 +11,8 @@ over the no-NM baseline, and the geometric mean — the number the paper's
 
 import sys
 
-from repro import SuiteRunner, default_config
-from repro.experiments.figures import FIG7_SCHEMES
-from repro.experiments.runner import SCHEMES
-from repro.stats.collectors import geometric_mean
+from repro import SCHEMES, ExperimentExecutor, default_config
+from repro.experiments import fig7_comparison
 from repro.stats.report import bar_chart, grouped_series
 
 #: one workload from each Table III class + the two feature showcases
@@ -23,24 +21,16 @@ WORKLOADS = ["xalancbmk", "gcc", "mcf", "milc"]
 
 def main() -> None:
     misses = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
-    runner = SuiteRunner(default_config(), misses_per_core=misses)
+    # the whole grid, baselines included, is one parallel executor batch
+    table = fig7_comparison(default_config(), misses, WORKLOADS,
+                            ExperimentExecutor(jobs=2))
 
-    series = {}
-    for scheme in FIG7_SCHEMES:
-        label = SCHEMES[scheme].label
-        series[scheme] = {
-            wl: runner.speedup(scheme, wl) for wl in WORKLOADS
-        }
-        print(f"ran {label}", flush=True)
-
-    print()
+    series = {scheme: {wl: per[wl] for wl in WORKLOADS}
+              for scheme, per in table.items()}
     print(grouped_series(series, headers_label="workload",
                          title="Speedup over no-NM baseline (Fig. 7 subset)"))
     print()
-    geomeans = {
-        SCHEMES[s].label: geometric_mean(series[s].values())
-        for s in FIG7_SCHEMES
-    }
+    geomeans = {SCHEMES[s].label: per["geomean"] for s, per in table.items()}
     print(bar_chart(geomeans, title="Geometric-mean speedup", unit="x"))
 
     best_other = max(v for k, v in geomeans.items() if k != "SILC-FM")

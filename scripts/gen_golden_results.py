@@ -51,7 +51,6 @@ from typing import Iterator, Optional, Tuple
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.executor import ExperimentExecutor  # noqa: E402
-from repro.experiments.mixes import run_mix  # noqa: E402
 from repro.experiments.report_writer import write_experiments_report  # noqa: E402
 from repro.experiments.runner import SCHEMES as ALL_SCHEMES  # noqa: E402
 from repro.experiments.runner import run_one  # noqa: E402
@@ -210,11 +209,7 @@ def grid_digest(scheme: str, workload: str, mshr_entries: int,
         config = dataclasses.replace(
             config, telemetry_window=SPAN_TELEMETRY_WINDOW,
             span_sample_rate=SPAN_SAMPLE_RATE)
-    if workload.startswith("mix-"):
-        result = run_mix(scheme, workload, config,
-                         misses_per_core=misses, seed=SEED)
-    else:
-        result = run_one(scheme, workload, config, misses_per_core=misses)
+    result = run_one(scheme, workload, config, misses_per_core=misses)
     canonical = json.dumps(result.to_dict(), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 

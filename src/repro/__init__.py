@@ -21,11 +21,12 @@ Quickstart::
 
 from repro.core.silcfm import SilcFmScheme
 from repro.cpu.system import RunResult, System
-from repro.experiments.runner import SCHEMES, SuiteRunner, run_one
+from repro.experiments.executor import Cell, ExperimentExecutor
+from repro.experiments.runner import SCHEMES, run_one
 from repro.schemes.base import AccessPlan, Level, MemoryScheme, Op
 from repro.sim.config import SilcFmConfig, SystemConfig, default_config, paper_config
 from repro.workloads.model import WorkloadModel, WorkloadSpec
-from repro.workloads.spec import BENCHMARKS
+from repro.workloads.spec import BENCHMARKS, MIXES
 from repro.xmem.address import AddressSpace
 
 __version__ = "1.0.0"
@@ -34,14 +35,16 @@ __all__ = [
     "AccessPlan",
     "AddressSpace",
     "BENCHMARKS",
+    "Cell",
+    "ExperimentExecutor",
     "Level",
+    "MIXES",
     "MemoryScheme",
     "Op",
     "RunResult",
     "SCHEMES",
     "SilcFmConfig",
     "SilcFmScheme",
-    "SuiteRunner",
     "System",
     "SystemConfig",
     "WorkloadModel",

@@ -4,7 +4,7 @@ from repro.core.activity import ActivityMonitor
 from repro.core.bitvector import BitVectorHistoryTable, history_index
 from repro.core.bypass import BandwidthBalancer
 from repro.core.metadata import COUNTER_MAX, FULL_BITVEC, FrameMetadata
-from repro.core.predictor import Prediction, WayPredictor
+from repro.core.predictor import WayPredictor
 from repro.core.silcfm import METADATA_ENTRY_BYTES, SilcFmScheme
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "FULL_BITVEC",
     "FrameMetadata",
     "METADATA_ENTRY_BYTES",
-    "Prediction",
     "SilcFmScheme",
     "WayPredictor",
     "history_index",

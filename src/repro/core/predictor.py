@@ -14,16 +14,7 @@ data was found in FM:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """What the table predicts for an access (``None`` = no entry)."""
-
-    way: Optional[int]
-    in_fm: bool
+from typing import Dict, Tuple
 
 
 class WayPredictor:
@@ -34,12 +25,13 @@ class WayPredictor:
             raise ValueError("predictor size must be a power of two")
         self.entries = entries
         self.mask = entries - 1
-        #: index -> the outcome last trained there.  SILC-FM's ``access``
-        #: reads and trains this table inline at index ``(pc ^ block) &
-        #: mask``, ``block`` being the 2 KB block number: every subblock
-        #: of a block shares one entry, since the way/location being
-        #: predicted is a property of the block, not the subblock.
-        self.table: Dict[int, Prediction] = {}
+        #: index -> ``(way, in_fm)``, the outcome last trained there.
+        #: SILC-FM's ``access`` reads and trains this table inline at
+        #: index ``(pc ^ block) & mask``, ``block`` being the 2 KB block
+        #: number: every subblock of a block shares one entry, since the
+        #: way/location being predicted is a property of the block, not
+        #: the subblock.
+        self.table: Dict[int, Tuple[int, bool]] = {}
         self.way_correct = 0
         self.way_wrong = 0
         self.loc_correct = 0

@@ -35,7 +35,7 @@ from repro.core.activity import ActivityMonitor
 from repro.core.bitvector import BitVectorHistoryTable
 from repro.core.bypass import BandwidthBalancer
 from repro.core.metadata import COUNTER_MAX, FULL_BITVEC, FrameMetadata
-from repro.core.predictor import Prediction, WayPredictor
+from repro.core.predictor import WayPredictor
 from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
 from repro.sim.config import (
     BLOCK_BYTES,
@@ -144,8 +144,7 @@ class SilcFmScheme(MemoryScheme):
             pindex = (pc ^ block) & self._predict_mask
             entry = table.get(pindex)
             if entry is not None:
-                pway = entry.way
-                pin_fm = entry.in_fm
+                pway, pin_fm = entry
 
         if paddr >= self._nm_bytes:
             way = self._frame_of_block.get(block)
@@ -303,7 +302,7 @@ class SilcFmScheme(MemoryScheme):
             else:
                 predictor.loc_wrong += 1
             if pway != way or pin_fm != in_fm:
-                table[pindex] = Prediction(way, in_fm)
+                table[pindex] = (way, in_fm)
         if self._bypass_on:
             self.balancer.record(not in_fm)
         self.record_plan(plan)

@@ -8,9 +8,11 @@ full the core stalls until a miss returns; execution time therefore
 responds to memory latency *and* to bandwidth saturation, which is what
 the paper's bandwidth-bound evaluation needs.
 
-The core is mode-agnostic: a ``MissPath`` object decides whether a trace
-record goes through a modelled cache hierarchy (reference mode) or is
-already an LLC miss (miss-stream mode, the fast default).
+One core serves both trace modes.  With a ``classify`` callback (the
+system's cache hierarchy) each trace record goes through the modelled
+caches and only LLC misses reach memory (reference mode); without one
+every record is already an LLC miss (miss-stream mode, the fast
+default).
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Experiment harness: scheme registry, suite runner, and one function
-per paper table/figure (rendered into EXPERIMENTS.md by
+"""Experiment harness: the scheme registry, :func:`run_one`, the
+parallel, cached executor that runs each :class:`Cell` through it, and
+one function per paper table/figure (rendered into EXPERIMENTS.md by
 :mod:`repro.experiments.report_writer`)."""
 
 from repro.experiments.executor import (
@@ -24,14 +25,7 @@ from repro.experiments.figures import (
     table2_parameters,
     table3_measured,
 )
-from repro.experiments.mixes import MIXES, mix_specs, mix_speedups, run_mix
-from repro.experiments.runner import SCHEMES, SchemeSetup, SuiteRunner, run_one
-from repro.experiments.sweeps import (
-    capacity_transform,
-    mlp_transform,
-    sweep_silcfm,
-    sweep_system,
-)
+from repro.experiments.runner import SCHEMES, SchemeSetup, run_one
 
 __all__ = [
     "Cell",
@@ -43,24 +37,15 @@ __all__ = [
     "FIG6_LABELS",
     "FIG6_STAGES",
     "FIG7_SCHEMES",
-    "MIXES",
     "SCHEMES",
     "SchemeSetup",
-    "SuiteRunner",
     "ablations",
     "edp_comparison",
     "fig6_breakdown",
     "fig7_comparison",
     "fig8_bandwidth_split",
     "fig9_capacity_sweep",
-    "mix_specs",
-    "mix_speedups",
-    "capacity_transform",
-    "mlp_transform",
-    "run_mix",
     "run_one",
-    "sweep_silcfm",
-    "sweep_system",
     "table1_operations",
     "table2_parameters",
     "table3_measured",

@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cpu.system import RunResult
+from repro.experiments.runner import run_one
 from repro.sim.config import SystemConfig
 from repro.telemetry import log
 
@@ -68,17 +69,11 @@ class Cell:
     def key(self) -> str:
         """Stable content hash: identical inputs -> identical key across
         processes and interpreter runs (no reliance on ``hash()``)."""
-        config_dict = dataclasses.asdict(self.config)
-        if not config_dict.get("span_sample_rate"):
-            # span tracing is pure observation and disabled at 0; drop
-            # the field so caches populated before it existed keep
-            # their keys byte-identical
-            config_dict.pop("span_sample_rate", None)
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
             "scheme": self.scheme_key,
             "workload": self.workload_name,
-            "config": config_dict,
+            "config": dataclasses.asdict(self.config),
             "misses_per_core": self.misses_per_core,
             "seed": self.seed,
             "mode": self.mode,
@@ -255,9 +250,6 @@ class ResultCache:
 
 def _execute_cell(cell: Cell) -> RunResult:
     """Simulate one cell (runs inside worker processes)."""
-    # local import: runner imports this module for SuiteRunner's executor
-    from repro.experiments.runner import run_one
-
     return run_one(cell.scheme_key, cell.workload_name, cell.config,
                    misses_per_core=cell.misses_per_core, seed=cell.seed,
                    mode=cell.mode, warmup_fraction=cell.warmup_fraction)
@@ -328,12 +320,14 @@ class ExperimentExecutor:
         self._memo: Dict[str, RunResult] = {}
 
     # ------------------------------------------------------------------
-    def run_cells(self, cells: Iterable[Cell]) -> Dict[Cell, RunResult]:
+    def run_cells(self, cells: Iterable[Cell],
+                  strict: bool = False) -> Dict[Cell, RunResult]:
         """Execute every distinct cell, returning ``{cell: result}``.
 
-        Failed cells are absent from the mapping and recorded in
-        :attr:`failures`; callers that need a specific cell should use
-        :meth:`run_cell`, which raises :class:`ExecutorError`.
+        Failed cells are recorded in :attr:`failures`.  By default they
+        are absent from the mapping; with ``strict``, once the whole
+        batch has run, the first failed cell raises
+        :class:`ExecutorError` naming it, with its traceback.
         """
         ordered: List[Cell] = []
         seen = set()
@@ -374,19 +368,19 @@ class ExperimentExecutor:
                     progress.simulated += 1
                 self._tick(progress)
 
+        if strict:
+            for cell in ordered:
+                if cell not in results:
+                    error = next(f.error for f in reversed(self.failures)
+                                 if f.cell == cell)
+                    raise ExecutorError(
+                        f"cell ({cell.scheme_key}, {cell.workload_name})"
+                        f" failed:\n{error}")
         return {cell: results[cell] for cell in ordered if cell in results}
 
     def run_cell(self, cell: Cell) -> RunResult:
         """Execute (or recall) a single cell; raises on failure."""
-        results = self.run_cells([cell])
-        if cell not in results:
-            failure = next(
-                (f for f in self.failures if f.key == cell.key()), None)
-            detail = f":\n{failure.error}" if failure else ""
-            raise ExecutorError(
-                f"cell ({cell.scheme_key}, {cell.workload_name}) failed"
-                + detail)
-        return results[cell]
+        return self.run_cells([cell], strict=True)[cell]
 
     # ------------------------------------------------------------------
     def _dispatch(self, pending: List[Tuple[int, Cell, str]]):

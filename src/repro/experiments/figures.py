@@ -1,7 +1,7 @@
 """One function per paper artefact: the only code that computes one.
 
 Each submits its cells to an :class:`ExperimentExecutor` (cached,
-resumable, parallel) and returns plain data that
+resumable, parallel) as one batch and returns plain data that
 :mod:`repro.experiments.report_writer` renders and checks the paper's
 shape claims against.  Each takes ``config``, ``misses_per_core`` (the
 trace length it simulates), ``executor`` and, where it applies,
@@ -11,13 +11,13 @@ trace length it simulates), ``executor`` and, where it applies,
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.core.silcfm import SilcFmScheme
+from repro.cpu.system import RunResult
 from repro.experiments.executor import Cell, ExperimentExecutor
-from repro.experiments.runner import SuiteRunner
-from repro.experiments.sweeps import sweep_silcfm
 from repro.sim.config import (
+    BLOCK_BYTES,
     SUBBLOCK_BYTES,
     SystemConfig,
     default_config,
@@ -72,14 +72,35 @@ BYPASS_WORKLOAD, BYPASS_TARGETS = "milc", [0.6, 0.7, 0.8, 0.9]
 PREDICTOR_WORKLOAD = "mcf"
 
 
-def _executor(executor: Optional[ExperimentExecutor]) -> ExperimentExecutor:
-    """The caller's executor, or a private serial one."""
-    return executor or ExperimentExecutor(jobs=1)
+K = TypeVar("K", bound=Hashable)
 
 
-def _runner(config, misses_per_core, executor) -> SuiteRunner:
-    return SuiteRunner(config or default_config(), misses_per_core,
-                       executor=_executor(executor))
+def _run(cells: Dict[K, Cell], executor: Optional[ExperimentExecutor]
+         ) -> Dict[K, RunResult]:
+    """Each key's result, from one batch on the caller's executor (or a
+    private serial one).  A failed cell raises :class:`ExecutorError`
+    naming it."""
+    results = (executor or ExperimentExecutor(jobs=1)).run_cells(
+        cells.values(), strict=True)
+    return {key: results[cell] for key, cell in cells.items()}
+
+
+def _grid(config: SystemConfig, misses_per_core: int, schemes: Iterable[str],
+          workloads: List[str], executor: Optional[ExperimentExecutor]
+          ) -> Dict[Tuple[str, str], RunResult]:
+    """{(scheme, workload) -> result} of every pair, as one batch."""
+    return _run({(s, wl): Cell(s, wl, config, misses_per_core)
+                 for s in schemes for wl in workloads}, executor)
+
+
+def _speedups(config: SystemConfig, misses_per_core: int, schemes: List[str],
+              workloads: List[str], executor: Optional[ExperimentExecutor]
+              ) -> Dict[str, Dict[str, float]]:
+    """{scheme -> {workload -> speedup over the no-NM baseline}}."""
+    runs = _grid(config, misses_per_core, schemes + ["nonm"], workloads,
+                 executor)
+    return {s: {wl: runs[s, wl].speedup_over(runs["nonm", wl])
+                for wl in workloads} for s in schemes}
 
 
 def _traced(config: SystemConfig, **fields) -> SystemConfig:
@@ -108,14 +129,12 @@ def table1_operations(config: Optional[SystemConfig] = None,
     workloads, with each ``-bypass`` variant folded into its base row.
     Returns {row -> count} over the scheme's whole row vocabulary.
     """
-    runner = _runner(_traced(config or default_config(), span_sample_rate=1),
-                     misses_per_core, executor)
-    workloads = workloads or TABLE1_WORKLOADS
-    runner.prefetch(["silc"], workloads, include_baseline=False)
+    runs = _grid(_traced(config or default_config(), span_sample_rate=1),
+                 misses_per_core, ["silc"], workloads or TABLE1_WORKLOADS,
+                 executor)
     counts = {row.replace("-bypass", ""): 0 for row in SilcFmScheme.SPAN_ROWS}
-    for wl in workloads:
-        rows = runner.result("silc", wl).telemetry["spans"]["rows"]
-        for row, rec in rows.items():
+    for result in runs.values():
+        for row, rec in result.telemetry["spans"]["rows"].items():
             base = row.replace("-bypass", "")
             counts[base] = counts.get(base, 0) + rec["count"]
     return counts
@@ -146,7 +165,7 @@ def _parameters(config: SystemConfig) -> Dict[str, str]:
         "NM / FM capacity": f"{_size(config.nm_bytes)} / "
                             f"{_size(config.fm_bytes)}",
         "FM:NM capacity": f"{config.fm_to_nm_ratio}:1",
-        "page / large block": _size(config.page_bytes),
+        "page / large block": _size(BLOCK_BYTES),
         "subblock": _size(SUBBLOCK_BYTES),
         "SILC-FM associativity": silc.associativity,
         "hot threshold": silc.hot_threshold,
@@ -178,21 +197,17 @@ def table3_measured(config: Optional[SystemConfig] = None,
     LLC, which legitimately absorbs part of their miss stream.
     """
     config = config or default_config()
-    executor = _executor(executor)
-    workloads = workloads or BENCHMARKS
-    cells = {
+    runs = _run({
         name: Cell("nonm", name, config, misses_per_core=misses_per_core,
                    mode="reference", warmup_fraction=0.0)
-        for name in workloads
-    }
-    executor.run_cells(cells.values())
+        for name in workloads or BENCHMARKS
+    }, executor)
     out: Dict[str, Dict] = {}
-    for name in workloads:
+    for name, result in runs.items():
         spec = per_core_spec(name, config)
-        result = executor.run_cell(cells[name])
         misses = sum(c.misses_issued for c in result.core_stats)
         hot_bytes = int(spec.hot_fraction * spec.footprint_pages
-                        * config.page_bytes)
+                        * BLOCK_BYTES)
         out[name] = {
             "category": spec.category,
             "target_mpki": spec.mpki,
@@ -213,8 +228,9 @@ def fig6_breakdown(config: Optional[SystemConfig] = None,
     Returns {stage -> {workload -> speedup over no-NM baseline}}, plus a
     'rand' row as the stack's floor and a 'geomean' entry per stage.
     """
-    return _with_geomean(_runner(config, misses_per_core, executor).grid(
-        ["rand"] + FIG6_STAGES, workloads or BENCHMARKS))
+    return _with_geomean(_speedups(
+        config or default_config(), misses_per_core, ["rand"] + FIG6_STAGES,
+        workloads or BENCHMARKS, executor))
 
 
 def fig7_comparison(config: Optional[SystemConfig] = None,
@@ -226,8 +242,9 @@ def fig7_comparison(config: Optional[SystemConfig] = None,
 
     Returns {scheme -> {workload -> speedup, 'geomean' -> g}}.
     """
-    return _with_geomean(_runner(config, misses_per_core, executor).grid(
-        FIG7_SCHEMES, workloads or BENCHMARKS))
+    return _with_geomean(_speedups(
+        config or default_config(), misses_per_core, FIG7_SCHEMES,
+        workloads or BENCHMARKS, executor))
 
 
 def fig8_bandwidth_split(config: Optional[SystemConfig] = None,
@@ -239,10 +256,10 @@ def fig8_bandwidth_split(config: Optional[SystemConfig] = None,
     access rate — per scheme (migrations excluded, as in the paper).
     Ideal = 0.8, the NM share of the 4:1 NM:FM bandwidth.
     """
-    runner = _runner(config, misses_per_core, executor)
     workloads = workloads or BENCHMARKS
-    runner.prefetch(FIG7_SCHEMES, workloads, include_baseline=False)
-    return {s: sum(runner.result(s, wl).access_rate for wl in workloads)
+    runs = _grid(config or default_config(), misses_per_core, FIG7_SCHEMES,
+                 workloads, executor)
+    return {s: sum(runs[s, wl].access_rate for wl in workloads)
             / len(workloads) for s in FIG7_SCHEMES}
 
 
@@ -257,15 +274,16 @@ def fig9_capacity_sweep(config: Optional[SystemConfig] = None,
     Returns {scheme -> {ratio -> geomean speedup}}.
     """
     config = config or default_config()
-    executor = _executor(executor)
-    out: Dict[str, Dict[int, float]] = {s: {} for s in FIG9_SCHEMES}
-    for ratio in FIG9_RATIOS:
-        grid = _runner(config.with_ratio(ratio), misses_per_core,
-                       executor).grid(FIG9_SCHEMES,
-                                      workloads or FIG9_WORKLOADS)
-        for scheme, per_wl in grid.items():
-            out[scheme][ratio] = geometric_mean(per_wl.values())
-    return out
+    workloads = workloads or FIG9_WORKLOADS
+    runs = _run({(ratio, s, wl): Cell(s, wl, config.with_ratio(ratio),
+                                      misses_per_core)
+                 for ratio in FIG9_RATIOS for s in FIG9_SCHEMES + ["nonm"]
+                 for wl in workloads}, executor)
+    return {s: {ratio: geometric_mean(
+                    [runs[ratio, s, wl].speedup_over(runs[ratio, "nonm", wl])
+                     for wl in workloads])
+                for ratio in FIG9_RATIOS}
+            for s in FIG9_SCHEMES}
 
 
 def edp_comparison(config: Optional[SystemConfig] = None,
@@ -276,11 +294,10 @@ def edp_comparison(config: Optional[SystemConfig] = None,
     """Section V energy result: geomean EDP normalised to the no-NM
     baseline, per scheme (lower is better; the paper reports SILC-FM at
     ~13% below the best state-of-the-art scheme)."""
-    runner = _runner(config, misses_per_core, executor)
     workloads = workloads or BENCHMARKS
-    runner.prefetch(FIG7_SCHEMES, workloads)
-    return {s: geometric_mean([runner.result(s, wl).edp
-                               / runner.result("nonm", wl).edp
+    runs = _grid(config or default_config(), misses_per_core,
+                 FIG7_SCHEMES + ["nonm"], workloads, executor)
+    return {s: geometric_mean([runs[s, wl].edp / runs["nonm", wl].edp
                                for wl in workloads]) for s in FIG7_SCHEMES}
 
 
@@ -288,49 +305,60 @@ def ablations(config: Optional[SystemConfig] = None,
               misses_per_core: int = half_length(MISSES_PER_CORE),
               executor: Optional[ExperimentExecutor] = None
               ) -> Dict[str, Dict]:
-    """Section III design ablations, each a :func:`sweep_silcfm` curve of
-    SILC-FM speedups over the no-NM baseline.
+    """Section III design ablations: curves of SILC-FM speedups over
+    the no-NM baseline, each point one ``SilcFmConfig`` field varied.
 
     Returns {'threshold': {threshold -> speedup}, 'associativity':
     {ways -> {workload -> speedup, 'geomean' -> g}}, 'bypass': {target
     -> speedup, 'off' -> speedup}, 'predictor': {'on'|'off' ->
     {'speedup', 'way_accuracy', 'location_accuracy'}}}, with every key
     a string; the predictor's accuracies come from the final telemetry
-    sample of the curve's own cells.
+    sample of its points, which run with telemetry on.
     """
     config = config or default_config()
-    executor = _executor(executor)
 
-    def curve(field, values, workload, base=config) -> Dict[str, float]:
-        return sweep_silcfm(field, values, workload, base, misses_per_core,
-                            executor=executor)
+    def curve(field, values, workload, base=config, label=str):
+        """{label -> (SILC-FM cell, its no-NM baseline cell)}, one point
+        per value of ``field``."""
+        baseline = Cell("nonm", workload, base, misses_per_core)
+        return {label(value): (Cell("silc", workload,
+                                    base.with_silcfm(**{field: value}),
+                                    misses_per_core), baseline)
+                for value in values}
 
-    per_workload = {wl: curve("associativity", ASSOC_WAYS, wl)
-                    for wl in ASSOC_WORKLOADS}
-    associativity = _with_geomean({
-        str(ways): {wl: per_workload[wl][str(ways)] for wl in ASSOC_WORKLOADS}
-        for ways in ASSOC_WAYS})
-    bypass = curve("bypass_target_access_rate", BYPASS_TARGETS,
-                   BYPASS_WORKLOAD)
-    bypass["off"] = curve("enable_bypass", [False], BYPASS_WORKLOAD)["False"]
-    traced = _traced(config)
+    curves = {
+        "threshold": curve("hot_threshold", HOT_THRESHOLDS,
+                           THRESHOLD_WORKLOAD),
+        "bypass": dict(curve("bypass_target_access_rate", BYPASS_TARGETS,
+                             BYPASS_WORKLOAD),
+                       off=curve("enable_bypass", [False],
+                                 BYPASS_WORKLOAD)["False"]),
+        "predictor": curve("enable_predictor", [True, False],
+                           PREDICTOR_WORKLOAD, _traced(config),
+                           label=lambda on: "on" if on else "off"),
+    }
+    curves.update({("associativity", wl): curve("associativity", ASSOC_WAYS,
+                                                wl)
+                   for wl in ASSOC_WORKLOADS})
+    runs = _run({cell: cell for points in curves.values()
+                 for pair in points.values() for cell in pair}, executor)
+    speedups = {name: {label: runs[cell].speedup_over(runs[baseline])
+                       for label, (cell, baseline) in points.items()}
+                for name, points in curves.items()}
+
     predictor = {}
-    for label, speedup in curve("enable_predictor", [True, False],
-                                PREDICTOR_WORKLOAD, traced).items():
-        enabled = label == "True"
-        cell = Cell("silc", PREDICTOR_WORKLOAD,  # the curve's cell: a memo hit
-                    traced.with_silcfm(enable_predictor=enabled),
-                    misses_per_core=misses_per_core)
-        final = executor.run_cell(cell).telemetry["samples"][-1]
-        predictor["on" if enabled else "off"] = {
-            "speedup": speedup,
+    for label, (cell, _baseline) in curves["predictor"].items():
+        final = runs[cell].telemetry["samples"][-1]
+        predictor[label] = {
+            "speedup": speedups["predictor"][label],
             "way_accuracy": final["silcfm.predictor_way_accuracy"],
             "location_accuracy": final["silcfm.predictor_location_accuracy"],
         }
     return {
-        "threshold": curve("hot_threshold", HOT_THRESHOLDS,
-                           THRESHOLD_WORKLOAD),
-        "associativity": associativity,
-        "bypass": bypass,
+        "threshold": speedups["threshold"],
+        "associativity": _with_geomean({
+            str(ways): {wl: speedups["associativity", wl][str(ways)]
+                        for wl in ASSOC_WORKLOADS} for ways in ASSOC_WAYS}),
+        "bypass": speedups["bypass"],
         "predictor": predictor,
     }

@@ -1,4 +1,8 @@
-"""Experiment runner: scheme registry + single-run and suite helpers.
+"""The scheme registry and :func:`run_one`, the one way to simulate.
+
+Every grid, curve and mix the repository computes is a batch of
+executor cells (:mod:`repro.experiments.executor`), each simulated by
+:func:`run_one`.
 
 Every scheme the paper compares is registered here with its frame-
 allocation policy (static schemes differ *only* in allocation policy):
@@ -26,11 +30,10 @@ silc-assoc Fig. 6 stage 3: + 4-way associativity
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core.silcfm import SilcFmScheme
 from repro.cpu.system import RunResult, System
-from repro.experiments.executor import Cell, ExperimentExecutor
 from repro.schemes.base import MemoryScheme
 from repro.schemes.alloycache import AlloyCacheScheme
 from repro.schemes.cameo import CameoPrefetchScheme, CameoScheme
@@ -38,7 +41,7 @@ from repro.schemes.hma import HmaScheme
 from repro.schemes.pom import PomScheme
 from repro.schemes.static import StaticScheme
 from repro.sim.config import SystemConfig
-from repro.workloads.spec import BENCHMARKS, per_core_spec
+from repro.workloads.spec import workload_specs
 from repro.xmem.address import AddressSpace
 
 
@@ -100,9 +103,12 @@ SCHEMES: Dict[str, SchemeSetup] = {
 def run_one(scheme_key: str, workload_name: str, config: SystemConfig,
             misses_per_core: int = 20_000, seed: Optional[int] = None,
             mode: str = "miss", warmup_fraction: float = 0.2) -> RunResult:
-    """Simulate one (scheme, benchmark) pair end to end.
+    """Simulate one (scheme, workload) pair end to end.
 
-    A fifth of each trace warms the remap structures before measurement
+    ``workload_name`` is a Table III benchmark, run in rate mode (one
+    copy per core), or a mix from :data:`repro.workloads.spec.MIXES`
+    (one benchmark per core); the result carries the name as given.  A
+    fifth of each trace warms the remap structures before measurement
     starts (the paper measures steady-state Simpoint regions).
 
     With ``config.check_interval > 0`` the run carries the differential
@@ -114,88 +120,19 @@ def run_one(scheme_key: str, workload_name: str, config: SystemConfig,
     if scheme_key not in SCHEMES:
         raise KeyError(f"unknown scheme {scheme_key!r}; have {sorted(SCHEMES)}")
     setup = SCHEMES[scheme_key]
-    workload = per_core_spec(workload_name, config)
+    specs = workload_specs(workload_name, config)
     system = System(
         config,
         scheme_factory=setup.factory,
-        workload=workload,
+        workload=specs[0],
         misses_per_core=misses_per_core,
         alloc_policy=setup.alloc_policy,
         mode=mode,
         seed=seed,
+        workload_per_core=specs,
         warmup_fraction=warmup_fraction,
     )
     result = system.run()
     result.scheme_name = scheme_key
+    result.workload_name = workload_name
     return result
-
-
-class SuiteRunner:
-    """Runs (scheme x workload) grids through the experiment executor.
-
-    Every simulation is submitted as an executor :class:`Cell`, so the
-    grid inherits the executor's parallelism (``jobs``) and on-disk
-    result cache for free; without an explicit executor it falls back to
-    a private in-process one (``jobs=1``, no persistence) and behaves
-    exactly like the old serial runner.  Use :meth:`prefetch` to fan a
-    whole grid out before reading individual results.
-    """
-
-    def __init__(self, config: SystemConfig, misses_per_core: int = 20_000,
-                 seed: Optional[int] = None,
-                 executor: Optional[ExperimentExecutor] = None) -> None:
-        self.config = config
-        self.misses_per_core = misses_per_core
-        self.seed = seed
-        self.executor = executor or ExperimentExecutor(jobs=1)
-        self._cache: Dict[Tuple[str, str], RunResult] = {}
-
-    def _cell(self, scheme_key: str, workload_name: str) -> Cell:
-        if scheme_key not in SCHEMES:
-            raise KeyError(
-                f"unknown scheme {scheme_key!r}; have {sorted(SCHEMES)}")
-        return Cell(
-            scheme_key=scheme_key,
-            workload_name=workload_name,
-            config=self.config,
-            misses_per_core=self.misses_per_core,
-            seed=self.seed,
-        )
-
-    def prefetch(self, scheme_keys: Iterable[str],
-                 workload_names: Optional[List[str]] = None,
-                 include_baseline: bool = True) -> None:
-        """Submit the whole (scheme x workload) grid in one executor
-        batch so cells run in parallel; subsequent :meth:`result` /
-        :meth:`speedup` calls are memo lookups.  The ``nonm`` baseline
-        every speedup normalises against rides along by default."""
-        workload_names = workload_names or BENCHMARKS
-        keys = list(scheme_keys)
-        if include_baseline and "nonm" not in keys:
-            keys.append("nonm")
-        cells = [self._cell(s, wl) for s in keys for wl in workload_names]
-        for cell, result in self.executor.run_cells(cells).items():
-            self._cache[(cell.scheme_key, cell.workload_name)] = result
-
-    def result(self, scheme_key: str, workload_name: str) -> RunResult:
-        key = (scheme_key, workload_name)
-        if key not in self._cache:
-            self._cache[key] = self.executor.run_cell(
-                self._cell(scheme_key, workload_name))
-        return self._cache[key]
-
-    def speedup(self, scheme_key: str, workload_name: str) -> float:
-        """Speedup over the no-NM baseline (the paper's normalisation)."""
-        baseline = self.result("nonm", workload_name)
-        return self.result(scheme_key, workload_name).speedup_over(baseline)
-
-    def grid(self, scheme_keys: Iterable[str],
-             workload_names: Optional[List[str]] = None) -> Dict[str, Dict[str, float]]:
-        """{scheme -> {workload -> speedup-over-baseline}}."""
-        workload_names = workload_names or BENCHMARKS
-        scheme_keys = list(scheme_keys)
-        self.prefetch(scheme_keys, workload_names)
-        return {
-            key: {name: self.speedup(key, name) for name in workload_names}
-            for key in scheme_keys
-        }

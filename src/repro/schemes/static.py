@@ -3,8 +3,7 @@
 * :class:`StaticScheme` — data stays at its allocated physical frame
   forever.  Combined with a ``fm_only`` frame allocator it is the
   paper's **baseline** (system without die-stacked DRAM); with a
-  ``random`` allocator it is the **Random** comparison scheme; with
-  ``nm_first`` it is a greedy static placement.
+  ``random`` allocator it is the **Random** comparison scheme.
 
 The interesting behaviour lives entirely in the OS frame-allocation
 policy (:class:`repro.xmem.translation.FrameAllocator`); the scheme

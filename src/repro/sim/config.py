@@ -130,9 +130,6 @@ class SystemConfig:
     nm_timings: DRAMTimings = field(default_factory=lambda: HBM2_TIMINGS)
     fm_timings: DRAMTimings = field(default_factory=lambda: DDR3_TIMINGS)
     silcfm: SilcFmConfig = field(default_factory=SilcFmConfig)
-    page_bytes: int = BLOCK_BYTES
-    #: Remap-metadata read size (one remap entry + bit vector + counters).
-    metadata_bytes: int = 8
     seed: int = 1
     #: Differential-oracle full-scan period, in LLC misses.  0 (default)
     #: disables validation entirely; N > 0 attaches the shadow-memory
@@ -166,8 +163,8 @@ class SystemConfig:
     mshr_entries: int = 128
     #: Per-request span sampling rate, in new-transaction arrivals.
     #: 0 (default) disables span tracing entirely — no recorder is
-    #: built, hot paths pay one ``is None`` check, and executor cache
-    #: keys / golden results stay byte-identical to pre-span builds.
+    #: built and hot paths pay one ``is None`` check.  Like the knobs
+    #: above, the field is part of the executor's cache key.
     #: N >= 1 samples every Nth new transaction (deterministic modulo
     #: over the arrival sequence; 1 = every request) with a
     #: :class:`repro.telemetry.spans.Span` recording cycle-stamped

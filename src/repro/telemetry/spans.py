@@ -19,8 +19,8 @@ and Table I operation rows.  This module adds that axis:
 * :class:`SpanRecorder` — the sampling front door.  Sampling is a
   **deterministic modulo** over the miss-arrival sequence (request
   ``seq % rate == 0``), so a given config samples the same requests on
-  every run, and rate 0 (the default) constructs nothing at all: cache
-  keys and golden results are byte-identical to pre-span builds.
+  every run, and rate 0 (the default) constructs nothing at all:
+  golden results are byte-identical to pre-span builds.
   Sampled spans are also emitted into the :class:`EventTracer` as
   Perfetto complete ("X") events — one slice per request plus one per
   pipeline stage — with flow ("s"/"f") events linking every coalesced

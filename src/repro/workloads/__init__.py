@@ -6,9 +6,10 @@ from repro.workloads.spec import (
     HIGH_MPKI,
     LOW_MPKI,
     MEDIUM_MPKI,
+    MIXES,
     benchmark_spec,
     per_core_spec,
-    suite,
+    workload_specs,
 )
 from repro.workloads.trace import (
     MemoryAccess,
@@ -22,6 +23,7 @@ __all__ = [
     "HIGH_MPKI",
     "LOW_MPKI",
     "MEDIUM_MPKI",
+    "MIXES",
     "MemoryAccess",
     "PC_BASE",
     "PC_POOL_SIZE",
@@ -31,6 +33,6 @@ __all__ = [
     "interleave_round_robin",
     "materialize",
     "per_core_spec",
-    "suite",
     "trace_stats",
+    "workload_specs",
 ]

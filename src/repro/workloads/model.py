@@ -93,6 +93,14 @@ class WorkloadModel:
     def __init__(self, spec: WorkloadSpec, seed: int = 1) -> None:
         self.spec = spec
         self._seed = seed
+        #: subblocks in each page's active window (``page_density``)
+        self._region_len = max(
+            1, round(spec.page_density * SUBBLOCKS_PER_BLOCK))
+        #: page -> the start of its window, set on the page's first
+        #: visit by :meth:`_region_start`; a whole-page window starts at 0
+        self._region_starts: List[Optional[int]] = (
+            [0] if self._region_len == SUBBLOCKS_PER_BLOCK else [None]
+        ) * spec.footprint_pages
 
     def _rng(self, tag: str) -> random.Random:
         """Deterministic per-(seed, benchmark, stream-kind) generator.
@@ -113,11 +121,15 @@ class WorkloadModel:
         gap_rate = 1.0 / (1000.0 / spec.mpki)
         write_fraction = spec.write_fraction
         phase_misses = spec.phase_misses
+        active_len = self._region_len
+        starts = self._region_starts
         emitted = 0
         since_phase = 0
         while emitted < n_misses:
             page = self._pick_page(rng, hot, pages)
-            active_start, active_len = self._active_region(page)
+            active_start = starts[page]
+            if active_start is None:
+                active_start = self._region_start(page)
             # a run cut short by the end of the stream draws nothing more
             run = min(self._run_length(rng), active_len, n_misses - emitted)
             start = rng.randrange(active_len)
@@ -183,18 +195,17 @@ class WorkloadModel:
                     current.add(candidate)
                     break
 
-    def _active_region(self, page: int) -> tuple:
-        """The page's stable active subblock window (start, length).
+    def _region_start(self, page: int) -> int:
+        """The start of the page's stable active subblock window, which
+        is ``_region_len`` subblocks long; stored on first use.
 
         Derived from a per-page hash so it never changes across phases
         or re-visits — the program simply never touches the rest of the
         page."""
-        length = max(1, round(self.spec.page_density * SUBBLOCKS_PER_BLOCK))
-        if length >= SUBBLOCKS_PER_BLOCK:
-            return 0, SUBBLOCKS_PER_BLOCK
         digest = zlib.crc32(f"{self._seed}:{self.spec.name}:region:{page}".encode())
-        start = digest % (SUBBLOCKS_PER_BLOCK - length + 1)
-        return start, length
+        start = digest % (SUBBLOCKS_PER_BLOCK - self._region_len + 1)
+        self._region_starts[page] = start
+        return start
 
     def _pick_page(self, rng: random.Random, hot: List[int], pages: int) -> int:
         if rng.random() < self.spec.hot_weight:

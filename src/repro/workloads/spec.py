@@ -21,6 +21,10 @@ evaluation text's qualitative observations:
 Footprints are **total across the 16 copies**, expressed as a fraction
 of the flat capacity and scaled with the configured memory size, so the
 footprint:NM pressure matches the paper at any simulation scale.
+
+Beyond the paper's rate mode, a *mix* (:data:`MIXES`) gives each core a
+different benchmark, the consolidated-server case.
+:func:`workload_specs` resolves either kind of name to one spec per core.
 """
 
 from __future__ import annotations
@@ -119,8 +123,28 @@ def per_core_spec(name: str, config: SystemConfig) -> WorkloadSpec:
     return replace(spec, footprint_pages=per_core)
 
 
-def suite(config: SystemConfig, names: List[str] = None) -> Dict[str, WorkloadSpec]:
-    """Per-core specs for a list of benchmarks (default: all 14)."""
-    return {
-        name: per_core_spec(name, config) for name in (names or BENCHMARKS)
-    }
+#: Multiprogrammed mixes: core ``i`` runs member ``i % len(members)``,
+#: each with its rate-mode share of the footprint, so the total memory
+#: pressure stays comparable to rate mode.  ``mix-high`` is the
+#: high-MPKI class (bandwidth pressure), ``mix-low`` the low-MPKI class
+#: (latency-sensitive) and ``mix-blend`` one of each class in turn.
+MIXES: Dict[str, List[str]] = {
+    "mix-high": HIGH_MPKI,
+    "mix-low": LOW_MPKI,
+    "mix-blend": [LOW_MPKI[0], MEDIUM_MPKI[0], HIGH_MPKI[0],
+                  LOW_MPKI[1], MEDIUM_MPKI[1], HIGH_MPKI[1]],
+}
+
+
+def workload_specs(name: str, config: SystemConfig) -> List[WorkloadSpec]:
+    """One per-core spec for each of ``config.cores`` cores: a Table III
+    benchmark's :func:`per_core_spec` on every core, or a mix's members
+    in turn."""
+    if name in MIXES:
+        members = MIXES[name]
+        return [per_core_spec(members[core % len(members)], config)
+                for core in range(config.cores)]
+    if name not in _TABLE3:
+        raise KeyError(f"unknown workload {name!r}; benchmarks: {BENCHMARKS};"
+                       f" mixes: {sorted(MIXES)}")
+    return [per_core_spec(name, config)] * config.cores

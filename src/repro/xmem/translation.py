@@ -14,10 +14,11 @@ schemes:
   migration schemes.
 * ``random`` — the paper's Random static baseline.
 * ``fm_only`` — the no-NM baseline (all pages in far memory).
-* ``nm_first`` — greedy: NM until full, then FM.
 
-The epoch-based HMA scheme additionally *remaps* pages at runtime via
-:meth:`PageTable.remap`, modelling OS page migration + TLB shootdown.
+A page keeps its frame for the whole run unless the table reclaims it
+on a full machine.  The epoch-based HMA scheme models OS page migration
+in its own block-to-frame map (:mod:`repro.schemes.hma`), below this
+translation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class OutOfMemoryError(RuntimeError):
 class FrameAllocator:
     """Hands out physical page frames (2 KB) from the flat space."""
 
-    POLICIES = ("interleaved", "random", "fm_only", "nm_first")
+    POLICIES = ("interleaved", "random", "fm_only")
 
     def __init__(self, space: AddressSpace, policy: str = "interleaved",
                  seed: int = 1) -> None:
@@ -53,8 +54,6 @@ class FrameAllocator:
         fm = list(range(self.space.nm_blocks, self.space.total_blocks))
         if policy == "fm_only":
             return fm
-        if policy == "nm_first":
-            return nm + fm
         if policy == "random":
             frames = nm + fm
             random.Random(seed).shuffle(frames)
@@ -102,10 +101,6 @@ class FrameAllocator:
     def frames_allocated(self) -> int:
         return self._next - len(self._released)
 
-    @property
-    def frames_total(self) -> int:
-        return len(self._free)
-
 
 class PageTable:
     """Per-process translation, populated on first touch."""
@@ -114,7 +109,6 @@ class PageTable:
         self._allocator = allocator
         self.asid = asid
         self._vpage_to_frame: Dict[int, int] = {}
-        self._frame_to_vpage: Dict[int, int] = {}
         #: pages evicted to satisfy an allocation on a full machine
         self.reclaims = 0
 
@@ -137,7 +131,6 @@ class PageTable:
             except OutOfMemoryError:
                 frame = self._reclaim_oldest()
             self._vpage_to_frame[vpage] = frame
-            self._frame_to_vpage[frame] = vpage
         return frame * BLOCK_BYTES + offset
 
     def _reclaim_oldest(self) -> int:
@@ -148,40 +141,11 @@ class PageTable:
             )
         victim = next(iter(self._vpage_to_frame))
         frame = self._vpage_to_frame.pop(victim)
-        del self._frame_to_vpage[frame]
         self.reclaims += 1
         return frame
 
     def frame_of(self, vpage: int) -> Optional[int]:
         return self._vpage_to_frame.get(vpage)
-
-    def vpage_of(self, frame: int) -> Optional[int]:
-        return self._frame_to_vpage.get(frame)
-
-    def remap(self, vpage: int, new_frame: int) -> int:
-        """Move ``vpage`` to ``new_frame`` (OS page migration).
-
-        Returns the old frame.  The caller (HMA) is responsible for
-        charging migration traffic and TLB-shootdown time.
-        """
-        if vpage not in self._vpage_to_frame:
-            raise KeyError(f"vpage {vpage} is not mapped")
-        if new_frame in self._frame_to_vpage:
-            raise ValueError(f"frame {new_frame} already holds a page")
-        old = self._vpage_to_frame[vpage]
-        del self._frame_to_vpage[old]
-        self._vpage_to_frame[vpage] = new_frame
-        self._frame_to_vpage[new_frame] = vpage
-        return old
-
-    def swap_frames(self, vpage_a: int, vpage_b: int) -> None:
-        """Exchange the frames of two mapped pages (bulk NM<->FM swap)."""
-        fa = self._vpage_to_frame[vpage_a]
-        fb = self._vpage_to_frame[vpage_b]
-        self._vpage_to_frame[vpage_a] = fb
-        self._vpage_to_frame[vpage_b] = fa
-        self._frame_to_vpage[fa] = vpage_b
-        self._frame_to_vpage[fb] = vpage_a
 
     # ------------------------------------------------------------------
     def mapped_pages(self) -> Iterable[int]:

@@ -7,7 +7,7 @@ SILC-FM reads and trains the predictor's table inline in
 import pytest
 
 from repro.core.bypass import BandwidthBalancer
-from repro.core.predictor import Prediction, WayPredictor
+from repro.core.predictor import WayPredictor
 from repro.core.silcfm import SilcFmScheme
 from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES, SilcFmConfig
 from repro.xmem.address import AddressSpace
@@ -59,9 +59,9 @@ def test_update_then_predict():
     addr = fm_block_addr(0)
     scheme.access(addr, False, pc=PC)  # installs the block from FM
     way = scheme.way_of_block(addr // BLOCK_BYTES)
-    assert entry(scheme, PC, addr) == Prediction(way, True)
+    assert entry(scheme, PC, addr) == (way, True)
     scheme.access(addr, False, pc=PC)  # now resident: served from NM
-    assert entry(scheme, PC, addr) == Prediction(way, False)
+    assert entry(scheme, PC, addr) == (way, False)
     assert judged(scheme) == (1, 0, 0, 2)
 
 

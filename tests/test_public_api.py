@@ -41,8 +41,8 @@ def test_every_public_module_importable():
         "repro.energy", "repro.energy.model",
         "repro.stats", "repro.stats.collectors", "repro.stats.report",
         "repro.experiments", "repro.experiments.runner",
-        "repro.experiments.figures", "repro.experiments.mixes",
-        "repro.experiments.report_writer", "repro.experiments.sweeps",
+        "repro.experiments.executor", "repro.experiments.figures",
+        "repro.experiments.report_writer",
         "repro.stats.inspect",
         "repro.sim", "repro.sim.engine", "repro.sim.config",
     ]

@@ -162,7 +162,15 @@ def test_page_density_limits_distinct_subblocks():
 
 def test_active_region_is_stable_across_revisits():
     model = WorkloadModel(spec(page_density=0.5), seed=14)
-    assert model._active_region(7) == model._active_region(7)
-    start, length = model._active_region(7)
-    assert 0 <= start and start + length <= 32
-    assert length == 16
+    assert model._region_len == 16
+    assert model._region_starts[7] is None  # set on the first visit
+    start = model._region_start(7)
+    assert model._region_starts[7] == start
+    assert 0 <= start and start + 16 <= 32
+    # a page's window depends on the seed and page only, and every
+    # record of the stream stays inside its page's window
+    assert WorkloadModel(spec(page_density=0.5), seed=14)._region_start(7) \
+        == start
+    for record in model.miss_stream(3000):
+        begin = model._region_starts[record.vaddr // BLOCK_BYTES]
+        assert begin <= record.vaddr % BLOCK_BYTES // SUBBLOCK_BYTES < begin + 16

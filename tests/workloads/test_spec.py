@@ -10,7 +10,6 @@ from repro.workloads.spec import (
     MEDIUM_MPKI,
     benchmark_spec,
     per_core_spec,
-    suite,
 )
 
 
@@ -65,14 +64,6 @@ def test_total_footprint_fits_flat_capacity():
 def test_unknown_benchmark_rejected():
     with pytest.raises(KeyError):
         benchmark_spec("quake", default_config())
-
-
-def test_suite_defaults_to_all():
-    cfg = default_config()
-    full = suite(cfg)
-    assert set(full) == set(BENCHMARKS)
-    partial = suite(cfg, ["mcf", "lbm"])
-    assert set(partial) == {"mcf", "lbm"}
 
 
 def test_personalities_follow_the_papers_characterisation():

@@ -24,13 +24,6 @@ def test_fm_only_never_allocates_nm():
         allocator.allocate()
 
 
-def test_nm_first_fills_nm_then_fm():
-    allocator = FrameAllocator(make_space(), policy="nm_first")
-    first = [allocator.allocate() for _ in range(NM_BLOCKS)]
-    assert first == list(range(NM_BLOCKS))
-    assert allocator.allocate() == NM_BLOCKS
-
-
 def test_random_policy_is_seeded_and_complete():
     a = FrameAllocator(make_space(), policy="random", seed=7)
     b = FrameAllocator(make_space(), policy="random", seed=7)
@@ -93,42 +86,6 @@ def test_processes_never_share_frames():
     f1 = {t1.translate(v * BLOCK_BYTES) // BLOCK_BYTES for v in range(8)}
     f2 = {t2.translate(v * BLOCK_BYTES) // BLOCK_BYTES for v in range(8)}
     assert not f1 & f2
-
-
-def test_remap_moves_page():
-    table = PageTable(FrameAllocator(make_space(), policy="fm_only"))
-    table.translate(0)
-    old = table.frame_of(0)
-    new_frame = 0  # an NM frame, unused by fm_only
-    returned = table.remap(0, new_frame)
-    assert returned == old
-    assert table.frame_of(0) == new_frame
-    assert table.vpage_of(new_frame) == 0
-    assert table.translate(17) == new_frame * BLOCK_BYTES + 17
-
-
-def test_remap_to_occupied_frame_rejected():
-    table = PageTable(FrameAllocator(make_space(), policy="fm_only"))
-    table.translate(0)
-    table.translate(BLOCK_BYTES)
-    with pytest.raises(ValueError):
-        table.remap(0, table.frame_of(1))
-
-
-def test_remap_unmapped_page_rejected():
-    table = PageTable(FrameAllocator(make_space(), policy="fm_only"))
-    with pytest.raises(KeyError):
-        table.remap(42, 0)
-
-
-def test_swap_frames_exchanges_two_pages():
-    table = PageTable(FrameAllocator(make_space(), policy="fm_only"))
-    table.translate(0)
-    table.translate(BLOCK_BYTES)
-    fa, fb = table.frame_of(0), table.frame_of(1)
-    table.swap_frames(0, 1)
-    assert table.frame_of(0) == fb
-    assert table.frame_of(1) == fa
 
 
 def test_footprint_accounting():
