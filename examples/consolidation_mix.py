@@ -15,7 +15,7 @@ import sys
 from repro import MIXES, Cell, ExperimentExecutor, default_config
 from repro.stats.report import bar_chart, format_table
 
-SCHEMES = ["hma", "cam", "pom", "silc"]
+COMPARED = ["hma", "cam", "pom", "silc"]
 
 
 def main() -> None:
@@ -30,12 +30,12 @@ def main() -> None:
     # a mix is a workload name like any benchmark: one cell per scheme,
     # plus the no-NM baseline, run as one parallel executor batch
     cells = {key: Cell(key, mix, config, misses_per_core=misses)
-             for key in ["nonm"] + SCHEMES}
+             for key in ["nonm"] + COMPARED}
     results = ExperimentExecutor(jobs=2).run_cells(cells.values(),
                                                    strict=True)
     baseline = results[cells["nonm"]]
     speedups = {key: results[cells[key]].speedup_over(baseline)
-                for key in SCHEMES}
+                for key in COMPARED}
     print(bar_chart(speedups, title="Speedup over no-NM baseline", unit="x"))
 
     # per-core fairness under SILC-FM: who finished when?

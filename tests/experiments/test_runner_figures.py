@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from repro.experiments import executor as executor_mod
+from repro.experiments.executor import ExecutorError
 from repro.experiments.figures import (
     FIG6_STAGES,
     FIG7_SCHEMES,
@@ -17,8 +19,6 @@ from repro.experiments.figures import (
     table3_measured,
 )
 from repro.experiments.runner import SCHEMES, run_one
-from repro.experiments import executor as executor_mod
-from repro.experiments.executor import ExecutorError
 from repro.sim.config import default_config
 
 
