@@ -72,11 +72,11 @@ BYPASS_WORKLOAD, BYPASS_TARGETS = "milc", [0.6, 0.7, 0.8, 0.9]
 PREDICTOR_WORKLOAD = "mcf"
 
 
-K = TypeVar("K", bound=Hashable)
+_Key = TypeVar("_Key", bound=Hashable)
 
 
-def _run(cells: Dict[K, Cell], executor: Optional[ExperimentExecutor]
-         ) -> Dict[K, RunResult]:
+def _run(cells: Dict[_Key, Cell], executor: Optional[ExperimentExecutor]
+         ) -> Dict[_Key, RunResult]:
     """Each key's result, from one batch on the caller's executor (or a
     private serial one).  A failed cell raises :class:`ExecutorError`
     naming it."""
