@@ -19,7 +19,7 @@ from repro.stats.inspect import (
     set_occupancy_histogram,
 )
 from repro.stats.report import bar_chart
-from repro.workloads.spec import per_core_spec
+from repro.workloads.spec import workload_specs
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
 
     config = default_config()
     setup = SCHEMES["silc"]
-    system = System(config, setup.factory, per_core_spec(benchmark, config),
+    system = System(config, setup.factory, workload_specs(benchmark, config),
                     misses_per_core=misses, alloc_policy=setup.alloc_policy,
                     warmup_fraction=0.2)
     result = system.run()

@@ -42,7 +42,7 @@ def main() -> None:
     results = {}
     for key in ("nonm", "cam", "pom", "silc"):
         setup = SCHEMES[key]
-        system = System(config, setup.factory, KV_STORE,
+        system = System(config, setup.factory, [KV_STORE] * config.cores,
                         misses_per_core=misses,
                         alloc_policy=setup.alloc_policy)
         results[key] = system.run()

@@ -3,15 +3,17 @@
 Commands
 --------
 
-``run``      simulate one (scheme, benchmark) pair and print its report
-``compare``  several schemes on one benchmark, speedups over the baseline
+``run``      simulate one (scheme, workload) pair and print its report
+``compare``  several schemes on one workload, speedups over the baseline
 ``figure``   print one EXPERIMENTS.md section (parallel, resumable)
 ``schemes``  list the registered schemes
 ``suite``    list the Table III benchmarks and their parameters
-``trace``    workload trace file, or (``--scheme``) a Chrome event trace
 ``report``   write EXPERIMENTS.md (every section) and check the paper's
              shape claims; exits 1 naming each failed claim
-``analyze``  latency-attribution report from a telemetry artifact
+``analyze``  latency-attribution report from a span-enabled series file
+
+A workload is a Table III benchmark, run in rate mode, or one of the
+multiprogrammed mixes of :data:`repro.workloads.spec.MIXES`.
 
 ``compare``, ``figure`` and ``report`` fan their (scheme x workload)
 cells out over ``--jobs N`` worker processes and memoise each cell in an
@@ -31,7 +33,7 @@ runs never collide with plain ones in the cache.
 recording cycle-stamped stage transitions through the transaction
 pipeline; ``analyze`` then prints the Figure-6-style latency
 attribution (per-stage shares, per-Table-I-row tails, top coalescing
-chains) from the written series or trace file.
+chains) from the written series file.
 
 Examples::
 
@@ -39,17 +41,9 @@ Examples::
     python -m repro run silc mcf --misses 5000 --span-sample-rate 1
     python -m repro analyze results/telemetry/silc-mcf.series.json
     python -m repro compare mcf --schemes cam pom silc --jobs 4
+    python -m repro run silc mix-blend --misses 2000
     python -m repro figure fig7 --jobs 8
     python -m repro report --jobs 8
-    python -m repro trace lbm /tmp/lbm.trc --misses 20000
-    python -m repro trace mcf /tmp/mcf.json --scheme silc   # Perfetto
-    python -m repro --log-level debug --log-file sweep.jsonl figure fig7
-
-The global ``--log-level`` / ``--log-file`` flags turn on structured
-JSON-lines logging (:mod:`repro.telemetry.log`) for any command; pool
-workers inherit the setting and record ``cell_started``,
-``cell_finished`` and ``cell_failed`` per simulated cell
-(docs/telemetry.md).
 
 Counts (``--jobs``, ``--misses``, ``--check-every``,
 ``--telemetry-window``, ``--span-sample-rate``, ``--mshr-entries``,
@@ -76,12 +70,14 @@ from repro.experiments.executor import (
 from repro.experiments.figures import MISSES_PER_CORE
 from repro.experiments.runner import SCHEMES, run_one
 from repro.sim.config import default_config
-from repro.telemetry import DEFAULT_TELEMETRY_WINDOW, log, write_artifacts
+from repro.telemetry import DEFAULT_TELEMETRY_WINDOW, write_artifacts
 from repro.validate import DEFAULT_CHECK_EVERY
 from repro.stats.report import bar_chart, format_table
-from repro.workloads.io import save_trace
-from repro.workloads.model import WorkloadModel
-from repro.workloads.spec import BENCHMARKS, per_core_spec
+from repro.workloads.spec import BENCHMARKS, MIXES, per_core_spec
+
+#: the names ``run`` and ``compare`` accept; ``figure --workloads``
+#: takes benchmarks only, as Table III's rows read each name's own spec
+_WORKLOADS = BENCHMARKS + list(MIXES)
 
 
 def _at_least(low: int):
@@ -176,18 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="SILC-FM (HPCA 2017) flat-memory simulator",
     )
-    parser.add_argument(
-        "--log-level", choices=sorted(log.LEVELS), default=None,
-        help="structured JSON-lines log threshold (default warning;"
-             " worker processes inherit the setting)")
-    parser.add_argument(
-        "--log-file", default=None, metavar="PATH",
-        help="append structured log records to PATH instead of stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="simulate one scheme on one benchmark")
+    run_p = sub.add_parser("run", help="simulate one scheme on one workload")
     run_p.add_argument("scheme", choices=sorted(SCHEMES))
-    run_p.add_argument("benchmark", choices=BENCHMARKS)
+    run_p.add_argument("workload", choices=_WORKLOADS)
     run_p.add_argument("--misses", type=_at_least(1), default=5000,
                        help="LLC misses per core (default 5000)")
     run_p.add_argument("--seed", type=int, default=None)
@@ -201,8 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_telemetry_flags(run_p)
     _add_mshr_flag(run_p)
 
-    cmp_p = sub.add_parser("compare", help="compare schemes on a benchmark")
-    cmp_p.add_argument("benchmark", choices=BENCHMARKS)
+    cmp_p = sub.add_parser("compare", help="compare schemes on a workload")
+    cmp_p.add_argument("workload", choices=_WORKLOADS)
     cmp_p.add_argument("--schemes", nargs="+", default=["cam", "pom", "silc"],
                        choices=sorted(SCHEMES))
     cmp_p.add_argument("--misses", type=_at_least(1), default=5000)
@@ -230,28 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("schemes", help="list registered schemes")
     sub.add_parser("suite", help="list the Table III benchmark presets")
 
-    trace_p = sub.add_parser(
-        "trace", help="write a workload trace file, or (with --scheme) a"
-                      " Chrome-format event trace of a simulated run")
-    trace_p.add_argument("benchmark", choices=BENCHMARKS)
-    trace_p.add_argument("path")
-    trace_p.add_argument("--misses", type=_at_least(1), default=20_000)
-    trace_p.add_argument("--seed", type=int, default=1)
-    trace_p.add_argument(
-        "--scheme", choices=sorted(SCHEMES), default=None,
-        help="simulate this scheme with telemetry and write the run's"
-             " Chrome event trace (open in Perfetto / chrome://tracing)"
-             " instead of a workload trace file")
-    trace_p.add_argument(
-        "--telemetry-window", type=_at_least(1),
-        default=DEFAULT_TELEMETRY_WINDOW, metavar="CYCLES",
-        help="sampling window for --scheme traces "
-             f"(default {DEFAULT_TELEMETRY_WINDOW})")
-    trace_p.add_argument(
-        "--span-sample-rate", type=_at_least(1), default=None, metavar="N",
-        help="also ride spans on every Nth request so the written trace"
-             " carries request/stage slices and coalescing flow arrows")
-
     report_p = sub.add_parser(
         "report", help="write EXPERIMENTS.md and check the paper's claims")
     report_p.add_argument("path", nargs="?", default="EXPERIMENTS.md")
@@ -260,10 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_executor_flags(report_p)
 
     analyze_p = sub.add_parser(
-        "analyze", help="latency-attribution report from a telemetry"
-                        " artifact (a span-enabled *.series.json, or a"
-                        " *.trace.json fallback)")
-    analyze_p.add_argument("path", help="series or trace artifact file")
+        "analyze", help="latency-attribution report from a span-enabled"
+                        " *.series.json")
+    analyze_p.add_argument("path", help="series artifact file")
     analyze_p.add_argument(
         "--top", type=_at_least(0), default=5, metavar="N",
         help="coalescing chains to list (default 5)")
@@ -352,7 +318,7 @@ def _report_failures(executor: ExperimentExecutor) -> int:
 
 def _cmd_run(args) -> int:
     config = _config(args.scale, args)
-    result = run_one(args.scheme, args.benchmark, config,
+    result = run_one(args.scheme, args.workload, config,
                      misses_per_core=args.misses, seed=args.seed)
     rows = [
         ["execution cycles", f"{result.elapsed_cycles:,.0f}"],
@@ -365,15 +331,15 @@ def _cmd_run(args) -> int:
         ["EDP (J*s)", f"{result.edp:.3e}"],
     ]
     print(format_table(["metric", "value"], rows,
-                       title=f"{SCHEMES[args.scheme].label} on {args.benchmark}"))
+                       title=f"{SCHEMES[args.scheme].label} on {args.workload}"))
     if result.telemetry is not None:
         from repro.telemetry import run_metadata
 
         snap = result.telemetry
-        meta = run_metadata(args.scheme, args.benchmark, args.seed, config,
+        meta = run_metadata(args.scheme, args.workload, args.seed, config,
                             misses_per_core=args.misses)
         series, trace = write_artifacts(
-            args.telemetry_out, f"{args.scheme}-{args.benchmark}", snap,
+            args.telemetry_out, f"{args.scheme}-{args.workload}", snap,
             meta=meta)
         print(f"telemetry: {len(snap['samples'])} samples "
               f"({snap['spilled_samples']} spilled), "
@@ -391,7 +357,7 @@ def _cmd_compare(args) -> int:
     config = _config(args.scale, args)
     executor = _executor(args)
     cells = {
-        key: Cell(key, args.benchmark, config, misses_per_core=args.misses,
+        key: Cell(key, args.workload, config, misses_per_core=args.misses,
                   seed=args.seed)
         for key in ["nonm"] + [k for k in args.schemes if k != "nonm"]
     }
@@ -404,7 +370,7 @@ def _cmd_compare(args) -> int:
         for key in args.schemes
     }
     print(bar_chart(speedups, title=f"Speedup over no-NM baseline "
-                                    f"({args.benchmark})", unit="x"))
+                                    f"({args.workload})", unit="x"))
     return 0
 
 
@@ -476,32 +442,6 @@ def _cmd_report(args) -> int:
     return 1 if _report_claims(verdicts) or failed else 0
 
 
-def _cmd_trace(args) -> int:
-    config = _config(None, args)
-    if args.scheme is not None:
-        from repro.telemetry import run_metadata, write_trace
-
-        config = dataclasses.replace(
-            config, telemetry_window=args.telemetry_window,
-            span_sample_rate=args.span_sample_rate or 0)
-        result = run_one(args.scheme, args.benchmark, config,
-                         misses_per_core=args.misses, seed=args.seed)
-        snap = result.telemetry
-        write_trace(args.path, snap,
-                    meta=run_metadata(args.scheme, args.benchmark,
-                                      args.seed, config,
-                                      misses_per_core=args.misses))
-        print(f"wrote {len(snap['events'])} trace events "
-              f"({snap['dropped_events']} dropped) to {args.path}; "
-              "open in Perfetto or chrome://tracing")
-        return 0
-    spec = per_core_spec(args.benchmark, config)
-    model = WorkloadModel(spec, seed=args.seed)
-    count = save_trace(args.path, model.miss_stream(args.misses))
-    print(f"wrote {count} records to {args.path}")
-    return 0
-
-
 def _cmd_analyze(args) -> int:
     from repro.telemetry.analyze import AnalyzeError, analyze
 
@@ -515,15 +455,12 @@ def _cmd_analyze(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.log_level is not None or args.log_file is not None:
-        log.configure(level=args.log_level or "warning", path=args.log_file)
     handler = {
         "run": _cmd_run,
         "compare": _cmd_compare,
         "figure": _cmd_figure,
         "schemes": _cmd_schemes,
         "suite": _cmd_suite,
-        "trace": _cmd_trace,
         "report": _cmd_report,
         "analyze": _cmd_analyze,
     }[args.command]

@@ -9,7 +9,7 @@ specify it); the LLC filters what matters — the post-LLC miss stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.cache.cache import Cache
 from repro.sim.config import CacheHierarchyConfig
@@ -75,6 +75,3 @@ class CacheHierarchy:
         if instructions <= 0:
             raise ValueError("instructions must be positive")
         return self.l2.stats.misses / instructions * 1000.0
-
-    def per_core_l1d_stats(self) -> List:
-        return [c.stats for c in self.l1d]

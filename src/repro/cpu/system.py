@@ -5,11 +5,11 @@ mode.  Every LLC miss enters through the MSHR file, whatever its size
 coalesces).
 
 ``System.run`` builds everything from a :class:`SystemConfig`, a scheme
-factory and a workload spec, steps the discrete-event engine until every
-core finishes its trace, and returns a :class:`RunResult` with the
-figures of merit the paper reports: execution time (speedups are ratios
-of these), the access rate (the NM share of demand requests, Fig. 8's
-metric), and the energy/EDP breakdown.
+factory and one workload spec per core, steps the discrete-event engine
+until every core finishes its trace, and returns a :class:`RunResult`
+with the figures of merit the paper reports: execution time (speedups
+are ratios of these), the access rate (the NM share of demand requests,
+Fig. 8's metric), and the energy/EDP breakdown.
 
 Two trace modes:
 
@@ -137,11 +137,10 @@ class System:
     """One complete simulated machine."""
 
     def __init__(self, config: SystemConfig, scheme_factory: SchemeFactory,
-                 workload: WorkloadSpec, misses_per_core: int,
+                 workloads: List[WorkloadSpec], misses_per_core: int,
                  alloc_policy: str = "interleaved",
                  mode: str = "miss",
                  seed: Optional[int] = None,
-                 workload_per_core: Optional[List[WorkloadSpec]] = None,
                  warmup_fraction: float = 0.0) -> None:
         if mode not in ("miss", "reference"):
             raise ValueError(f"unknown trace mode {mode!r}")
@@ -149,8 +148,11 @@ class System:
             raise ValueError("misses_per_core must be >= 1")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
+        if len(workloads) != config.cores:
+            raise ValueError("need one workload spec per core")
         self.config = config
-        self.workload = workload
+        #: one spec per core; the result is named after ``workloads[0]``
+        self.workloads = workloads
         self.mode = mode
         seed = config.seed if seed is None else seed
         #: misses (system-wide) discarded before statistics collection
@@ -191,14 +193,11 @@ class System:
         )
 
         allocator = FrameAllocator(self.space, policy=alloc_policy, seed=seed)
-        specs = workload_per_core or [workload] * config.cores
-        if len(specs) != config.cores:
-            raise ValueError("need one workload spec per core")
         self.cores: List[Core] = []
         self.page_tables: List[PageTable] = []
         self._finished = 0
         self._halt_on_done = False
-        for core_id, spec in enumerate(specs):
+        for core_id, spec in enumerate(workloads):
             table = PageTable(allocator, asid=core_id)
             self.page_tables.append(table)
             model = WorkloadModel(spec, seed=seed * 1000 + core_id)
@@ -393,7 +392,7 @@ class System:
                 telemetry_snap["spans"] = spans_snap
         return RunResult(
             scheme_name=self.scheme.name,
-            workload_name=self.workload.name,
+            workload_name=self.workloads[0].name,
             elapsed_cycles=elapsed,
             core_stats=[core.stats for core in self.cores],
             scheme_stats=self.scheme.stats,

@@ -18,11 +18,6 @@ class BankStats:
     def accesses(self) -> int:
         return self.row_hits + self.row_closed + self.row_conflicts
 
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.accesses
-        return self.row_hits / total if total else 0.0
-
 
 class Bank:
     """One DRAM bank under an open-page policy.

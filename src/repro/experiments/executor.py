@@ -38,7 +38,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from repro.cpu.system import RunResult
 from repro.experiments.runner import run_one
 from repro.sim.config import SystemConfig
-from repro.telemetry import log
 
 #: bump when the cell-hash inputs or the RunResult schema change, so a
 #: stale cache from an older code version is never replayed.
@@ -255,9 +254,6 @@ def _execute_cell(cell: Cell) -> RunResult:
                    mode=cell.mode, warmup_fraction=cell.warmup_fraction)
 
 
-_log = log.get_logger("repro.worker")
-
-
 def _worker(payload: Tuple[int, Cell]) -> Tuple[int, Optional[Dict], Optional[str]]:
     """Pool entry point: simulate one index-tagged cell, returning
     ``(index, result_dict, None)`` on success or ``(index, None,
@@ -265,25 +261,14 @@ def _worker(payload: Tuple[int, Cell]) -> Tuple[int, Optional[Dict], Optional[st
 
     Shipping the result as its JSON dict means the parallel path
     deserialises through exactly the same code as a cache hit — one
-    canonical representation, bit-identical everywhere.  Workers under
-    the spawn start method re-import in a fresh interpreter; the
-    parent's ``--log-level``/``--log-file`` choice reaches them through
-    ``REPRO_LOG_LEVEL``/``REPRO_LOG_FILE``, which the first record
-    adopts.
+    canonical representation, bit-identical everywhere.  The caller
+    records a traceback in :attr:`ExperimentExecutor.failures`.
     """
     index, cell = payload
-    _log.debug("cell_started", scheme=cell.scheme_key,
-               workload=cell.workload_name)
     try:
-        result = _execute_cell(cell).to_dict()
+        return index, _execute_cell(cell).to_dict(), None
     except Exception:
-        error = traceback.format_exc()
-        _log.error("cell_failed", scheme=cell.scheme_key,
-                   workload=cell.workload_name, error=error[:2000])
-        return index, None, error
-    _log.debug("cell_finished", scheme=cell.scheme_key,
-               workload=cell.workload_name)
-    return index, result, None
+        return index, None, traceback.format_exc()
 
 
 class ExperimentExecutor:

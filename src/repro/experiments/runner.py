@@ -120,16 +120,14 @@ def run_one(scheme_key: str, workload_name: str, config: SystemConfig,
     if scheme_key not in SCHEMES:
         raise KeyError(f"unknown scheme {scheme_key!r}; have {sorted(SCHEMES)}")
     setup = SCHEMES[scheme_key]
-    specs = workload_specs(workload_name, config)
     system = System(
         config,
         scheme_factory=setup.factory,
-        workload=specs[0],
+        workloads=workload_specs(workload_name, config),
         misses_per_core=misses_per_core,
         alloc_policy=setup.alloc_policy,
         mode=mode,
         seed=seed,
-        workload_per_core=specs,
         warmup_fraction=warmup_fraction,
     )
     result = system.run()

@@ -146,9 +146,6 @@ class CameoScheme(MemoryScheme):
     def group_members(self, group: int) -> List[int]:
         return list(range(group, self._total_subblocks, self.num_slots))
 
-    def slot_occupant(self, group: int) -> int:
-        return self._present[group]
-
 
 class CameoPrefetchScheme(CameoScheme):
     """CAMEO with next-N-line prefetching (the paper's CAMEOP, N=3)."""

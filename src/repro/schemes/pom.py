@@ -202,7 +202,3 @@ class PomScheme(MemoryScheme):
             if present[block % frames] == block:
                 self._fail(f"resident block {block} still has a competing "
                            "counter")
-
-    # exposed for tests ----------------------------------------------------
-    def frame_occupant(self, frame: int) -> int:
-        return self._present[frame]

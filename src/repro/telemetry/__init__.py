@@ -1,5 +1,5 @@
-"""Process-local observability: probe-based simulator telemetry and
-structured logs (see docs/telemetry.md).
+"""Process-local observability: probe-based simulator telemetry, event
+traces and per-request spans (see docs/telemetry.md).
 
 Public surface:
 
@@ -15,10 +15,8 @@ Public surface:
 * :class:`Span` / :class:`SpanCollector` / :class:`SpanRecorder` —
   per-request span tracing and latency attribution (see
   :mod:`repro.telemetry.spans`), enabled with
-  ``SystemConfig.span_sample_rate`` and reported by ``repro analyze``.
-* :mod:`repro.telemetry.log` — structured JSON-lines logging, set by
-  the CLI's ``--log-level`` / ``--log-file`` and inherited by the
-  experiment executor's pool workers.
+  ``SystemConfig.span_sample_rate`` and reported by ``repro analyze``
+  from the series file.
 
 Enable per run with ``SystemConfig.telemetry_window > 0`` (CLI:
 ``--telemetry`` / ``--telemetry-window``); when disabled — the default

@@ -10,7 +10,7 @@ Two files per telemetry-enabled run:
 The experiment executor writes them under ``<cache-dir>/telemetry/``
 keyed by the cell's content hash (so artifacts resume/invalidate with
 the result cache); ``repro run`` writes them under
-``results/telemetry/`` named by (scheme, benchmark).
+``results/telemetry/`` named by (scheme, workload).
 
 Both files can carry a **run-metadata header** (``meta=``, built with
 :func:`run_metadata`): scheme, workload, seed, config hash and schema

@@ -11,12 +11,7 @@ from repro.workloads.spec import (
     per_core_spec,
     workload_specs,
 )
-from repro.workloads.trace import (
-    MemoryAccess,
-    interleave_round_robin,
-    materialize,
-    trace_stats,
-)
+from repro.workloads.trace import MemoryAccess, trace_stats
 
 __all__ = [
     "BENCHMARKS",
@@ -30,8 +25,6 @@ __all__ = [
     "WorkloadModel",
     "WorkloadSpec",
     "benchmark_spec",
-    "interleave_round_robin",
-    "materialize",
     "per_core_spec",
     "trace_stats",
     "workload_specs",

@@ -9,7 +9,7 @@ between misses.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable
 
 
 class MemoryAccess:
@@ -18,8 +18,10 @@ class MemoryAccess:
     A slotted class rather than a frozen dataclass: every simulated miss
     builds one, and the frozen ``__init__`` (one ``object.__setattr__``
     per field) cost ~1–1.5 µs a record against ~0.25 µs here.  Records
-    compare by value (trace round trips rely on it) and are never
-    mutated.  The non-negative check guards traces loaded from files."""
+    compare by value (the determinism tests compare regenerated traces)
+    and are never mutated.  The non-negative check stops a malformed
+    record (say, from a custom generator) at construction, before it
+    reaches a core."""
 
     __slots__ = ("pc", "vaddr", "is_write", "gap_instr")
 
@@ -46,30 +48,6 @@ class MemoryAccess:
     def __repr__(self) -> str:
         return (f"MemoryAccess(pc={self.pc}, vaddr={self.vaddr}, "
                 f"is_write={self.is_write}, gap_instr={self.gap_instr})")
-
-
-def materialize(trace: Iterable[MemoryAccess], limit: int) -> List[MemoryAccess]:
-    """Pull at most ``limit`` records from a trace generator."""
-    out: List[MemoryAccess] = []
-    for record in trace:
-        out.append(record)
-        if len(out) >= limit:
-            break
-    return out
-
-
-def interleave_round_robin(traces: List[Iterator[MemoryAccess]]) -> Iterator[MemoryAccess]:
-    """Round-robin merge of several traces (used by trace-analysis tools;
-    the full system keeps per-core traces separate)."""
-    active = list(traces)
-    while active:
-        still_active = []
-        for trace in active:
-            record = next(trace, None)
-            if record is not None:
-                yield record
-                still_active.append(trace)
-        active = still_active
 
 
 def trace_stats(trace: Iterable[MemoryAccess]):

@@ -84,11 +84,6 @@ class AddressSpace:
         return block * BLOCK_BYTES
 
     @staticmethod
-    def subblock_of(addr: int) -> int:
-        """Global subblock number."""
-        return addr // SUBBLOCK_BYTES
-
-    @staticmethod
     def subblock_index(addr: int) -> int:
         """Index of the subblock within its large block (0..31) — the bit
         position in the residency bit vector."""

@@ -24,7 +24,7 @@ translation.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from repro.sim.config import BLOCK_BYTES
 from repro.xmem.address import AddressSpace
@@ -47,7 +47,6 @@ class FrameAllocator:
         self.policy = policy
         self._free = self._build_order(policy, seed)
         self._next = 0
-        self._released: List[int] = []
 
     def _build_order(self, policy: str, seed: int) -> List[int]:
         nm = list(range(self.space.nm_blocks))
@@ -78,13 +77,8 @@ class FrameAllocator:
         return frames
 
     def allocate(self) -> int:
-        """Return the next free frame number.
-
-        Released frames are reused (LIFO) before fresh ones so page-table
-        reclaim can run indefinitely on a full machine.
-        """
-        if self._released:
-            return self._released.pop()
+        """Return the next free frame number.  A full machine raises;
+        :class:`PageTable` then reuses a frame of its own."""
         if self._next >= len(self._free):
             raise OutOfMemoryError(
                 f"out of physical frames after {self._next} allocations"
@@ -92,14 +86,6 @@ class FrameAllocator:
         frame = self._free[self._next]
         self._next += 1
         return frame
-
-    def release(self, frame: int) -> None:
-        """Return ``frame`` to the allocator (page-table eviction)."""
-        self._released.append(frame)
-
-    @property
-    def frames_allocated(self) -> int:
-        return self._next - len(self._released)
 
 
 class PageTable:
@@ -144,16 +130,6 @@ class PageTable:
         self.reclaims += 1
         return frame
 
-    def frame_of(self, vpage: int) -> Optional[int]:
-        return self._vpage_to_frame.get(vpage)
-
-    # ------------------------------------------------------------------
-    def mapped_pages(self) -> Iterable[int]:
-        return self._vpage_to_frame.keys()
-
     @property
     def resident_pages(self) -> int:
         return len(self._vpage_to_frame)
-
-    def footprint_bytes(self) -> int:
-        return self.resident_pages * BLOCK_BYTES

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 
 import pytest
 
@@ -17,7 +16,6 @@ from repro.experiments.executor import (
 )
 from repro.experiments.runner import run_one
 from repro.sim.config import default_config
-from repro.telemetry import log
 
 MISSES = 200
 
@@ -230,33 +228,6 @@ def test_run_cell_raises_with_traceback_on_failure(config):
     with pytest.raises(ExecutorError, match="no-such-scheme"):
         executor.run_cell(
             Cell("no-such-scheme", "mcf", config, misses_per_core=MISSES))
-
-
-# ---------------------------------------------------------------------------
-# structured log records of the pool entry point
-# ---------------------------------------------------------------------------
-def test_poisoned_cell_logs_one_cell_failed_record(config):
-    bad = Cell("no-such-scheme", "mcf", config, misses_per_core=MISSES)
-    with log.capture() as records:
-        ExperimentExecutor(jobs=1).run_cells(
-            [bad, make_cell(config, scheme="nonm")])
-    (failed,) = [r for r in records if r["event"] == "cell_failed"]
-    assert failed["level"] == "error"
-    assert failed["scheme"] == "no-such-scheme"
-    assert failed["workload"] == "mcf"
-    assert "KeyError" in failed["error"]
-
-
-def test_pool_workers_log_to_the_configured_file(tmp_path, config,
-                                                 restore_logging):
-    target = tmp_path / "workers.jsonl"
-    log.configure(level="debug", path=str(target), propagate_env=True)
-    cells = [make_cell(config, scheme=s) for s in ("nonm", "rand")]
-    assert len(ExperimentExecutor(jobs=2).run_cells(cells)) == 2
-    records = [json.loads(line) for line in target.read_text().splitlines()]
-    finished = [r for r in records if r["event"] == "cell_finished"]
-    assert sorted(r["scheme"] for r in finished) == ["nonm", "rand"]
-    assert all(r["pid"] != os.getpid() for r in finished)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,8 @@ def test_any_valid_system_runs_and_keeps_invariants(config, spec, seed):
     def factory(space: AddressSpace, cfg: SystemConfig) -> SilcFmScheme:
         return SilcFmScheme(space, cfg.silcfm)
 
-    system = System(config, factory, spec, misses_per_core=150,
-                    alloc_policy="interleaved", seed=seed)
+    system = System(config, factory, [spec] * config.cores,
+                    misses_per_core=150, alloc_policy="interleaved", seed=seed)
     result = system.run(max_events=2_000_000)
     assert result.elapsed_cycles > 0
     # coalesced reads never consult the scheme; together the two counts
@@ -93,8 +93,9 @@ def test_deterministic_under_fuzzed_configs(config, seed):
         return SilcFmScheme(space, cfg.silcfm)
 
     def run():
-        system = System(config, factory, spec, misses_per_core=100,
-                        alloc_policy="interleaved", seed=seed)
+        system = System(config, factory, [spec] * config.cores,
+                        misses_per_core=100, alloc_policy="interleaved",
+                        seed=seed)
         return system.run(max_events=2_000_000).elapsed_cycles
 
     assert run() == run()

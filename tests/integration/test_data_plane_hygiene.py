@@ -18,7 +18,7 @@ from repro.cpu.system import System
 from repro.experiments.runner import SCHEMES
 from repro.sim.config import default_config
 from repro.sim.engine import SimulationError
-from repro.workloads.spec import per_core_spec
+from repro.workloads.spec import workload_specs
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -40,7 +40,7 @@ def test_simulation_never_imports_numpy():
 def _system(misses_per_core: int = 100) -> System:
     config = default_config(0.25)
     setup = SCHEMES["silc"]
-    return System(config, setup.factory, per_core_spec("mcf", config),
+    return System(config, setup.factory, workload_specs("mcf", config),
                   misses_per_core=misses_per_core,
                   alloc_policy=setup.alloc_policy, warmup_fraction=0.2)
 

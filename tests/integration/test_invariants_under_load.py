@@ -18,10 +18,10 @@ def test_post_run_bijection(config, scheme_key):
     """After a full multi-core run, the flat space is still a bijection
     onto the storage slots (for part-of-memory schemes)."""
     from repro.cpu.system import System
-    from repro.workloads.spec import per_core_spec
+    from repro.workloads.spec import workload_specs
 
     setup = SCHEMES[scheme_key]
-    system = System(config, setup.factory, per_core_spec("milc", config),
+    system = System(config, setup.factory, workload_specs("milc", config),
                     misses_per_core=600, alloc_policy=setup.alloc_policy)
     system.run()
     scheme = system.scheme

@@ -191,14 +191,14 @@ def test_system_and_engine_watchdogs_agree_at_boundary():
     from repro.cpu.system import System
     from repro.experiments.runner import SCHEMES
     from repro.sim.config import default_config
-    from repro.workloads.spec import per_core_spec
+    from repro.workloads.spec import workload_specs
 
     def build():
         config = default_config(scale=0.25)
         setup = SCHEMES["nonm"]
         return System(
             config, scheme_factory=setup.factory,
-            workload=per_core_spec("mcf", config), misses_per_core=20,
+            workloads=workload_specs("mcf", config), misses_per_core=20,
             alloc_policy=setup.alloc_policy, seed=3)
 
     # measure the exact event budget, then rerun with precisely it

@@ -1,11 +1,12 @@
-"""The ``repro analyze`` latency-attribution report: artifact loading
-(series + trace fallback), rendering, and the failure modes."""
+"""The ``repro analyze`` latency-attribution report: series loading,
+rendering, and the failure modes."""
 
 import dataclasses
 import json
 
 import pytest
 
+import repro.__main__ as cli
 from repro.experiments.runner import run_one
 from repro.sim.config import default_config
 from repro.telemetry import run_metadata, write_artifacts
@@ -17,46 +18,32 @@ SEED = 7
 
 
 @pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    """Series + trace files from one span-sampled silc/mcf run."""
+def series(tmp_path_factory):
+    """The series file of one span-sampled silc/mcf run."""
     config = dataclasses.replace(default_config(scale=0.25),
                                  telemetry_window=5000, span_sample_rate=1)
     result = run_one("silc", "mcf", config, misses_per_core=MISSES,
                      seed=SEED)
     directory = tmp_path_factory.mktemp("artifacts")
     meta = run_metadata("silc", "mcf", SEED, config, misses_per_core=MISSES)
-    series, trace = write_artifacts(directory, "silc-mcf",
-                                    result.telemetry, meta=meta)
-    return series, trace
+    series, _trace = write_artifacts(directory, "silc-mcf",
+                                     result.telemetry, meta=meta)
+    return series
 
 
-def test_load_series_artifact(artifacts):
-    series, _trace = artifacts
+def test_load_series_artifact(series):
     data = load_artifact(series)
-    assert data["kind"] == "series" and data["unit"] == "cycles"
     assert data["run"]["scheme"] == "silc"
     assert data["spans"]["spans"] > 0
 
 
-def test_series_report_contents(artifacts):
-    series, _trace = artifacts
+def test_series_report_contents(series):
     report = analyze(series)
     assert "silc/mcf" in report
     assert "Per-stage service time (cycles)" in report
     assert "Table I row breakdown" in report
     assert "reconciliation: stage sums cover 100.00%" in report
     assert "p95" in report and "p99" in report
-
-
-def test_trace_fallback_report(artifacts):
-    _series, trace = artifacts
-    data = load_artifact(trace)
-    assert data["kind"] == "trace" and data["unit"] == "us"
-    report = render_report(data)
-    assert "trace re-aggregation" in report
-    assert "Per-stage service time (us)" in report
-    # the trace carries no controller accounting: no reconciliation line
-    assert "reconciliation" not in report
 
 
 def test_spanless_series_rejected(tmp_path):
@@ -66,12 +53,14 @@ def test_spanless_series_rejected(tmp_path):
         load_artifact(path)
 
 
-def test_spanless_trace_rejected(tmp_path):
+def test_spanless_trace_rejected(tmp_path, capsys):
+    """A Chrome trace is Perfetto's input; analyze reads the series."""
     path = tmp_path / "plain.trace.json"
     path.write_text(json.dumps({"traceEvents": [
         {"name": "lock", "ph": "i", "ts": 1.0, "pid": 0, "tid": 0}]}))
-    with pytest.raises(AnalyzeError, match="span.request"):
-        load_artifact(path)
+    assert cli.main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analyze:") and ".series.json" in err
 
 
 def test_unreadable_artifact_rejected(tmp_path):
@@ -82,7 +71,6 @@ def test_unreadable_artifact_rejected(tmp_path):
 
 
 def test_empty_spans_report_degrades_gracefully():
-    report = render_report({"source": "x", "kind": "series",
-                            "unit": "cycles", "run": None,
+    report = render_report({"source": "x", "run": None,
                             "spans": {"spans": 0}})
     assert "nothing to attribute" in report

@@ -6,8 +6,8 @@ import json
 import pytest
 
 import repro.__main__ as cli
+from repro.experiments import executor as executor_mod
 from repro.sim.config import default_config
-from repro.workloads.io import trace_length
 
 
 def test_schemes_listing(capsys):
@@ -21,20 +21,6 @@ def test_suite_listing(capsys):
     out = capsys.readouterr().out
     for name in ("mcf", "xalancbmk", "lbm"):
         assert name in out
-
-
-def test_trace_generation(tmp_path, capsys):
-    path = tmp_path / "t.trc"
-    assert cli.main(["trace", "lbm", str(path), "--misses", "500"]) == 0
-    assert trace_length(path) == 500
-
-
-def test_trace_positionals_are_checked_by_argparse(capsys):
-    for argv in (["trace", "bogus", "/tmp/_unused.trc"], ["trace", "mcf"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2  # a usage error, not a runtime exit
-        assert "usage:" in capsys.readouterr().err
 
 
 def test_run_command(capsys, monkeypatch):
@@ -55,6 +41,51 @@ def test_compare_command(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "Speedup" in out
     assert "#" in out  # the bar chart rendered
+
+
+def test_run_and_compare_accept_mixes(capsys, monkeypatch):
+    small = dataclasses.replace(default_config(scale=0.25), cores=2)
+    monkeypatch.setattr(cli, "_config", lambda scale, args=None: small)
+    assert cli.main(["run", "silc", "mix-blend", "--misses", "200"]) == 0
+    assert "SILC-FM on mix-blend" in capsys.readouterr().out
+    assert cli.main(["compare", "mix-blend", "--schemes", "silc",
+                     "--misses", "200", "--jobs", "1", "--no-cache"]) == 0
+    assert "no-NM baseline (mix-blend)" in capsys.readouterr().out
+
+
+def test_unknown_workload_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "silc", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def _is_json_object(line: str) -> bool:
+    try:
+        return isinstance(json.loads(line), dict)
+    except ValueError:
+        return False
+
+
+def test_failed_cell_prints_once(capsys, monkeypatch):
+    """A failed cell's traceback reaches stderr once, in the executor's
+    failure report, and the command exits 1."""
+    small = dataclasses.replace(default_config(scale=0.25), cores=2)
+    monkeypatch.setattr(cli, "_config", lambda scale, args=None: small)
+    message = "planted failure in the silc cell"
+    real_execute = executor_mod._execute_cell
+
+    def execute(cell):
+        if cell.scheme_key == "silc":
+            raise RuntimeError(message)
+        return real_execute(cell)
+
+    monkeypatch.setattr(executor_mod, "_execute_cell", execute)
+    assert cli.main(["compare", "mcf", "--schemes", "silc", "--misses",
+                     "200", "--jobs", "1", "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert err.count(message) == 1
+    assert not [line for line in err.splitlines() if _is_json_object(line)]
 
 
 def test_check_flag_attaches_the_oracle(capsys, monkeypatch):
@@ -88,6 +119,8 @@ def test_non_positive_check_interval_rejected(monkeypatch, capsys):
 
 
 def test_run_with_telemetry_writes_artifacts(tmp_path, capsys, monkeypatch):
+    from repro.telemetry import validate_chrome_trace
+
     small = dataclasses.replace(default_config(scale=0.25), cores=2)
     monkeypatch.setattr(cli, "default_config", lambda scale=None: small)
     assert cli.main(["run", "silc", "mcf", "--misses", "400", "--telemetry",
@@ -95,7 +128,7 @@ def test_run_with_telemetry_writes_artifacts(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "telemetry:" in out
     assert (tmp_path / "silc-mcf.series.json").exists()
-    assert (tmp_path / "silc-mcf.trace.json").exists()
+    assert validate_chrome_trace(str(tmp_path / "silc-mcf.trace.json")) > 0
 
 
 def test_telemetry_window_implies_telemetry(monkeypatch):
@@ -118,18 +151,6 @@ def test_telemetry_window_implies_telemetry(monkeypatch):
 def test_non_positive_telemetry_window_rejected():
     with pytest.raises(SystemExit):
         cli.main(["run", "silc", "mcf", "--telemetry-window", "0"])
-
-
-def test_trace_scheme_writes_chrome_trace(tmp_path, capsys, monkeypatch):
-    from repro.telemetry import validate_chrome_trace
-
-    small = dataclasses.replace(default_config(scale=0.25), cores=2)
-    monkeypatch.setattr(cli, "default_config", lambda scale=None: small)
-    path = tmp_path / "run.json"
-    assert cli.main(["trace", "mcf", str(path), "--scheme", "silc",
-                     "--misses", "400"]) == 0
-    assert validate_chrome_trace(str(path)) > 0
-    assert "Perfetto" in capsys.readouterr().out
 
 
 def test_run_with_spans_then_analyze(tmp_path, capsys, monkeypatch):
@@ -185,10 +206,8 @@ def test_non_positive_span_rate_rejected():
     # Fig. 9 runs half the misses: 1 // 2 == 0 per core
     ["figure", "fig9", "--misses", "1"],
     ["report", "--misses", "1"],
-    ["trace", "mcf", "/tmp/_unused.json", "--scheme", "silc",
-     "--telemetry-window", "0"],
-    ["trace", "mcf", "/tmp/_unused.json", "--scheme", "silc",
-     "--span-sample-rate", "0"],
+    ["run", "silc", "mcf", "--telemetry-window", "0"],
+    ["run", "silc", "mcf", "--span-sample-rate", "0"],
     ["run", "silc", "mcf", "--misses", "0"],
     ["run", "silc", "mcf", "--mshr-entries", "-1"],
     # a negative slice bound listed every chain but the last
@@ -257,17 +276,3 @@ def test_unknown_scheme_rejected():
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
-
-
-def test_log_flags_reach_the_pool_workers(tmp_path, monkeypatch,
-                                          restore_logging):
-    small = dataclasses.replace(default_config(scale=0.25), cores=2)
-    monkeypatch.setattr(cli, "_config", lambda scale, args=None: small)
-    target = tmp_path / "cli.jsonl"
-    assert cli.main(["--log-level", "debug", "--log-file", str(target),
-                     "compare", "mcf", "--schemes", "silc",
-                     "--misses", "200", "--jobs", "2", "--no-cache"]) == 0
-    records = [json.loads(line) for line in target.read_text().splitlines()]
-    finished = [r for r in records if r["event"] == "cell_finished"]
-    assert sorted(r["scheme"] for r in finished) == ["nonm", "silc"]
-    assert not [r for r in records if r["event"] == "cell_failed"]

@@ -5,7 +5,7 @@ import pytest
 from repro.schemes.base import AccessPlan, Level, Op
 from repro.sim.config import BLOCK_BYTES
 from repro.sim.engine import Engine, SimulationError
-from repro.workloads.trace import MemoryAccess, interleave_round_robin, trace_stats
+from repro.workloads.trace import MemoryAccess, trace_stats
 from repro.xmem.address import AddressSpace
 
 
@@ -100,17 +100,10 @@ def test_trace_record_validation():
         MemoryAccess(pc=0, vaddr=-5, is_write=False, gap_instr=1)
     with pytest.raises(ValueError):
         MemoryAccess(pc=0, vaddr=0, is_write=False, gap_instr=-1)
-    # trace round trips compare records by value
+    # records compare by value
     fields = dict(pc=1 << 40, vaddr=4096, is_write=True, gap_instr=7)
     record = MemoryAccess(1 << 40, 4096, True, 7)
     assert record == MemoryAccess(**fields)
     for name, other in (("pc", (1 << 40) + 4), ("vaddr", 4160),
                         ("is_write", False), ("gap_instr", 8)):
         assert record != MemoryAccess(**{**fields, name: other})
-
-
-def test_round_robin_interleave():
-    a = iter([MemoryAccess(1, 0, False, 1), MemoryAccess(1, 64, False, 1)])
-    b = iter([MemoryAccess(2, 128, False, 1)])
-    merged = list(interleave_round_robin([a, b]))
-    assert [m.vaddr for m in merged] == [0, 128, 64]

@@ -37,7 +37,7 @@ def test_every_public_module_importable():
         "repro.cpu.system",
         "repro.xmem", "repro.xmem.address", "repro.xmem.translation",
         "repro.workloads", "repro.workloads.model", "repro.workloads.spec",
-        "repro.workloads.trace", "repro.workloads.io",
+        "repro.workloads.trace",
         "repro.energy", "repro.energy.model",
         "repro.stats", "repro.stats.collectors", "repro.stats.report",
         "repro.experiments", "repro.experiments.runner",

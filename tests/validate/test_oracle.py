@@ -46,8 +46,8 @@ def small_config(check_interval: int) -> SystemConfig:
 
 def run_system(factory, check_interval=50, misses=400):
     config = small_config(check_interval)
-    system = System(config, factory, SPEC, misses_per_core=misses,
-                    alloc_policy="interleaved", seed=7)
+    system = System(config, factory, [SPEC] * config.cores,
+                    misses_per_core=misses, alloc_policy="interleaved", seed=7)
     return system.run()
 
 
@@ -67,8 +67,8 @@ def test_clean_silcfm_run_passes_and_reports_counters():
 def test_unchecked_run_has_no_oracle_counters():
     config = dataclasses.replace(small_config(0))
     system = System(config, lambda space, cfg: SilcFmScheme(space, cfg.silcfm),
-                    SPEC, misses_per_core=50, alloc_policy="interleaved",
-                    seed=7)
+                    [SPEC] * config.cores, misses_per_core=50,
+                    alloc_policy="interleaved", seed=7)
     result = system.run()
     assert system.oracle is None
     assert "oracle_accesses_checked" not in result.extras

@@ -1,12 +1,14 @@
 """Tests for the statistical workload model."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES
 from repro.workloads.model import PC_BASE, WorkloadModel, WorkloadSpec
-from repro.workloads.trace import materialize, trace_stats
+from repro.workloads.trace import trace_stats
 
 
 def spec(**overrides):
@@ -17,7 +19,7 @@ def spec(**overrides):
 
 def test_miss_stream_length():
     model = WorkloadModel(spec(), seed=1)
-    trace = materialize(model.miss_stream(1234), 10_000)
+    trace = list(islice(model.miss_stream(1234), 10_000))
     assert len(trace) == 1234
 
 
@@ -40,14 +42,14 @@ def test_write_fraction_close_to_target():
 
 
 def test_determinism_per_seed():
-    a = materialize(WorkloadModel(spec(), seed=9).miss_stream(500), 500)
-    b = materialize(WorkloadModel(spec(), seed=9).miss_stream(500), 500)
+    a = list(islice(WorkloadModel(spec(), seed=9).miss_stream(500), 500))
+    b = list(islice(WorkloadModel(spec(), seed=9).miss_stream(500), 500))
     assert a == b
 
 
 def test_different_seeds_differ():
-    a = materialize(WorkloadModel(spec(), seed=1).miss_stream(500), 500)
-    b = materialize(WorkloadModel(spec(), seed=2).miss_stream(500), 500)
+    a = list(islice(WorkloadModel(spec(), seed=1).miss_stream(500), 500))
+    b = list(islice(WorkloadModel(spec(), seed=2).miss_stream(500), 500))
     assert a != b
 
 
@@ -77,7 +79,7 @@ def test_spatial_run_affects_sequentiality():
 
     def sequential_fraction(spatial_run):
         model = WorkloadModel(spec(spatial_run=spatial_run), seed=7)
-        trace = materialize(model.miss_stream(5000), 5000)
+        trace = list(islice(model.miss_stream(5000), 5000))
         seq = sum(
             1
             for a, b in zip(trace, trace[1:])
@@ -105,8 +107,8 @@ def test_phase_churn_changes_hot_pages():
 
 def test_reference_stream_contains_miss_stream_plus_reuse():
     model = WorkloadModel(spec(mpki=50.0), seed=10)
-    misses = materialize(model.miss_stream(100), 100)
-    refs = materialize(model.reference_stream(100), 100_000)
+    misses = list(islice(model.miss_stream(100), 100))
+    refs = list(islice(model.reference_stream(100), 100_000))
     assert len(refs) > len(misses)
     miss_addrs = [m.vaddr for m in misses]
     ref_addrs = [r.vaddr for r in refs]
@@ -119,7 +121,7 @@ def test_reference_stream_contains_miss_stream_plus_reuse():
        spatial=st.floats(min_value=1.0, max_value=32.0))
 def test_any_valid_spec_generates(mpki, spatial):
     model = WorkloadModel(spec(mpki=mpki, spatial_run=spatial), seed=11)
-    trace = materialize(model.miss_stream(200), 200)
+    trace = list(islice(model.miss_stream(200), 200))
     assert len(trace) == 200
     assert all(r.gap_instr >= 1 for r in trace)
 
