@@ -21,12 +21,13 @@ on-disk result cache (``--cache-dir``, default ``results/cache``), so an
 interrupted sweep resumes where it stopped; ``--force`` re-simulates,
 ``--no-cache`` disables persistence.
 
-``run``, ``compare`` and ``figure`` accept ``--telemetry`` (and
-``--telemetry-window N``) to record windowed time-series samples and a
-Chrome-format event trace per simulation; ``run`` writes the artifacts
-to ``results/telemetry/``, the cached commands store them next to each
-cell's cache entry.  The window is part of the cell hash, so telemetry
-runs never collide with plain ones in the cache.
+``run`` accepts ``--telemetry`` (and ``--telemetry-window N``) to record
+windowed time-series samples and a Chrome-format event trace, and is
+the one writer of the artifact files: ``<scheme>-<workload>.series.json``
+and ``.trace.json`` under ``--telemetry-out`` (default
+``results/telemetry/``).  The sections computed from telemetry
+(``figure table1``, the predictor ablation) trace their own cells and
+read each snapshot from the cached result.
 
 ``--span-sample-rate N`` (implies ``--telemetry``) additionally rides a
 :class:`~repro.telemetry.spans.Span` on every Nth memory request,
@@ -64,6 +65,7 @@ from repro.experiments import report_writer
 from repro.experiments.executor import (
     DEFAULT_CACHE_DIR,
     Cell,
+    ExecutorError,
     ExperimentExecutor,
     Progress,
 )
@@ -150,23 +152,6 @@ def _add_mshr_flag(sub_parser: argparse.ArgumentParser) -> None:
              " or coalesces)")
 
 
-def _add_telemetry_flags(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--telemetry", action="store_true",
-        help="record windowed time-series samples and a Chrome event"
-             " trace for every simulation")
-    sub_parser.add_argument(
-        "--telemetry-window", type=_at_least(1), default=None,
-        metavar="CYCLES",
-        help="sampling window in CPU cycles (implies --telemetry; "
-             f"default {DEFAULT_TELEMETRY_WINDOW})")
-    sub_parser.add_argument(
-        "--span-sample-rate", type=_at_least(1), default=None, metavar="N",
-        help="trace every Nth memory request through the pipeline as a"
-             " span (1 = every request; implies --telemetry); feed the"
-             " written artifact to 'repro analyze'")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -182,12 +167,25 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--scale", type=_scale, default=None,
                        help="memory capacity scale factor")
+    run_p.add_argument(
+        "--telemetry", action="store_true",
+        help="record windowed time-series samples and a Chrome event"
+             " trace, written to --telemetry-out")
+    run_p.add_argument(
+        "--telemetry-window", type=_at_least(1), default=None,
+        metavar="CYCLES",
+        help="sampling window in CPU cycles (implies --telemetry; "
+             f"default {DEFAULT_TELEMETRY_WINDOW})")
+    run_p.add_argument(
+        "--span-sample-rate", type=_at_least(1), default=None, metavar="N",
+        help="trace every Nth memory request through the pipeline as a"
+             " span (1 = every request; implies --telemetry); feed the"
+             " written series file to 'repro analyze'")
     run_p.add_argument("--telemetry-out", default=os.path.join(
         "results", "telemetry"), metavar="DIR",
         help="artifact directory for --telemetry runs "
              "(default results/telemetry)")
     _add_check_flags(run_p)
-    _add_telemetry_flags(run_p)
     _add_mshr_flag(run_p)
 
     cmp_p = sub.add_parser("compare", help="compare schemes on a workload")
@@ -198,7 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--seed", type=int, default=None)
     cmp_p.add_argument("--scale", type=_scale, default=None)
     _add_check_flags(cmp_p)
-    _add_telemetry_flags(cmp_p)
     _add_mshr_flag(cmp_p)
     _add_executor_flags(cmp_p)
 
@@ -213,7 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="subset of the section's workloads (default:"
                             " the report's)")
     _add_check_flags(fig_p)
-    _add_telemetry_flags(fig_p)
     _add_executor_flags(fig_p)
 
     sub.add_parser("schemes", help="list registered schemes")
@@ -249,7 +245,7 @@ def _with_check(config, args):
 
 
 def _with_telemetry(config, args):
-    """Fold ``--telemetry`` / ``--telemetry-window`` /
+    """Fold ``run``'s ``--telemetry`` / ``--telemetry-window`` /
     ``--span-sample-rate`` into a config.  Span tracing implies
     telemetry (the recorder emits into the event tracer), and both
     fields are applied in one replace so ``__post_init__`` validates
@@ -394,6 +390,8 @@ def _cmd_figure(args) -> int:
             config, args.misses, executor,
             names=None if name == "claims" else [name],
             workloads=args.workloads)
+    except ExecutorError:
+        return 1  # the failure report prints the cell's traceback, once
     finally:
         failed = _report_failures(executor)
     print(report_writer.render_section(name, tables))
@@ -436,6 +434,8 @@ def _cmd_report(args) -> int:
     try:
         verdicts = report_writer.write_experiments_report(
             args.path, config, args.misses, executor)
+    except ExecutorError:
+        return 1  # the failure report prints the cell's traceback, once
     finally:
         failed = _report_failures(executor)
     print(f"wrote {args.path}")

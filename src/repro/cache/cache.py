@@ -95,27 +95,3 @@ class Cache:
                 writeback = victim_line * self.line_bytes
         cache_set[tag] = _Line(dirty=is_write)
         return AccessOutcome(hit=False, writeback_addr=writeback)
-
-    def probe(self, addr: int) -> bool:
-        """Check residency without disturbing LRU or stats."""
-        index, tag = self._index_tag(addr)
-        return tag in self._sets[index]
-
-    def invalidate(self, addr: int) -> bool:
-        """Drop a line (no writeback).  Returns True if it was present."""
-        index, tag = self._index_tag(addr)
-        return self._sets[index].pop(tag, None) is not None
-
-    def flush(self) -> List[int]:
-        """Empty the cache, returning the dirty line addresses."""
-        dirty: List[int] = []
-        for index, cache_set in enumerate(self._sets):
-            for tag, line in cache_set.items():
-                if line.dirty:
-                    dirty.append((tag * self.num_sets + index) * self.line_bytes)
-            cache_set.clear()
-        return dirty
-
-    @property
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)

@@ -1,9 +1,11 @@
-"""The paper's cache hierarchy: private L1 I/D per core, shared L2 LLC.
+"""The paper's cache hierarchy: a private L1D per core, shared L2 LLC.
 
 The hierarchy is functional (hit/miss filtering + writeback generation);
 its latencies contribute to the core's compute time while LLC misses go
-to the flat-memory system.  Inclusion is not enforced (the paper does not
-specify it); the LLC filters what matters — the post-LLC miss stream.
+to the flat-memory system.  Inclusion is not enforced (the paper does
+not specify it); the LLC filters what matters — the post-LLC miss
+stream.  The workloads are data-reference streams, so Table II's L1I
+(``CacheHierarchyConfig.l1i``) is listed but not built.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class HierarchyOutcome:
 
 
 class CacheHierarchy:
-    """Private L1s in front of a shared LLC."""
+    """Private L1Ds in front of a shared LLC."""
 
     def __init__(self, config: CacheHierarchyConfig, cores: int) -> None:
         self.cores = cores
@@ -35,23 +37,17 @@ class CacheHierarchy:
                   config.l1d.latency_cycles, name=f"l1d{c}")
             for c in range(cores)
         ]
-        self.l1i = [
-            Cache(config.l1i.size_bytes, config.l1i.ways, config.l1i.line_bytes,
-                  config.l1i.latency_cycles, name=f"l1i{c}")
-            for c in range(cores)
-        ]
         self.l2 = Cache(config.l2.size_bytes, config.l2.ways, config.l2.line_bytes,
                         config.l2.latency_cycles, name="l2")
 
     # ------------------------------------------------------------------
-    def access(self, core: int, paddr: int, is_write: bool,
-               is_instruction: bool = False) -> HierarchyOutcome:
+    def access(self, core: int, paddr: int, is_write: bool) -> HierarchyOutcome:
         """Run one reference through L1 -> L2.
 
         Returns whether it missed the LLC (and must go to memory), the
         hierarchy lookup latency, and any dirty LLC eviction.
         """
-        l1 = self.l1i[core] if is_instruction else self.l1d[core]
+        l1 = self.l1d[core]
         outcome = l1.access(paddr, is_write)
         latency = l1.latency_cycles
         if outcome.hit:
@@ -68,10 +64,3 @@ class CacheHierarchy:
             latency_cycles=latency,
             writeback_addr=l2_outcome.writeback_addr,
         )
-
-    # ------------------------------------------------------------------
-    def llc_mpki(self, instructions: int) -> float:
-        """Misses per kilo-instruction at the LLC."""
-        if instructions <= 0:
-            raise ValueError("instructions must be positive")
-        return self.l2.stats.misses / instructions * 1000.0

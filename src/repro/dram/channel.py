@@ -56,10 +56,6 @@ class ChannelStats:
     def accesses(self) -> int:
         return self.reads + self.writes
 
-    @property
-    def mean_queue_wait(self) -> float:
-        return self.total_queue_wait / self.accesses if self.accesses else 0.0
-
     def reset(self) -> None:
         """Zero every counter (used for warmup discarding)."""
         self.reads = 0

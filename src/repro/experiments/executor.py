@@ -139,13 +139,12 @@ class ResultCache:
     sees either no file or one writer's complete bytes.  Unreadable or
     schema-mismatched files are treated as misses.
 
-    Telemetry-enabled results additionally get **side artifacts** —
-    ``telemetry/<cell-hash>.series.json`` (the windowed time series) and
-    ``telemetry/<cell-hash>.trace.json`` (Chrome trace, loadable in
-    Perfetto) — in a subdirectory so the main store's ``*.json`` glob
-    semantics are untouched.  The telemetry window is part of the
-    config, hence of the cell hash: enabled and disabled runs of the
-    same experiment never share a cache entry.
+    A telemetry-enabled result carries its snapshot inside its one
+    file, as ``RunResult.telemetry``; ``repro run`` is what writes a
+    snapshot out as ``.series.json`` / ``.trace.json`` artifacts.  The
+    telemetry window is part of the config, hence of the cell hash:
+    enabled and disabled runs of the same experiment never share a
+    cache entry.
     """
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
@@ -153,9 +152,6 @@ class ResultCache:
 
     def path(self, key: str) -> Path:
         return self.root / f"{key}.json"
-
-    def telemetry_dir(self) -> Path:
-        return self.root / "telemetry"
 
     def load(self, key: str) -> Optional[RunResult]:
         path = self.path(key)
@@ -192,7 +188,9 @@ class ResultCache:
                                    dir=self.root)
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(data, fh, sort_keys=True)
+                # dumps, not dump: dump streams through the pure-Python
+                # encoder, dumps runs the C one; the bytes are the same
+                fh.write(json.dumps(data, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -200,51 +198,7 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        if result.telemetry is not None:
-            from repro.telemetry import run_metadata, write_artifacts
-
-            meta = None
-            if cell is not None:
-                meta = run_metadata(cell.scheme_key, cell.workload_name,
-                                    cell.seed, cell.config,
-                                    misses_per_core=cell.misses_per_core,
-                                    mode=cell.mode)
-            write_artifacts(self.telemetry_dir(), key, result.telemetry,
-                            meta=meta)
         return path
-
-    def discard(self, key: str) -> bool:
-        for side in (self.telemetry_dir() / f"{key}.series.json",
-                     self.telemetry_dir() / f"{key}.trace.json"):
-            try:
-                os.remove(side)
-            except OSError:
-                pass
-        try:
-            os.remove(self.path(key))
-            return True
-        except OSError:
-            return False
-
-    def clear(self) -> int:
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        if self.telemetry_dir().is_dir():
-            for path in self.telemetry_dir().glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-        return removed
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json")) if self.root.is_dir() else 0
 
 
 def _execute_cell(cell: Cell) -> RunResult:

@@ -140,8 +140,3 @@ class AlloyCacheScheme(MemoryScheme):
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    @property
-    def usable_capacity_bytes(self) -> int:
-        """The cache's capacity cost: the OS-visible space excludes NM."""
-        return self.space.fm_bytes

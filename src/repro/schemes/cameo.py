@@ -142,10 +142,6 @@ class CameoScheme(MemoryScheme):
                            f"{homes_seen[home]} and line {member}")
             homes_seen[home] = member
 
-    # exposed for tests ----------------------------------------------------
-    def group_members(self, group: int) -> List[int]:
-        return list(range(group, self._total_subblocks, self.num_slots))
-
 
 class CameoPrefetchScheme(CameoScheme):
     """CAMEO with next-N-line prefetching (the paper's CAMEOP, N=3)."""

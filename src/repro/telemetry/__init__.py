@@ -8,10 +8,9 @@ Public surface:
   spillable time series.
 * :class:`EventTracer` / :func:`validate_chrome_trace` — Chrome-trace
   event collection and validation (Perfetto-loadable).
-* :func:`write_artifacts` / :func:`write_series` / :func:`write_trace`
-  — the ``.series.json`` / ``.trace.json`` files the CLI and the
-  experiment executor emit, optionally labelled with a
-  :func:`run_metadata` header.
+* :func:`write_artifacts` — the one writer of a run's
+  ``.series.json`` / ``.trace.json`` pair (``repro run`` calls it),
+  optionally labelled with a :func:`run_metadata` header.
 * :class:`Span` / :class:`SpanCollector` / :class:`SpanRecorder` —
   per-request span tracing and latency attribution (see
   :mod:`repro.telemetry.spans`), enabled with
@@ -19,16 +18,12 @@ Public surface:
   from the series file.
 
 Enable per run with ``SystemConfig.telemetry_window > 0`` (CLI:
-``--telemetry`` / ``--telemetry-window``); when disabled — the default
-— no hub is constructed and the simulator's hot paths pay nothing.
+``repro run --telemetry`` / ``--telemetry-window``); when disabled —
+the default — no hub is constructed and the simulator's hot paths pay
+nothing.
 """
 
-from repro.telemetry.artifacts import (
-    run_metadata,
-    write_artifacts,
-    write_series,
-    write_trace,
-)
+from repro.telemetry.artifacts import run_metadata, write_artifacts
 from repro.telemetry.spans import (
     SPANS_SCHEMA_VERSION,
     Span,
@@ -46,7 +41,6 @@ from repro.telemetry.hub import (
 from repro.telemetry.tracer import (
     EventTracer,
     TraceFormatError,
-    chrome_trace_container,
     validate_chrome_trace,
 )
 
@@ -62,11 +56,8 @@ __all__ = [
     "TimeSeriesRing",
     "EventTracer",
     "TraceFormatError",
-    "chrome_trace_container",
     "run_metadata",
     "stage_label",
     "validate_chrome_trace",
     "write_artifacts",
-    "write_series",
-    "write_trace",
 ]

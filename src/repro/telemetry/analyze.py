@@ -1,18 +1,18 @@
 """Latency-attribution reports from telemetry artifacts.
 
 ``python -m repro analyze <artifact>`` turns a span-enabled series file
-(``*.series.json``, written by :func:`repro.telemetry.write_series`)
-into the Figure-6-style breakdown the spans were recorded for: where
-each sampled request's cycles went (per-stage shares), which Table I
-rows dominate the tail (per-row p50/p95/p99), and which coalescing
-chains amortised the most misses.  The ``spans`` sub-object carries the
+(``*.series.json``, written by ``repro run`` through
+:func:`repro.telemetry.write_artifacts`) into the Figure-6-style
+breakdown the spans were recorded for: where each sampled request's
+cycles went (per-stage shares), which Table I rows dominate the tail
+(per-row p50/p95/p99), and which coalescing chains amortised the most
+misses.  The ``spans`` sub-object carries the
 collector's exact cycle aggregates plus the reconciliation denominator
 (``demand_stall_cycles``), so the report can state what fraction of the
 controller's accounted stall cycles the sampled stage sums cover.
 
-Every writer of a Chrome trace (``repro run --telemetry``, the
-executor's cache) writes its series file beside it, so the series file
-is the one input.
+The one writer of a Chrome trace, ``repro run --telemetry``, writes
+the series file beside it, so the series file is the one input.
 """
 
 from __future__ import annotations

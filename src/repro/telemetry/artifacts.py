@@ -1,16 +1,15 @@
 """Telemetry artifact files: the on-disk form of a run's snapshot.
 
-Two files per telemetry-enabled run:
+Two files per telemetry-enabled run, written by :func:`write_artifacts`:
 
 * ``<stem>.series.json`` — the windowed time series (samples, final
-  counters, spill accounting), schema-versioned;
+  counters, spill accounting, span aggregates), schema-versioned;
 * ``<stem>.trace.json`` — the Chrome-trace container, loadable in
   Perfetto / ``chrome://tracing``.
 
-The experiment executor writes them under ``<cache-dir>/telemetry/``
-keyed by the cell's content hash (so artifacts resume/invalidate with
-the result cache); ``repro run`` writes them under
-``results/telemetry/`` named by (scheme, workload).
+``repro run`` is their one writer: it names them by (scheme, workload)
+under ``--telemetry-out`` (default ``results/telemetry/``).  A cached
+cell keeps its snapshot inside its result-cache entry instead.
 
 Both files can carry a **run-metadata header** (``meta=``, built with
 :func:`run_metadata`): scheme, workload, seed, config hash and schema
@@ -25,8 +24,6 @@ import json
 import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
-
-from repro.telemetry.tracer import chrome_trace_container
 
 PathLike = Union[str, Path]
 
@@ -52,38 +49,28 @@ def run_metadata(scheme: str, workload: str, seed: int,
     return meta
 
 
-def write_series(path: PathLike, snapshot: Dict,
-                 meta: Optional[Dict] = None) -> Path:
-    """Write the time-series half of a telemetry snapshot (everything
-    except the trace events), with an optional run-metadata header."""
-    path = Path(path)
-    payload = {k: v for k, v in snapshot.items() if k != "events"}
-    if meta:
-        payload["run"] = dict(meta)
-    _atomic_dump(path, payload)
-    return path
-
-
-def write_trace(path: PathLike, snapshot: Dict,
-                meta: Optional[Dict] = None) -> Path:
-    """Write the snapshot's events as a Chrome-trace container file,
-    with an optional run-metadata header under ``otherData.run``."""
-    path = Path(path)
-    container = chrome_trace_container(snapshot.get("events", []))
-    if meta:
-        container["otherData"]["run"] = dict(meta)
-    _atomic_dump(path, container)
-    return path
-
-
 def write_artifacts(directory: PathLike, stem: str, snapshot: Dict,
                     meta: Optional[Dict] = None) -> Tuple[Path, Path]:
-    """Write both artifact files for one run; returns their paths."""
+    """Write one run's two files into ``directory``; returns their paths.
+
+    The series file holds everything in the snapshot except its trace
+    events; the trace file wraps those events in the Chrome-trace
+    container object.  ``meta`` is embedded in both."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    series = write_series(directory / f"{stem}.series.json", snapshot, meta)
-    trace = write_trace(directory / f"{stem}.trace.json", snapshot, meta)
-    return series, trace
+    series = {k: v for k, v in snapshot.items() if k != "events"}
+    trace = {
+        "traceEvents": snapshot.get("events", []),
+        "displayTimeUnit": "ms",
+        "otherData": {"producer": "repro.telemetry (SILC-FM simulator)"},
+    }
+    if meta:
+        series["run"] = dict(meta)
+        trace["otherData"]["run"] = dict(meta)
+    paths = (directory / f"{stem}.series.json",
+             directory / f"{stem}.trace.json")
+    for path, payload in zip(paths, (series, trace)):
+        _atomic_dump(path, payload)
+    return paths
 
 
 def _atomic_dump(path: Path, payload: Dict) -> None:
@@ -91,5 +78,6 @@ def _atomic_dump(path: Path, payload: Dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
+        # dumps, not dump: as in the result cache, the C encoder
+        fh.write(json.dumps(payload))
     os.replace(tmp, path)

@@ -14,9 +14,9 @@ Signal kinds
 ------------
 
 counter
-    Hub-owned cumulative value bumped with :meth:`Telemetry.incr`
-    (used for event counts that no component tracks, e.g. dropped
-    trace events).  Sampled as a per-window delta.
+    Hub-owned cumulative value bumped with :meth:`Telemetry.incr`, for
+    an event count no component tracks itself (no simulator component
+    bumps one today).  Sampled as a per-window delta.
 gauge
     A callback returning an instantaneous value (queue depth, bypass
     state, predictor accuracy).  Sampled raw.
@@ -41,8 +41,8 @@ from typing import Callable, Dict, List, Optional
 from repro.sim.engine import Engine
 from repro.telemetry.tracer import EventTracer
 
-#: bump when the snapshot layout changes (consumed by the series
-#: artifacts written next to the executor's result cache).
+#: bump when the snapshot layout changes (the snapshot rides in cached
+#: results and in ``repro run``'s series artifacts).
 #: v2: snapshots may carry a ``spans`` latency-attribution sub-object
 #: (:mod:`repro.telemetry.spans`) and artifacts a ``run`` metadata
 #: header (:func:`repro.telemetry.artifacts.run_metadata`).
@@ -99,26 +99,21 @@ class Telemetry:
     ----------
     window_cycles:
         Sampling period in CPU cycles.
-    ring_capacity / spill_path:
-        Ring-buffer sizing; see :class:`TimeSeriesRing`.
     cycles_per_us:
         CPU cycles per microsecond (``frequency_ghz * 1000``); used to
         put Chrome-trace timestamps in real time units.
-    max_trace_events:
-        Event-trace cap; see :class:`~repro.telemetry.tracer.EventTracer`.
+
+    The sample ring and the event trace keep their default bounds
+    (:class:`TimeSeriesRing`, :class:`~repro.telemetry.tracer.EventTracer`).
     """
 
     def __init__(self, window_cycles: int = DEFAULT_TELEMETRY_WINDOW,
-                 ring_capacity: int = DEFAULT_RING_CAPACITY,
-                 spill_path: Optional[str] = None,
-                 cycles_per_us: float = 3200.0,
-                 max_trace_events: int = 100_000) -> None:
+                 cycles_per_us: float = 3200.0) -> None:
         if window_cycles <= 0:
             raise ValueError("telemetry window must be a positive cycle count")
         self.window = window_cycles
-        self.series = TimeSeriesRing(ring_capacity, spill_path)
-        self.tracer = EventTracer(max_events=max_trace_events,
-                                  cycles_per_us=cycles_per_us)
+        self.series = TimeSeriesRing()
+        self.tracer = EventTracer(cycles_per_us=cycles_per_us)
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, Callable[[], float]] = {}
         self._meters: Dict[str, Callable[[], float]] = {}

@@ -141,26 +141,6 @@ class EventTracer:
     def events(self) -> List[Dict]:
         return list(self._events)
 
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def chrome_trace(self) -> Dict:
-        """The JSON-object trace container Perfetto/catapult load."""
-        return chrome_trace_container(self._events)
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.chrome_trace(), fh)
-
-
-def chrome_trace_container(events: List[Dict]) -> Dict:
-    """Wrap an event list in the standard trace container object."""
-    return {
-        "traceEvents": list(events),
-        "displayTimeUnit": "ms",
-        "otherData": {"producer": "repro.telemetry (SILC-FM simulator)"},
-    }
-
 
 def validate_chrome_trace(source: Union[str, Dict, List]) -> int:
     """Check ``source`` is valid Chrome trace JSON; returns the event

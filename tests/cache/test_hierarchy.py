@@ -49,13 +49,6 @@ def test_private_l1_per_core_shared_l2():
     assert outcome.latency_cycles == 15
 
 
-def test_instruction_accesses_use_l1i():
-    h = small_hierarchy()
-    h.access(0, 0, False, is_instruction=True)
-    assert h.l1i[0].stats.accesses == 1
-    assert h.l1d[0].stats.accesses == 0
-
-
 def test_dirty_llc_eviction_produces_writeback():
     h = small_hierarchy()
     h.access(0, 0, True)
@@ -68,17 +61,3 @@ def test_dirty_llc_eviction_produces_writeback():
             writebacks.append(outcome.writeback_addr)
     assert 0 in writebacks
 
-
-def test_llc_mpki():
-    h = small_hierarchy()
-    for i in range(10):
-        h.access(0, i * 64 * h.l2.num_sets * 8, False)  # all misses
-    assert h.llc_mpki(instructions=10_000) == 1.0
-
-
-def test_llc_mpki_rejects_bad_input():
-    h = small_hierarchy()
-    import pytest
-
-    with pytest.raises(ValueError):
-        h.llc_mpki(0)

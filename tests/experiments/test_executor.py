@@ -32,7 +32,7 @@ def make_cell(config, scheme="silc", workload="mcf", **overrides):
 
 
 # ---------------------------------------------------------------------------
-# telemetry side artifacts
+# telemetry in the result cache
 # ---------------------------------------------------------------------------
 def test_telemetry_window_changes_cell_key(config):
     base = make_cell(config)
@@ -41,35 +41,17 @@ def test_telemetry_window_changes_cell_key(config):
     assert enabled.key() != base.key()
 
 
-def test_store_writes_and_discard_removes_side_artifacts(tmp_path, config):
+def test_telemetry_result_is_one_cache_file(tmp_path, config):
     enabled = dataclasses.replace(config, telemetry_window=2000)
     result = run_one("silc", "mcf", enabled, misses_per_core=MISSES)
     assert result.telemetry is not None
     cache = ResultCache(tmp_path)
     cell = make_cell(enabled)
     key = cell.key()
-    cache.store(key, result, cell)
-    series = cache.telemetry_dir() / f"{key}.series.json"
-    trace = cache.telemetry_dir() / f"{key}.trace.json"
-    assert series.exists() and trace.exists()
-    # side artifacts live in a subdirectory: the main store still counts
-    # exactly one entry
-    assert len(cache) == 1
-    loaded = cache.load(key)
-    assert loaded.telemetry == result.telemetry
-    assert cache.discard(key)
-    assert not series.exists() and not trace.exists()
-    assert cache.load(key) is None
-
-
-def test_clear_removes_side_artifacts(tmp_path, config):
-    enabled = dataclasses.replace(config, telemetry_window=2000)
-    result = run_one("silc", "mcf", enabled, misses_per_core=MISSES)
-    cache = ResultCache(tmp_path)
-    cell = make_cell(enabled)
-    cache.store(cell.key(), result, cell)
-    assert cache.clear() == 1
-    assert not list(cache.telemetry_dir().glob("*.json"))
+    assert cache.store(key, result, cell) == tmp_path / f"{key}.json"
+    # the snapshot rides inside the entry: no side files, no subdirectory
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+    assert cache.load(key).telemetry == result.telemetry
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +167,11 @@ def test_stale_schema_version_is_a_miss(tmp_path, config):
     assert cache.load(cell.key()) is None
 
 
-def test_cache_clear_and_len(tmp_path, config):
-    cache = ResultCache(tmp_path)
-    assert len(cache) == 0
-    executor = ExperimentExecutor(jobs=1, cache_dir=tmp_path)
-    executor.run_cells([make_cell(config, scheme=s) for s in ("nonm", "rand")])
-    assert len(cache) == 2
-    assert cache.clear() == 2
-    assert len(cache) == 0
+def test_executor_stores_one_file_per_cell(tmp_path, config):
+    cells = [make_cell(config, scheme=s) for s in ("nonm", "rand")]
+    ExperimentExecutor(jobs=1, cache_dir=tmp_path).run_cells(cells)
+    assert (sorted(p.name for p in tmp_path.iterdir())
+            == sorted(f"{cell.key()}.json" for cell in cells))
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,6 @@ def test_concurrent_same_key_store_never_tears(tmp_path):
     assert json.dumps(final.to_dict(),
                       sort_keys=True) in allowed_results
     assert observations > 0, "reader never overlapped the writers"
-    # no temp droppings left behind, and the store counts exactly one entry
+    # no temp droppings left behind, and the store holds exactly one entry
     assert not list(tmp_path.glob("*.tmp"))
-    assert len(cache) == 1
+    assert [p.name for p in tmp_path.glob("*.json")] == [f"{key}.json"]

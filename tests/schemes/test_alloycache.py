@@ -83,13 +83,6 @@ def test_nm_addresses_rejected():
         scheme.locate(0)
 
 
-def test_capacity_cost_is_visible():
-    scheme = make_scheme()
-    assert scheme.usable_capacity_bytes == FM
-    # a part-of-memory scheme exposes NM + FM; the cache only FM:
-    assert scheme.usable_capacity_bytes < NM + FM
-
-
 def test_hit_rate_accounting():
     scheme = make_scheme()
     scheme.access(fm(1), False)

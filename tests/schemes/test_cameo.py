@@ -82,14 +82,6 @@ def test_direct_mapped_conflicts_thrash():
     assert scheme.stats.access_rate == 0.0
 
 
-def test_group_members_share_a_slot():
-    space = make_space()
-    scheme = CameoScheme(space)
-    members = scheme.group_members(0)
-    slots = NM // SUBBLOCK_BYTES
-    assert members == [0, slots, 2 * slots, 3 * slots, 4 * slots]
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=NM + FM - 1),
                 min_size=1, max_size=300))

@@ -10,8 +10,8 @@ from repro.telemetry import (TELEMETRY_SCHEMA_VERSION, Telemetry,
                              TimeSeriesRing)
 
 
-def _hub(window=100, **kwargs):
-    return Telemetry(window_cycles=window, **kwargs)
+def _hub(window=100):
+    return Telemetry(window_cycles=window)
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +119,8 @@ def test_ring_minimum_capacity():
 
 
 def test_snapshot_reports_spill_accounting():
-    hub = _hub(ring_capacity=4)
+    hub = _hub()
+    hub.series = TimeSeriesRing(capacity=4)
     for _ in range(6):
         hub.sample_now()
     snap = hub.snapshot()

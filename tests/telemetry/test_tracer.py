@@ -1,4 +1,4 @@
-"""Unit tests for the Chrome-trace event tracer, the container format
+"""Unit tests for the Chrome-trace event tracer, the artifact files
 and the validator."""
 
 import json
@@ -8,11 +8,8 @@ import pytest
 from repro.telemetry import (
     EventTracer,
     TraceFormatError,
-    chrome_trace_container,
     validate_chrome_trace,
     write_artifacts,
-    write_series,
-    write_trace,
 )
 
 
@@ -96,21 +93,13 @@ def test_reserve_keeps_or_drops_batches_whole():
 
 
 # ----------------------------------------------------------------------
-# container + validation
+# validation
 # ----------------------------------------------------------------------
-def test_container_wraps_events():
-    tracer = _tracer()
-    tracer.instant("x", "cat", cycles=0.0)
-    container = chrome_trace_container(tracer.events())
-    assert container["traceEvents"] == tracer.events()
-    assert "displayTimeUnit" in container
-
-
 def test_validate_accepts_container_dict_and_list():
     tracer = _tracer()
     tracer.instant("x", "cat", cycles=1.0)
     events = tracer.events()
-    assert validate_chrome_trace(chrome_trace_container(events)) == 1
+    assert validate_chrome_trace({"traceEvents": events}) == 1
     assert validate_chrome_trace(events) == 1
 
 
@@ -119,7 +108,7 @@ def test_validate_accepts_file_path(tmp_path):
     tracer.instant("x", "cat", cycles=1.0)
     tracer.counter("c", cycles=2.0, values={"v": 1})
     path = tmp_path / "trace.json"
-    path.write_text(json.dumps(chrome_trace_container(tracer.events())))
+    path.write_text(json.dumps({"traceEvents": tracer.events()}))
     assert validate_chrome_trace(str(path)) == 2
 
 
@@ -158,16 +147,26 @@ def _snapshot():
 
 
 def test_write_series_strips_events(tmp_path):
-    path = write_series(tmp_path / "s.series.json", _snapshot())
-    data = json.loads(path.read_text())
-    assert "events" not in data
+    snapshot = _snapshot()
+    series, _ = write_artifacts(tmp_path, "stem", snapshot)
+    data = json.loads(series.read_text())
+    assert data == {k: v for k, v in snapshot.items() if k != "events"}
     assert data["samples"][0]["g"] == 1.0
     assert data["schema"] == 1
 
 
 def test_write_trace_is_valid_chrome_trace(tmp_path):
-    path = write_trace(tmp_path / "t.trace.json", _snapshot())
-    assert validate_chrome_trace(str(path)) == 1
+    _, trace = write_artifacts(tmp_path, "stem", _snapshot())
+    assert validate_chrome_trace(str(trace)) == 1
+
+
+def test_container_wraps_events(tmp_path):
+    snapshot = _snapshot()
+    _, trace = write_artifacts(tmp_path, "stem", snapshot)
+    container = json.loads(trace.read_text())
+    assert container["traceEvents"] == snapshot["events"]
+    assert container["displayTimeUnit"] == "ms"
+    assert "producer" in container["otherData"]
 
 
 def test_write_artifacts_names_both_files(tmp_path):

@@ -37,7 +37,7 @@ def test_compare_command(capsys, monkeypatch):
     small = dataclasses.replace(default_config(scale=0.25), cores=2)
     monkeypatch.setattr(cli, "_config", lambda scale, args=None: small)
     assert cli.main(["compare", "mcf", "--schemes", "cam", "silc",
-                     "--misses", "400"]) == 0
+                     "--misses", "400", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "Speedup" in out
     assert "#" in out  # the bar chart rendered
@@ -69,7 +69,8 @@ def _is_json_object(line: str) -> bool:
 
 def test_failed_cell_prints_once(capsys, monkeypatch):
     """A failed cell's traceback reaches stderr once, in the executor's
-    failure report, and the command exits 1."""
+    failure report, and the command exits 1 — also from ``figure``,
+    whose sections need every cell and so stop at the first failure."""
     small = dataclasses.replace(default_config(scale=0.25), cores=2)
     monkeypatch.setattr(cli, "_config", lambda scale, args=None: small)
     message = "planted failure in the silc cell"
@@ -81,11 +82,34 @@ def test_failed_cell_prints_once(capsys, monkeypatch):
         return real_execute(cell)
 
     monkeypatch.setattr(executor_mod, "_execute_cell", execute)
-    assert cli.main(["compare", "mcf", "--schemes", "silc", "--misses",
-                     "200", "--jobs", "1", "--no-cache"]) == 1
-    err = capsys.readouterr().err
-    assert err.count(message) == 1
-    assert not [line for line in err.splitlines() if _is_json_object(line)]
+    for argv in (["compare", "mcf", "--schemes", "silc"],
+                 ["figure", "fig7", "--workloads", "mcf"]):
+        assert cli.main(argv + ["--misses", "200", "--jobs", "1",
+                                "--no-cache"]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count(message) == 1, argv
+        assert not [line for line in err.splitlines()
+                    if _is_json_object(line)]
+
+
+@pytest.mark.parametrize("flag", [["--telemetry"],
+                                  ["--telemetry-window", "5000"],
+                                  ["--span-sample-rate", "1"]],
+                         ids=lambda flag: flag[0].removeprefix("--"))
+@pytest.mark.parametrize("command", [["compare", "mcf"],
+                                     ["figure", "fig7"]],
+                         ids=lambda argv: argv[0])
+def test_telemetry_flags_are_run_only(command, flag, capsys, monkeypatch):
+    """``repro run`` is the one writer of telemetry artifacts; the cached
+    commands reject the flags as unknown arguments."""
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell was built for a rejected flag")
+
+    monkeypatch.setattr(cli, "_executor", no_cells)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_check_flag_attaches_the_oracle(capsys, monkeypatch):
@@ -131,7 +155,7 @@ def test_run_with_telemetry_writes_artifacts(tmp_path, capsys, monkeypatch):
     assert validate_chrome_trace(str(tmp_path / "silc-mcf.trace.json")) > 0
 
 
-def test_telemetry_window_implies_telemetry(monkeypatch):
+def test_telemetry_window_implies_telemetry(tmp_path, monkeypatch):
     small = dataclasses.replace(default_config(scale=0.25), cores=1)
     monkeypatch.setattr(cli, "default_config", lambda scale=None: small)
     seen = {}
@@ -144,7 +168,7 @@ def test_telemetry_window_implies_telemetry(monkeypatch):
     monkeypatch.setattr(cli, "run_one", spy)
     assert cli.main(["run", "silc", "mcf", "--misses", "200",
                      "--telemetry-window", "2500",
-                     "--telemetry-out", "/tmp/_cli_telemetry_test"]) == 0
+                     "--telemetry-out", str(tmp_path)]) == 0
     assert seen["window"] == 2500
 
 
@@ -176,7 +200,7 @@ def test_analyze_rejects_spanless_artifact(tmp_path, capsys):
     assert "analyze:" in capsys.readouterr().err
 
 
-def test_span_rate_implies_telemetry(monkeypatch):
+def test_span_rate_implies_telemetry(tmp_path, monkeypatch):
     small = dataclasses.replace(default_config(scale=0.25), cores=1)
     monkeypatch.setattr(cli, "default_config", lambda scale=None: small)
     seen = {}
@@ -190,7 +214,7 @@ def test_span_rate_implies_telemetry(monkeypatch):
     monkeypatch.setattr(cli, "run_one", spy)
     assert cli.main(["run", "silc", "mcf", "--misses", "200",
                      "--span-sample-rate", "8",
-                     "--telemetry-out", "/tmp/_cli_span_test"]) == 0
+                     "--telemetry-out", str(tmp_path)]) == 0
     assert seen["window"] == cli.DEFAULT_TELEMETRY_WINDOW
     assert seen["rate"] == 8
 
