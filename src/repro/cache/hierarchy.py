@@ -31,7 +31,6 @@ class CacheHierarchy:
     """Private L1Ds in front of a shared LLC."""
 
     def __init__(self, config: CacheHierarchyConfig, cores: int) -> None:
-        self.cores = cores
         self.l1d = [
             Cache(config.l1d.size_bytes, config.l1d.ways, config.l1d.line_bytes,
                   config.l1d.latency_cycles, name=f"l1d{c}")

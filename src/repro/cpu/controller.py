@@ -77,15 +77,9 @@ class ControllerStats:
         return self.total_miss_latency / self.misses_completed
 
     def reset(self) -> None:
-        """Zero every counter (keeps the object identity stable)."""
-        self.demand_nm_bytes = 0
-        self.demand_fm_bytes = 0
-        self.background_nm_bytes = 0
-        self.background_fm_bytes = 0
-        self.writebacks = 0
-        self.epoch_stall_cycles = 0.0
-        self.total_miss_latency = 0.0
-        self.misses_completed = 0
+        """Restore every declared default in place (keeps the object
+        identity stable)."""
+        self.__init__()
 
 
 class FlatMemoryController:

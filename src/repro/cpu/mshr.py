@@ -142,10 +142,8 @@ class MSHRStats:
     peak_occupancy: int = 0
 
     def reset(self) -> None:
-        self.allocations = 0
-        self.coalesced = 0
-        self.structural_stalls = 0
-        self.peak_occupancy = 0
+        """Restore every declared default in place."""
+        self.__init__()
 
 
 class MSHRFile:

@@ -242,10 +242,7 @@ class System:
         periodic sampler event — which reads state and never mutates it,
         keeping the figures of merit identical to an unsampled run.
         """
-        hub = Telemetry(
-            window_cycles=self.config.telemetry_window,
-            cycles_per_us=self.config.core.frequency_ghz * 1000.0,
-        )
+        hub = Telemetry(window_cycles=self.config.telemetry_window)
         self.telemetry = hub
         self.scheme.attach_telemetry(hub)
         self.controller.attach_telemetry(hub)
@@ -363,7 +360,7 @@ class System:
     def _result(self, elapsed: float) -> RunResult:
         nm_stats = self.nm_device.stats()
         fm_stats = self.fm_device.stats()
-        energy_model = EnergyModel(cpu_ghz=self.config.core.frequency_ghz)
+        energy_model = EnergyModel()
         energy = energy_model.breakdown(
             nm_stats.bytes_total, fm_stats.bytes_total, elapsed)
         edp = energy.total_joules * energy_model.cycles_to_seconds(elapsed)

@@ -57,16 +57,9 @@ class ChannelStats:
         return self.reads + self.writes
 
     def reset(self) -> None:
-        """Zero every counter (used for warmup discarding)."""
-        self.reads = 0
-        self.writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.demand_bytes = 0
-        self.background_bytes = 0
-        self.bus_busy_cycles = 0.0
-        self.total_queue_wait = 0.0
-        self.max_queue_depth = 0
+        """Restore every declared default in place (warmup
+        discarding)."""
+        self.__init__()
 
 
 class Channel:

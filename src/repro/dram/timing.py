@@ -3,7 +3,8 @@
 Timings are expressed in *memory* cycles at the device bus frequency; the
 channel model converts them to CPU cycles using ``cpu_cycles_per_mem``.
 Both the paper's devices run their buses at 800 MHz (DDR, 1.6 GT/s) under
-a 3.2 GHz core, i.e. 4 CPU cycles per memory cycle.
+the 3.2 GHz core clock (``repro.sim.engine.CPU_GHZ``), i.e. 4 CPU cycles
+per memory cycle.
 
 The exact tCAS-tRCD-tRP-tRAS digits are cut off in the archived paper
 text; we use JEDEC-typical values for DDR3-1600 (11-11-11-28) and
@@ -16,6 +17,8 @@ channels vs 4 x 64-bit DDR3 channels = the 4:1 NM:FM ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.sim.engine import CPU_GHZ
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,6 @@ class DRAMTimings:
     t_refi: int = 0
     #: refresh cycle time (all banks unavailable) in memory cycles.
     t_rfc: int = 88
-    cpu_ghz: float = 3.2
 
     def __post_init__(self) -> None:
         if self.bus_bits % 8:
@@ -64,7 +66,7 @@ class DRAMTimings:
     @property
     def cpu_cycles_per_mem(self) -> float:
         """CPU cycles per memory-bus cycle."""
-        return self.cpu_ghz * 1000.0 / self.bus_mhz
+        return CPU_GHZ * 1000.0 / self.bus_mhz
 
     @property
     def banks(self) -> int:
@@ -85,16 +87,6 @@ class DRAMTimings:
         """Aggregate peak bandwidth across all channels, in GB/s."""
         per_channel = self.bus_mhz * 1e6 * (self.bus_bits / 8) * 2
         return per_channel * self.channels / 1e9
-
-    # latency components in CPU cycles -----------------------------------
-    def row_hit_cycles(self) -> float:
-        return self.t_cas * self.cpu_cycles_per_mem
-
-    def row_closed_cycles(self) -> float:
-        return (self.t_rcd + self.t_cas) * self.cpu_cycles_per_mem
-
-    def row_conflict_cycles(self) -> float:
-        return (self.t_rp + self.t_rcd + self.t_cas) * self.cpu_cycles_per_mem
 
 
 #: Die-stacked HBM generation 2 (Table II "HBM"): 8 channels, 128-bit,

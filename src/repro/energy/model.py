@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sim.engine import CPU_GHZ
+
 
 @dataclass(frozen=True)
 class EnergyParams:
@@ -49,14 +51,13 @@ class EnergyModel:
     """Computes energy and EDP from transferred bytes and elapsed time."""
 
     def __init__(self, nm: EnergyParams = HBM_ENERGY,
-                 fm: EnergyParams = DDR3_ENERGY,
-                 cpu_ghz: float = 3.2) -> None:
+                 fm: EnergyParams = DDR3_ENERGY) -> None:
         self.nm = nm
         self.fm = fm
-        self.cpu_ghz = cpu_ghz
 
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles / (self.cpu_ghz * 1e9)
+    @staticmethod
+    def cycles_to_seconds(cycles: float) -> float:
+        return cycles / (CPU_GHZ * 1e9)
 
     def breakdown(self, nm_bytes: int, fm_bytes: int,
                   elapsed_cycles: float) -> EnergyBreakdown:

@@ -28,7 +28,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from repro.cpu.system import RunResult
 from repro.experiments.runner import run_one
 from repro.sim.config import SystemConfig
+from repro.telemetry.artifacts import atomic_write
 
 #: bump when the cell-hash inputs or the RunResult schema change, so a
 #: stale cache from an older code version is never replayed.
@@ -180,24 +180,7 @@ class ResultCache:
                 "warmup_fraction": cell.warmup_fraction,
             }
         path = self.path(key)
-        # the temp name must be unique per writer: a shared
-        # ``<key>.json.tmp`` would let two processes racing on one key
-        # interleave writes into the same file and publish the torn
-        # result with os.replace
-        fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp",
-                                   dir=self.root)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                # dumps, not dump: dump streams through the pure-Python
-                # encoder, dumps runs the C one; the bytes are the same
-                fh.write(json.dumps(data, sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, json.dumps(data, sort_keys=True))
         return path
 
 

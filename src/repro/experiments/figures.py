@@ -23,6 +23,7 @@ from repro.sim.config import (
     default_config,
     paper_config,
 )
+from repro.sim.engine import CPU_GHZ
 from repro.stats.collectors import geometric_mean
 from repro.telemetry import DEFAULT_TELEMETRY_WINDOW
 from repro.workloads.spec import BENCHMARKS, per_core_spec
@@ -154,7 +155,7 @@ def _parameters(config: SystemConfig) -> Dict[str, str]:
         "cores": config.cores,
         "issue width": config.core.issue_width,
         "ROB entries": config.core.rob_entries,
-        "core frequency (GHz)": config.core.frequency_ghz,
+        "core frequency (GHz)": CPU_GHZ,
         "L1I / L1D / L2": " / ".join(
             _size(c.size_bytes) for c in (caches.l1i, caches.l1d, caches.l2)),
         "NM channels x bus": f"{nm.channels} x {nm.bus_bits}b",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, NoReturn, Optional, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
 from repro.xmem.address import AddressSpace
 
@@ -153,13 +153,89 @@ class SchemeStats:
         return self.nm_serviced / self.misses if self.misses else 0.0
 
     def reset(self) -> None:
-        """Zero every counter (used for warmup discarding)."""
-        self.misses = 0
-        self.nm_serviced = 0
-        self.fm_serviced = 0
-        self.bypassed = 0
-        self.subblock_swaps = 0
-        self.block_migrations = 0
+        """Zero every counter in place (warmup discarding: telemetry
+        probes hold this object across the reset)."""
+        self.__init__()
+
+
+class ExchangeLedger:
+    """Where moved data lives, for schemes that move it by exchange.
+
+    CAMEO (64 B lines), PoM and HMA (2 KB blocks) keep NM+FM a bijection
+    the same way: an incoming FM unit takes an NM slot and the slot's
+    occupant takes the incoming unit's FM home.  Units are numbered over
+    the flat space (NM units first), so NM slot ``s`` natively holds
+    unit ``s``.  Each scheme keeps only its policy (when to exchange,
+    and which slot); this is the one copy of the bookkeeping.
+
+    * ``present[slot]`` — the unit NM slot ``slot`` holds now.
+    * ``home_of[unit]`` — the FM home (a unit number) that stores a
+      displaced unit; a unit at its own home has no entry.
+    """
+
+    __slots__ = ("present", "home_of", "_unit_bytes", "_nm_bytes",
+                 "_nm_units", "_total_units")
+
+    def __init__(self, space: AddressSpace, unit_bytes: int) -> None:
+        self._unit_bytes = unit_bytes
+        self._nm_bytes = space.nm_bytes
+        self._nm_units = space.nm_bytes // unit_bytes
+        self._total_units = space.total_bytes // unit_bytes
+        self.present: List[int] = list(range(self._nm_units))
+        self.home_of: Dict[int, int] = {}
+
+    def fm_offset(self, unit: int) -> int:
+        """Device-local FM offset of a unit that is not in NM: its home's
+        offset if displaced, else its own."""
+        home = self.home_of.get(unit, unit)
+        offset = home * self._unit_bytes - self._nm_bytes
+        if offset < 0:
+            raise ValueError(f"unit {home} is an NM home, not FM")
+        return offset
+
+    def exchange(self, slot: int, unit: int) -> int:
+        """Move ``unit`` (not in NM) into ``slot`` and its occupant into
+        the home ``unit`` leaves; a unit back at its own home leaves the
+        map.  Returns that home's FM offset, which both the incoming
+        unit's read and the occupant's write-back target."""
+        offset = self.fm_offset(unit)
+        home = self.home_of.pop(unit, unit)
+        occupant = self.present[slot]
+        self.present[slot] = unit
+        if occupant != home:
+            self.home_of[occupant] = home
+        return offset
+
+    def check(self, fail: Callable[[str], NoReturn],
+              classes: Optional[int] = None) -> None:
+        """Every slot holds an in-space unit and every displaced unit an
+        FM home of its own, never while also in NM.  ``classes`` makes
+        the mapping direct: slot ``s`` and home ``h`` may only hold
+        units congruent to them modulo ``classes``."""
+        present, total = self.present, self._total_units
+        if len(present) != self._nm_units:
+            fail("slot table size drifted")
+        for slot, unit in enumerate(present):
+            if not 0 <= unit < total:
+                fail(f"slot {slot} holds out-of-space unit {unit}")
+            if classes and unit % classes != slot:
+                fail(f"slot {slot} holds unit {unit} from a different "
+                     "congruence class")
+        resident = set(present)
+        stored_at: Dict[int, int] = {}
+        for unit, home in self.home_of.items():
+            if not self._nm_units <= home < total:
+                fail(f"unit {unit} claims non-FM home {home}")
+            if classes and unit % classes != home % classes:
+                fail(f"unit {unit} stored at home {home} outside its "
+                     "congruence class")
+            if unit in resident:
+                fail(f"unit {unit} recorded as displaced while an NM slot "
+                     "also holds it (duplication)")
+            if home in stored_at:
+                fail(f"FM home {home} stores both unit {stored_at[home]} "
+                     f"and unit {unit}")
+            stored_at[home] = unit
 
 
 class MemoryScheme(abc.ABC):

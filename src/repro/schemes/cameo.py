@@ -19,9 +19,10 @@ low-associativity-tolerant workloads are its weakness (Section II-B).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
+from repro.schemes.base import (
+    FM, NM, AccessPlan, ExchangeLedger, Level, MemoryScheme, Op)
 from repro.sim.config import SUBBLOCK_BYTES
 from repro.xmem.address import AddressSpace
 
@@ -40,11 +41,8 @@ class CameoScheme(MemoryScheme):
         #: NM subblock slots == subblocks in the NM region.
         self.num_slots = space.nm_bytes // SUBBLOCK_BYTES
         self._total_subblocks = space.total_bytes // SUBBLOCK_BYTES
-        #: slot g currently holds subblock _present[g] (init: its own).
-        self._present: List[int] = list(range(self.num_slots))
-        #: displaced member -> FM home (subblock number) storing it now.
-        #: Members at their own home are absent.
-        self._home_of: Dict[int, int] = {}
+        #: which line each slot holds and where displaced lines live
+        self.ledger = ExchangeLedger(space, SUBBLOCK_BYTES)
 
     # ------------------------------------------------------------------
     def access(self, paddr: int, is_write: bool, pc: int = 0) -> AccessPlan:
@@ -56,32 +54,25 @@ class CameoScheme(MemoryScheme):
         sb = paddr // SUBBLOCK_BYTES
         group = sb % self.num_slots
         tag_read = Op(NM, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, False)
-        if self._present[group] == sb:
+        if self.ledger.present[group] == sb:
             return AccessPlan.single(NM, tag_read, "nm-hit")
 
-        home = self._home_of.get(sb, sb)
-        fm_read = Op(FM, self._fm_offset_of_subblock(home), SUBBLOCK_BYTES, False)
-        background = self._swap_in(group, sb, home)
+        fm_read, *background = self._swap_in(group, sb)
         return AccessPlan(
             FM, [[tag_read], [fm_read]], background, False, "fm-swap")
 
-    def _swap_in(self, group: int, sb: int, home: int) -> List[Op]:
-        """Install ``sb`` (read from FM ``home``) into NM slot ``group``,
-        displacing the current occupant into ``home``."""
-        occupant = self._present[group]
-        self._present[group] = sb
-        self._home_of.pop(sb, None)
-        if occupant == home:
-            # occupant returns to its own home
-            self._home_of.pop(occupant, None)
-        else:
-            self._home_of[occupant] = home
+    def _swap_in(self, group: int, sb: int) -> List[Op]:
+        """Exchange ``sb`` into NM slot ``group``: the read of ``sb``
+        from the FM home it leaves, then the install and the displaced
+        occupant's write-back to that home."""
+        home = self.ledger.exchange(group, sb)
         self.stats.subblock_swaps += 1
         return [
+            Op(FM, home, SUBBLOCK_BYTES, False),
             # install new line + updated metadata into the NM row
             Op(NM, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, True),
             # displaced occupant written to the vacated FM home
-            Op(FM, self._fm_offset_of_subblock(home), SUBBLOCK_BYTES, True),
+            Op(FM, home, SUBBLOCK_BYTES, True),
         ]
 
     # ------------------------------------------------------------------
@@ -89,20 +80,9 @@ class CameoScheme(MemoryScheme):
         sb = paddr // SUBBLOCK_BYTES
         within = paddr % SUBBLOCK_BYTES
         group = sb % self.num_slots
-        if self._present[group] == sb:
+        if self.ledger.present[group] == sb:
             return NM, group * SUBBLOCK_BYTES + within
-        home = self._home_of.get(sb, sb)
-        offset = home * SUBBLOCK_BYTES - self._nm_bytes
-        if offset < 0:
-            raise ValueError(f"subblock {home} is an NM home, not FM")
-        return FM, offset + within
-
-    def _fm_offset_of_subblock(self, subblock: int) -> int:
-        """Device-local FM offset of a global subblock home (must be FM)."""
-        offset = subblock * SUBBLOCK_BYTES - self.space.nm_bytes
-        if offset < 0:
-            raise ValueError(f"subblock {subblock} is an NM home, not FM")
-        return offset
+        return FM, self.ledger.fm_offset(sb) + within
 
     def attach_telemetry(self, hub) -> None:
         """CAMEO's swap traffic is already metered by the base; add the
@@ -110,37 +90,14 @@ class CameoScheme(MemoryScheme):
         the conflict-miss signal the paper's Section II-B critique of
         direct mapping is about."""
         super().attach_telemetry(hub)
-        hub.gauge("cameo.displaced_lines", lambda: float(len(self._home_of)))
+        hub.gauge("cameo.displaced_lines",
+                  lambda: float(len(self.ledger.home_of)))
 
     def check_invariants(self) -> None:
-        """Congruence-group bookkeeping consistency: every slot holds a
-        member of its own group, and the displaced-member map never
-        duplicates a home or contradicts slot occupancy."""
-        slots = self.num_slots
-        total = self._total_subblocks
-        present = self._present
-        for group, occupant in enumerate(present):
-            if not 0 <= occupant < total:
-                self._fail(f"slot {group} holds out-of-space line {occupant}")
-            if occupant % slots != group:
-                self._fail(f"slot {group} holds line {occupant} from a "
-                           "different congruence group")
-        homes_seen = {}
-        for member, home in self._home_of.items():
-            if member % slots != home % slots:
-                self._fail(f"line {member} stored at home {home} outside "
-                           "its congruence group")
-            if home < slots:
-                self._fail(f"line {member} claims NM-range home {home}")
-            if home >= total:
-                self._fail(f"line {member} home {home} out of space")
-            if present[member % slots] == member:
-                self._fail(f"line {member} recorded as displaced while its "
-                           "NM slot also holds it (duplication)")
-            if home in homes_seen:
-                self._fail(f"FM home {home} stores both line "
-                           f"{homes_seen[home]} and line {member}")
-            homes_seen[home] = member
+        """Congruence-group bookkeeping: every slot holds a member of
+        its own group, and displaced members sit at distinct FM homes
+        of their group (the ledger's check)."""
+        self.ledger.check(self._fail, self.num_slots)
 
 
 class CameoPrefetchScheme(CameoScheme):
@@ -179,15 +136,11 @@ class CameoPrefetchScheme(CameoScheme):
         bandwidth as those prefetched subblocks are not always useful").
         """
         group = sb % self.num_slots
-        if self._present[group] == sb:
+        present = self.ledger.present
+        if present[group] == sb:
             return []
-        if self._present[group] != group:
+        if present[group] != group:
             return []  # slot owned by a demand-swapped line: keep it
-        home = self._home_of.get(sb, sb)
         self.prefetches_issued += 1
-        ops = [
-            Op(NM, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, False),
-            Op(FM, self._fm_offset_of_subblock(home), SUBBLOCK_BYTES, False),
-        ]
-        ops.extend(self._swap_in(group, sb, home))
-        return ops
+        tag_read = Op(NM, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, False)
+        return [tag_read, *self._swap_in(group, sb)]

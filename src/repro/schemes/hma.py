@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
+from repro.schemes.base import (
+    FM, NM, AccessPlan, ExchangeLedger, Level, MemoryScheme, Op)
 from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES
 from repro.xmem.address import AddressSpace
 
@@ -62,12 +63,11 @@ class HmaScheme(MemoryScheme):
         self.epoch_cycles = epoch_cycles
         self.hot_threshold = hot_threshold
         self.num_frames = space.nm_blocks
-        #: NM frame -> global block it currently holds (fully associative).
-        self._present: List[int] = list(range(self.num_frames))
+        #: which block each frame holds (fully associative) and where
+        #: displaced blocks live
+        self.ledger = ExchangeLedger(space, BLOCK_BYTES)
         #: block -> NM frame, for blocks currently in NM.
         self._frame_of: Dict[int, int] = {i: i for i in range(self.num_frames)}
-        #: displaced block -> FM home block storing it.
-        self._home_of: Dict[int, int] = {}
         #: per-block access counts within the current epoch.
         self._counts: Dict[int, int] = {}
         self.epochs_run = 0
@@ -86,9 +86,8 @@ class HmaScheme(MemoryScheme):
                 NM, Op(NM, frame * BLOCK_BYTES + aligned,
                        SUBBLOCK_BYTES, False), "nm-resident")
         else:
-            home = self._home_of.get(block, block)
             plan = AccessPlan.single(
-                FM, Op(FM, self._fm_offset_of_block(home) + aligned,
+                FM, Op(FM, self.ledger.fm_offset(block) + aligned,
                        SUBBLOCK_BYTES, False), "fm-resident")
         self.record_plan(plan)
         return plan
@@ -123,17 +122,17 @@ class HmaScheme(MemoryScheme):
 
         # victims: NM frames holding pages outside the desired set,
         # coldest first.
+        present = self.ledger.present
         victims = sorted(
-            (f for f in range(self.num_frames)
-             if self._present[f] not in desired),
-            key=lambda f: self._counts.get(self._present[f], 0),
+            (f for f in range(self.num_frames) if present[f] not in desired),
+            key=lambda f: self._counts.get(present[f], 0),
         )
         incoming = [b for b in hot if b not in self._frame_of]
 
         ops: List[Op] = []
         migrated = 0
         for block, frame in zip(incoming, victims):
-            occupant_count = self._counts.get(self._present[frame], 0)
+            occupant_count = self._counts.get(present[frame], 0)
             if self._counts[block] < MIGRATION_HYSTERESIS * max(1, occupant_count):
                 continue
             ops.extend(self._swap_into_frame(frame, block))
@@ -156,18 +155,10 @@ class HmaScheme(MemoryScheme):
 
     def _swap_into_frame(self, frame: int, block: int) -> List[Op]:
         """Bulk-swap ``block`` (in FM) with the occupant of ``frame``."""
-        occupant = self._present[frame]
-        home = self._home_of.get(block, block)
-        self._present[frame] = block
-        del self._frame_of[occupant]
+        del self._frame_of[self.ledger.present[frame]]
         self._frame_of[block] = frame
-        self._home_of.pop(block, None)
-        if occupant == home:
-            self._home_of.pop(occupant, None)
-        else:
-            self._home_of[occupant] = home
+        fm_base = self.ledger.exchange(frame, block)
         self.stats.block_migrations += 1
-        fm_base = self._fm_offset_of_block(home)
         nm_base = frame * BLOCK_BYTES
         return [
             Op(FM, fm_base, BLOCK_BYTES, False),
@@ -183,48 +174,20 @@ class HmaScheme(MemoryScheme):
         frame = self._frame_of.get(block)
         if frame is not None:
             return NM, frame * BLOCK_BYTES + within
-        home = self._home_of.get(block, block)
-        offset = home * BLOCK_BYTES - self._nm_bytes
-        if offset < 0:
-            raise ValueError(f"block {home} is an NM home, not FM")
-        return FM, offset + within
-
-    def _fm_offset_of_block(self, block: int) -> int:
-        offset = block * BLOCK_BYTES - self.space.nm_bytes
-        if offset < 0:
-            raise ValueError(f"block {block} is an NM home, not FM")
-        return offset
+        return FM, self.ledger.fm_offset(block) + within
 
     def check_invariants(self) -> None:
-        """Fully-associative bookkeeping: ``_present`` and ``_frame_of``
-        are mutual inverses, and a displaced block is never also
-        NM-resident."""
-        total_blocks = self.space.total_blocks
-        if len(self._present) != self.num_frames:
-            self._fail("frame table size drifted")
-        present = self._present
+        """Fully-associative bookkeeping: the ledger's check (with no
+        congruence class), and the ledger's slots and ``_frame_of`` are
+        mutual inverses."""
+        self.ledger.check(self._fail)
+        present = self.ledger.present
         frame_of = self._frame_of
         for frame, block in enumerate(present):
-            if not 0 <= block < total_blocks:
-                self._fail(f"frame {frame} holds out-of-space block {block}")
             if frame_of.get(block) != frame:
                 self._fail(f"frame {frame} holds block {block} but the "
                            "reverse map disagrees")
         for block, frame in frame_of.items():
-            if not 0 <= frame < self.num_frames:
-                self._fail(f"block {block} mapped to bad frame {frame}")
-            if present[frame] != block:
+            if not 0 <= frame < len(present) or present[frame] != block:
                 self._fail(f"reverse map says frame {frame} holds block "
                            f"{block} but the frame table disagrees")
-        homes_seen = {}
-        nm_blocks = self.space.nm_blocks
-        for block, home in self._home_of.items():
-            if block in frame_of:
-                self._fail(f"block {block} is both NM-resident and "
-                           "recorded as displaced (duplication)")
-            if not nm_blocks <= home < total_blocks:
-                self._fail(f"block {block} claims non-FM home {home}")
-            if home in homes_seen:
-                self._fail(f"FM home {home} stores both block "
-                           f"{homes_seen[home]} and block {block}")
-            homes_seen[home] = block

@@ -20,7 +20,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
-from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
+from repro.schemes.base import (
+    FM, NM, AccessPlan, ExchangeLedger, Level, MemoryScheme, Op)
 from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES
 from repro.xmem.address import AddressSpace
 
@@ -59,11 +60,8 @@ class PomScheme(MemoryScheme):
         self.remap_cache_hits = 0
         self.remap_cache_misses = 0
         self._meta_base = space.nm_bytes
-        #: NM frame f currently holds large block _present[f] (global
-        #: block number; initially its own NM block).
-        self._present: List[int] = list(range(self.num_frames))
-        #: displaced block -> FM home block storing it now.
-        self._home_of: Dict[int, int] = {}
+        #: which block each frame holds and where displaced blocks live
+        self.ledger = ExchangeLedger(space, BLOCK_BYTES)
         #: access counters for candidate (non-resident) blocks, per frame.
         self._counters: Dict[int, int] = {}
         #: count of accesses the current occupant has received, per frame.
@@ -77,7 +75,7 @@ class PomScheme(MemoryScheme):
         aligned = within - within % SUBBLOCK_BYTES
         meta_stage = self._remap_lookup(frame)
 
-        if self._present[frame] == block:
+        if self.ledger.present[frame] == block:
             self._occupant_count[frame] += 1
             meta_stage.append([Op(NM, frame * BLOCK_BYTES + aligned,
                                   SUBBLOCK_BYTES, False)])
@@ -85,12 +83,11 @@ class PomScheme(MemoryScheme):
             self.record_plan(plan)
             return plan
 
-        home = self._home_of.get(block, block)
-        fm_offset = self._fm_offset_of_block(home) + aligned
+        fm_offset = self.ledger.fm_offset(block) + aligned
         background: List[Op] = []
         self._counters[block] = self._counters.get(block, 0) + 1
         if self._counters[block] >= self._occupant_count[frame] + self.threshold:
-            background = self._migrate(frame, block, home)
+            background = self._migrate(frame, block)
         meta_stage.append([Op(FM, fm_offset, SUBBLOCK_BYTES, False)])
         plan = AccessPlan(FM, meta_stage, background, False,
                           "fm-migrate" if background else "fm")
@@ -112,19 +109,12 @@ class PomScheme(MemoryScheme):
                     METADATA_ENTRY_BYTES, False)]]
 
     # ------------------------------------------------------------------
-    def _migrate(self, frame: int, block: int, home: int) -> List[Op]:
-        """Swap the whole 2 KB of ``block`` (at FM ``home``) with the
-        frame's occupant.  Generates 4 KB of background traffic."""
-        occupant = self._present[frame]
-        self._present[frame] = block
-        self._home_of.pop(block, None)
-        if occupant == home:
-            self._home_of.pop(occupant, None)
-        else:
-            self._home_of[occupant] = home
+    def _migrate(self, frame: int, block: int) -> List[Op]:
+        """Swap the whole 2 KB of ``block`` with the frame's occupant.
+        Generates 4 KB of background traffic."""
+        fm_base = self.ledger.exchange(frame, block)
         self._occupant_count[frame] = self._counters.pop(block)
         self.stats.block_migrations += 1
-        fm_base = self._fm_offset_of_block(home)
         nm_base = frame * BLOCK_BYTES
         return [
             Op(FM, fm_base, BLOCK_BYTES, False),   # fetch new block
@@ -138,19 +128,9 @@ class PomScheme(MemoryScheme):
         block = paddr // BLOCK_BYTES
         within = paddr % BLOCK_BYTES
         frame = block % self.num_frames
-        if self._present[frame] == block:
+        if self.ledger.present[frame] == block:
             return NM, frame * BLOCK_BYTES + within
-        home = self._home_of.get(block, block)
-        offset = home * BLOCK_BYTES - self._nm_bytes
-        if offset < 0:
-            raise ValueError(f"block {home} is an NM home, not FM")
-        return FM, offset + within
-
-    def _fm_offset_of_block(self, block: int) -> int:
-        offset = block * BLOCK_BYTES - self.space.nm_bytes
-        if offset < 0:
-            raise ValueError(f"block {block} is an NM home, not FM")
-        return offset
+        return FM, self.ledger.fm_offset(block) + within
 
     def attach_telemetry(self, hub) -> None:
         """PoM's costs are migration bandwidth (base block_migrations
@@ -166,39 +146,16 @@ class PomScheme(MemoryScheme):
         hub.gauge("pom.competing_blocks", lambda: float(len(self._counters)))
 
     def check_invariants(self) -> None:
-        """Direct-mapped block bookkeeping: every frame holds a block of
-        its own congruence class, displaced homes are unique FM blocks,
-        and competing counters only exist for non-resident blocks."""
-        total_blocks = self.space.total_blocks
-        frames = self.num_frames
-        present = self._present
-        counts = self._occupant_count
-        for frame, occupant in enumerate(present):
-            if not 0 <= occupant < total_blocks:
-                self._fail(f"frame {frame} holds out-of-space block "
-                           f"{occupant}")
-            if occupant % frames != frame:
-                self._fail(f"frame {frame} holds block {occupant} from a "
-                           "different congruence class")
-            if counts[frame] < 0:
+        """Direct-mapped block bookkeeping (the ledger's check), and
+        competing counters only for non-resident blocks."""
+        self.ledger.check(self._fail, self.num_frames)
+        present = self.ledger.present
+        for frame, count in enumerate(self._occupant_count):
+            if count < 0:
                 self._fail(f"frame {frame} occupant count negative")
-        homes_seen = {}
-        for block, home in self._home_of.items():
-            if block % frames != home % frames:
-                self._fail(f"block {block} stored at home {home} outside "
-                           "its congruence class")
-            if not frames <= home < total_blocks:
-                self._fail(f"block {block} claims non-FM home {home}")
-            if present[block % frames] == block:
-                self._fail(f"block {block} recorded as displaced while its "
-                           "frame also holds it (duplication)")
-            if home in homes_seen:
-                self._fail(f"FM home {home} stores both block "
-                           f"{homes_seen[home]} and block {block}")
-            homes_seen[home] = block
         for block, count in self._counters.items():
             if count < 0:
                 self._fail(f"block {block} counter negative")
-            if present[block % frames] == block:
+            if present[block % self.num_frames] == block:
                 self._fail(f"resident block {block} still has a competing "
                            "counter")

@@ -42,7 +42,6 @@ SUBBLOCKS_PER_BLOCK = BLOCK_BYTES // SUBBLOCK_BYTES
 class CoreConfig:
     """Per-core pipeline parameters (Table II, processor section)."""
 
-    frequency_ghz: float = 3.2
     issue_width: int = 4
     rob_entries: int = 128
     #: Maximum LLC misses a core keeps in flight (memory-level

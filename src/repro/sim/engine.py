@@ -2,8 +2,9 @@
 
 Every timing component in the reproduction (DRAM channels, cores, the
 memory controller, epoch timers) is driven by a single :class:`Engine`
-instance.  Time is measured in **CPU cycles** (the paper's cores run at
-3.2 GHz; memory-cycle components convert internally).
+instance.  Time is measured in **CPU cycles** of the one core clock,
+:data:`CPU_GHZ`; memory-cycle components convert internally, and energy
+and trace timestamps convert cycles to real time with it.
 
 The engine is a plain binary-heap event loop: components schedule
 callbacks at absolute or relative times and the loop dispatches them in
@@ -25,6 +26,10 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
+
+#: the core clock (Table II: 3.2 GHz) — the one definition of how long
+#: a simulated cycle is.
+CPU_GHZ = 3.2
 
 
 class SimulationError(RuntimeError):
@@ -158,15 +163,6 @@ class Engine:
         finally:
             self.events_dispatched += dispatched
             self._running = False
-
-    def step(self) -> bool:
-        """Dispatch a single event.  Returns False when the queue is empty."""
-        if not self._queue:
-            return False
-        self.now, _, fn, args = heappop(self._queue)
-        fn(*args)
-        self.events_dispatched += 1
-        return True
 
     @property
     def pending(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 from repro.core.silcfm import SilcFmScheme
-from repro.stats.collectors import RunningStat
 from repro.stats.report import format_table
 
 if TYPE_CHECKING:  # annotation-only: keeps repro.stats importable from
@@ -22,8 +21,7 @@ if TYPE_CHECKING:  # annotation-only: keeps repro.stats importable from
 def describe_silcfm(scheme: SilcFmScheme) -> str:
     """One-screen summary of a SILC-FM scheme's frame state."""
     clean = interleaved = fully_remapped = locked_fm = locked_nm = 0
-    bits = RunningStat()
-    fm_counts = RunningStat()
+    remapped = bits = fm_counts = 0
     for frame in scheme.frames:
         if frame.locked:
             if frame.lock_owner == "fm":
@@ -37,8 +35,9 @@ def describe_silcfm(scheme: SilcFmScheme) -> str:
         else:
             fully_remapped += 1
         if frame.remap is not None:
-            bits.add(bin(frame.bitvec).count("1"))
-            fm_counts.add(frame.fm_count)
+            remapped += 1
+            bits += bin(frame.bitvec).count("1")
+            fm_counts += frame.fm_count
 
     rows = [
         ["frames", len(scheme.frames)],
@@ -47,8 +46,9 @@ def describe_silcfm(scheme: SilcFmScheme) -> str:
         ["fully remapped", fully_remapped],
         ["locked (fm owner)", locked_fm],
         ["locked (nm owner)", locked_nm],
-        ["mean resident subblocks", f"{bits.mean:.1f}" if bits.count else "-"],
-        ["mean fm counter", f"{fm_counts.mean:.1f}" if fm_counts.count else "-"],
+        ["mean resident subblocks",
+         f"{bits / remapped:.1f}" if remapped else "-"],
+        ["mean fm counter", f"{fm_counts / remapped:.1f}" if remapped else "-"],
         ["history table entries", len(scheme.history)],
         ["predictor way accuracy", f"{scheme.predictor.way_accuracy:.3f}"],
         ["metadata cache hit rate", "{:.3f}".format(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -68,16 +69,30 @@ def write_artifacts(directory: PathLike, stem: str, snapshot: Dict,
         trace["otherData"]["run"] = dict(meta)
     paths = (directory / f"{stem}.series.json",
              directory / f"{stem}.trace.json")
+    directory.mkdir(parents=True, exist_ok=True)
     for path, payload in zip(paths, (series, trace)):
-        _atomic_dump(path, payload)
+        # dumps, not dump: dump streams through the pure-Python
+        # encoder, dumps runs the C one; the bytes are the same
+        atomic_write(path, json.dumps(payload))
     return paths
 
 
-def _atomic_dump(path: Path, payload: Dict) -> None:
-    """tmp + rename, mirroring the executor's crash-safe cache writes."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
-        # dumps, not dump: as in the result cache, the C encoder
-        fh.write(json.dumps(payload))
-    os.replace(tmp, path)
+def atomic_write(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` whole or not at all: write a temp
+    file beside it, then ``os.replace``.  The temp name is unique per
+    writer (``mkstemp``, mode 0600): a shared ``<file>.tmp`` would let
+    two processes writing one path interleave into the same file and
+    publish the torn bytes.  The result cache and ``repro run``'s
+    artifacts both write through here."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                               dir=path.parent)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise

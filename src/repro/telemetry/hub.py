@@ -88,9 +88,6 @@ class TimeSeriesRing:
         """The in-memory (most recent) samples, oldest first."""
         return list(self._samples)
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
 
 class Telemetry:
     """Hub that components publish signals into and the engine samples.
@@ -99,21 +96,17 @@ class Telemetry:
     ----------
     window_cycles:
         Sampling period in CPU cycles.
-    cycles_per_us:
-        CPU cycles per microsecond (``frequency_ghz * 1000``); used to
-        put Chrome-trace timestamps in real time units.
 
     The sample ring and the event trace keep their default bounds
     (:class:`TimeSeriesRing`, :class:`~repro.telemetry.tracer.EventTracer`).
     """
 
-    def __init__(self, window_cycles: int = DEFAULT_TELEMETRY_WINDOW,
-                 cycles_per_us: float = 3200.0) -> None:
+    def __init__(self, window_cycles: int = DEFAULT_TELEMETRY_WINDOW) -> None:
         if window_cycles <= 0:
             raise ValueError("telemetry window must be a positive cycle count")
         self.window = window_cycles
         self.series = TimeSeriesRing()
-        self.tracer = EventTracer(cycles_per_us=cycles_per_us)
+        self.tracer = EventTracer()
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, Callable[[], float]] = {}
         self._meters: Dict[str, Callable[[], float]] = {}
@@ -156,10 +149,6 @@ class Telemetry:
     def incr(self, name: str, amount: float = 1.0) -> None:
         """Bump a hub-owned cumulative counter."""
         self._counters[name] = self._counters.get(name, 0.0) + amount
-
-    def counter(self, name: str) -> float:
-        """Current cumulative value of a hub-owned counter."""
-        return self._counters.get(name, 0.0)
 
     def instant(self, name: str, cat: str = "event", **args: object) -> None:
         """Emit an instant event into the Chrome trace at sim-now."""

@@ -11,9 +11,9 @@ selects the event type; we emit ``"i"`` instant events, ``"C"``
 counter events, ``"X"`` complete events for request/stage spans and
 ``"s"``/``"f"`` flow events linking coalesced MSHR siblings to the
 transaction that serviced them).  Timestamps (``ts``) are
-microseconds; simulation cycles are converted with the configured
-``cycles_per_us`` so the timeline is in real time at the paper's
-3.2 GHz clock.
+microseconds; simulation cycles are converted with ``cycles_per_us``
+(by default the core clock, :data:`repro.sim.engine.CPU_GHZ`, times
+1000) so the timeline is in real time.
 
 The event list is capped (``max_events``): long runs keep the earliest
 events and count the overflow in :attr:`EventTracer.dropped` rather
@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Union
 
+from repro.sim.engine import CPU_GHZ
+
 #: required keys of every emitted trace event (checked by the validator).
 _REQUIRED_EVENT_KEYS = ("name", "ph", "ts", "pid", "tid")
 
@@ -40,7 +42,7 @@ class EventTracer:
     """Collects Chrome trace events, bounded by ``max_events``."""
 
     def __init__(self, max_events: int = 100_000,
-                 cycles_per_us: float = 3200.0) -> None:
+                 cycles_per_us: float = CPU_GHZ * 1000.0) -> None:
         if max_events < 1:
             raise ValueError("max_events must be positive")
         if cycles_per_us <= 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES, SUBBLOCKS_PER_BLOCK
+from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class AddressSpace:
     # ------------------------------------------------------------------
     # classification
     # ------------------------------------------------------------------
-    def contains(self, addr: int) -> bool:
-        return 0 <= addr < self.total_bytes
-
     def is_nm(self, addr: int) -> bool:
         """True when ``addr`` belongs to the NM address range."""
         self._check(addr)
@@ -68,7 +65,7 @@ class AddressSpace:
         return addr >= self.nm_bytes
 
     def _check(self, addr: int) -> None:
-        if not self.contains(addr):
+        if not 0 <= addr < self.total_bytes:
             raise ValueError(f"address {addr:#x} outside flat space")
 
     # ------------------------------------------------------------------
@@ -80,27 +77,10 @@ class AddressSpace:
         return addr // BLOCK_BYTES
 
     @staticmethod
-    def block_base(block: int) -> int:
-        return block * BLOCK_BYTES
-
-    @staticmethod
     def subblock_index(addr: int) -> int:
         """Index of the subblock within its large block (0..31) — the bit
         position in the residency bit vector."""
         return (addr % BLOCK_BYTES) // SUBBLOCK_BYTES
-
-    @staticmethod
-    def subblock_addr(block: int, index: int) -> int:
-        """Physical address of subblock ``index`` of large block ``block``."""
-        if not 0 <= index < SUBBLOCKS_PER_BLOCK:
-            raise ValueError(f"subblock index {index} out of range")
-        return block * BLOCK_BYTES + index * SUBBLOCK_BYTES
-
-    def fm_block_of(self, addr: int) -> int:
-        """Block number inside FM (0-based within the FM region)."""
-        if not self.is_fm(addr):
-            raise ValueError(f"{addr:#x} is not an FM address")
-        return (addr - self.nm_bytes) // BLOCK_BYTES
 
     def nm_block_of(self, addr: int) -> int:
         """Block number inside NM (== the NM frame number it lives in)."""
@@ -109,12 +89,6 @@ class AddressSpace:
         return addr // BLOCK_BYTES
 
     # device-local offsets -------------------------------------------------
-    def nm_offset(self, addr: int) -> int:
-        """Device-local byte offset within the NM device."""
-        if not self.is_nm(addr):
-            raise ValueError(f"{addr:#x} is not an NM address")
-        return addr
-
     def fm_offset(self, addr: int) -> int:
         """Device-local byte offset within the FM device."""
         if not self.is_fm(addr):
@@ -133,11 +107,6 @@ class AddressSpace:
                 f"{self.nm_blocks} NM frames"
             )
         return self.nm_blocks // associativity
-
-    def set_of_block(self, block: int, associativity: int) -> int:
-        """Congruence set of a global block number (paper Section III:
-        index = block address mod number of sets)."""
-        return block % self.num_sets(associativity)
 
     def nm_frames_of_set(self, set_index: int, associativity: int) -> list:
         """The NM frame numbers (== NM-resident block numbers) forming

@@ -26,14 +26,24 @@ def test_cpu_cycles_per_mem_cycle():
     assert DDR3_TIMINGS.cpu_cycles_per_mem == pytest.approx(4.0)
 
 
+def _row_hit_closed_conflict_cycles(t):
+    """CPU cycles to the data of a row hit, a closed row and a conflict."""
+    cpm = t.cpu_cycles_per_mem
+    return (t.t_cas * cpm, (t.t_rcd + t.t_cas) * cpm,
+            (t.t_rp + t.t_rcd + t.t_cas) * cpm)
+
+
 def test_hbm_latency_slightly_lower_than_ddr3():
-    assert HBM2_TIMINGS.row_hit_cycles() < DDR3_TIMINGS.row_hit_cycles()
-    assert HBM2_TIMINGS.row_conflict_cycles() < DDR3_TIMINGS.row_conflict_cycles()
+    hbm_hit, _, hbm_conflict = _row_hit_closed_conflict_cycles(HBM2_TIMINGS)
+    ddr_hit, _, ddr_conflict = _row_hit_closed_conflict_cycles(DDR3_TIMINGS)
+    assert hbm_hit < ddr_hit
+    assert hbm_conflict < ddr_conflict
 
 
 def test_latency_ordering_hit_closed_conflict():
     for t in (HBM2_TIMINGS, DDR3_TIMINGS):
-        assert t.row_hit_cycles() < t.row_closed_cycles() < t.row_conflict_cycles()
+        hit, closed, conflict = _row_hit_closed_conflict_cycles(t)
+        assert hit < closed < conflict
 
 
 def test_burst_cycles_scale_with_size():

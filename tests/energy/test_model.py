@@ -10,12 +10,12 @@ def test_nm_access_energy_cheaper_per_byte():
 
 
 def test_cycles_to_seconds():
-    model = EnergyModel(cpu_ghz=3.2)
+    model = EnergyModel()
     assert model.cycles_to_seconds(3.2e9) == pytest.approx(1.0)
 
 
 def test_breakdown_components():
-    model = EnergyModel(cpu_ghz=3.2)
+    model = EnergyModel()
     b = model.breakdown(nm_bytes=10 ** 6, fm_bytes=10 ** 6,
                         elapsed_cycles=3.2e9)
     # same bytes: FM access energy must exceed NM access energy

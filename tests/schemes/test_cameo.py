@@ -158,3 +158,21 @@ def test_prefetch_installs_into_native_slots():
     scheme.access(addr, False)
     # groups 4 and 5 still held their native lines, so both prefetches fired
     assert scheme.prefetches_issued == 2
+
+
+def test_prefetch_skips_native_lines_in_their_own_slots():
+    """A demand miss on a displaced NM-range line prefetches the lines
+    after it, which still sit in their own slots.  Neither early return
+    of the prefetch filter may be dropped: with only the demand-owner
+    check, each would be "swapped" into the slot it already holds."""
+    space = make_space()
+    scheme = CameoPrefetchScheme(space, prefetch_lines=3)
+    scheme.ledger.exchange(5, fm_addr_in_group(space, 5) // SUBBLOCK_BYTES)
+    plan = scheme.access(5 * SUBBLOCK_BYTES, False)
+    assert plan.serviced_from is Level.FM
+    assert scheme.prefetches_issued == 0
+    assert len(plan.background) == 2  # the demand swap's install + write-back
+    for line in (6, 7, 8):
+        assert scheme.locate(line * SUBBLOCK_BYTES) == (
+            Level.NM, line * SUBBLOCK_BYTES)
+    scheme.check_invariants()

@@ -12,6 +12,7 @@ from repro.sim.config import (
     default_config,
     paper_config,
 )
+from repro.sim.engine import CPU_GHZ
 
 
 def test_block_geometry_matches_paper():
@@ -94,7 +95,7 @@ def test_table2_core_parameters():
     cfg = default_config()
     assert cfg.core.issue_width == 4
     assert cfg.core.rob_entries == 128
-    assert cfg.core.frequency_ghz == 3.2
+    assert CPU_GHZ == 3.2
     assert cfg.cores == 16
 
 

@@ -87,14 +87,6 @@ def test_max_events_watchdog_trips():
         engine.run(max_events=100)
 
 
-def test_step_returns_false_when_empty():
-    engine = Engine()
-    assert engine.step() is False
-    engine.schedule(1, lambda: None)
-    assert engine.step() is True
-    assert engine.step() is False
-
-
 def test_zero_delay_runs_at_current_time():
     engine = Engine()
     times = []
@@ -112,7 +104,7 @@ def test_events_dispatched_counter():
 
 
 # ---------------------------------------------------------------------------
-# edge cases: horizon ties, watchdog, reentrancy, stepping after drain
+# edge cases: horizon ties, watchdog, reentrancy
 # ---------------------------------------------------------------------------
 
 def test_until_horizon_dispatches_ties_exactly_at_horizon():
@@ -224,33 +216,6 @@ def test_run_is_not_reentrant():
     engine.run()
     assert len(errors) == 1
     assert "reentrant" in errors[0]
-
-
-def test_step_after_drain_returns_false_then_accepts_new_work():
-    engine = Engine()
-    engine.schedule(2, lambda: None)
-    engine.run()
-    # drained: stepping is a no-op, repeatedly
-    assert engine.step() is False
-    assert engine.step() is False
-    assert engine.now == 2.0
-    # the engine is still live: new events schedule and step normally
-    seen = []
-    engine.schedule(5, seen.append, "late")
-    assert engine.step() is True
-    assert seen == ["late"]
-    assert engine.now == 7.0
-    assert engine.step() is False
-
-
-def test_step_interleaves_with_run():
-    engine = Engine()
-    order = []
-    for tag in ("a", "b", "c"):
-        engine.schedule(1, order.append, tag)
-    assert engine.step() is True
-    engine.run()
-    assert order == ["a", "b", "c"]
 
 
 # ---------------------------------------------------------------------------

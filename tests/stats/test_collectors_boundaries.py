@@ -1,9 +1,8 @@
 """Boundary-condition tests for :mod:`repro.stats.collectors`.
 
 The report tests cover the bulk behaviour; these pin the edges — the
-single-sample variance convention, geometric-mean error paths, and the
-exact bucket an on-boundary value lands in (off-by-one bait whenever
-``value / width`` is an integer).
+geometric-mean error paths and the exact bucket an on-boundary value
+lands in (off-by-one bait whenever ``value / width`` is an integer).
 """
 
 import math
@@ -12,38 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.stats.collectors import Histogram, RunningStat, geometric_mean
-
-
-# ----------------------------------------------------------------------
-# RunningStat edges
-# ----------------------------------------------------------------------
-def test_single_sample_variance_is_zero():
-    """One sample has no spread: variance must be 0, not a division by
-    ``count - 1 == 0``."""
-    stat = RunningStat()
-    stat.add(42.0)
-    assert stat.count == 1
-    assert stat.mean == 42.0
-    assert stat.variance == 0.0
-    assert stat.stddev == 0.0
-    assert stat.minimum == 42.0
-    assert stat.maximum == 42.0
-
-
-def test_two_identical_samples_have_zero_variance():
-    stat = RunningStat()
-    stat.add(3.0)
-    stat.add(3.0)
-    assert stat.variance == pytest.approx(0.0)
-
-
-def test_running_stat_extremes_track_order_independent():
-    stat = RunningStat()
-    for v in [5.0, -2.0, 9.0, 0.0]:
-        stat.add(v)
-    assert stat.minimum == -2.0
-    assert stat.maximum == 9.0
+from repro.stats.collectors import Histogram, geometric_mean
 
 
 # ----------------------------------------------------------------------

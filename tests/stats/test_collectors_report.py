@@ -3,10 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.stats.collectors import Histogram, RunningStat, geometric_mean
+from repro.stats.collectors import Histogram, geometric_mean
 from repro.stats.report import bar_chart, format_table, grouped_series
 
 
@@ -32,41 +32,6 @@ def test_geometric_mean_rejects_bad_input():
 def test_geometric_mean_bounded_by_min_max(values):
     g = geometric_mean(values)
     assert min(values) - 1e-9 <= g <= max(values) + 1e-9
-
-
-# ----------------------------------------------------------------------
-# running stat
-# ----------------------------------------------------------------------
-def test_running_stat_mean_variance():
-    stat = RunningStat()
-    for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-        stat.add(v)
-    assert stat.mean == pytest.approx(5.0)
-    assert stat.stddev == pytest.approx(math.sqrt(32 / 7))
-    assert stat.minimum == 2.0
-    assert stat.maximum == 9.0
-
-
-def test_running_stat_empty():
-    stat = RunningStat()
-    assert stat.mean == 0.0
-    assert stat.variance == 0.0
-
-
-@settings(deadline=None)
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2,
-                max_size=100))
-def test_running_stat_matches_numpy(values):
-    import numpy as np
-
-    stat = RunningStat()
-    for v in values:
-        stat.add(v)
-    # tolerances account for catastrophic cancellation at 1e6 magnitudes
-    assert stat.mean == pytest.approx(float(np.mean(values)), rel=1e-9,
-                                      abs=1e-3)
-    assert stat.variance == pytest.approx(float(np.var(values, ddof=1)),
-                                          rel=1e-4, abs=1e-2)
 
 
 # ----------------------------------------------------------------------

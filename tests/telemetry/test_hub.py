@@ -79,11 +79,11 @@ def test_counter_incr_and_window_delta():
     hub = _hub()
     hub.incr("c")
     hub.incr("c", 4.0)
-    assert hub.counter("c") == 5.0
+    assert hub.snapshot()["counters"] == {"c": 5.0}
     assert hub.sample_now()["c"] == 5.0
     hub.incr("c")
     assert hub.sample_now()["c"] == 1.0  # per-window delta
-    assert hub.counter("c") == 6.0       # cumulative unchanged
+    assert hub.snapshot()["counters"] == {"c": 6.0}  # cumulative
 
 
 def test_sample_has_time_fields():

@@ -11,6 +11,7 @@ from repro.telemetry import (
     validate_chrome_trace,
     write_artifacts,
 )
+from repro.telemetry.artifacts import atomic_write
 
 
 def _tracer(**kwargs):
@@ -199,3 +200,10 @@ def test_artifacts_without_meta_carry_no_run_header(tmp_path):
     series, trace = write_artifacts(tmp_path, "stem", _snapshot())
     assert "run" not in json.loads(series.read_text())
     assert "run" not in json.loads(trace.read_text())["otherData"]
+
+
+def test_atomic_write_leaves_nothing_behind_on_failure(tmp_path):
+    """A write that fails publishes nothing and removes its temp file."""
+    with pytest.raises(TypeError):
+        atomic_write(tmp_path / "x.json", None)
+    assert list(tmp_path.iterdir()) == []

