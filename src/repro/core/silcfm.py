@@ -48,6 +48,12 @@ from repro.xmem.address import AddressSpace
 #: one remap entry (remap field + bit vector + counters + lock/LRU bits)
 METADATA_ENTRY_BYTES = 8
 
+#: a flat address's block and subblock numbers are these right shifts of
+#: it; a subblock number's index within its block is this mask of it
+_BLOCK_SHIFT = BLOCK_BYTES.bit_length() - 1
+_SUBBLOCK_SHIFT = SUBBLOCK_BYTES.bit_length() - 1
+_INDEX_MASK = SUBBLOCKS_PER_BLOCK - 1
+
 
 class SilcFmScheme(MemoryScheme):
     """The paper's contribution."""
@@ -94,9 +100,6 @@ class SilcFmScheme(MemoryScheme):
         self._bypass_on = config.enable_bypass
         self._predict_on = config.enable_predictor
         self._history_on = config.enable_bitvector_history
-        self._block_shift = BLOCK_BYTES.bit_length() - 1
-        self._subblock_shift = SUBBLOCK_BYTES.bit_length() - 1
-        self._index_mask = SUBBLOCKS_PER_BLOCK - 1
         self._predict_mask = self.predictor.mask
         #: each congruence set's ways
         self._ways = [tuple(space.nm_frames_of_set(s, assoc))
@@ -131,10 +134,8 @@ class SilcFmScheme(MemoryScheme):
             self._release_stale_locks()
         if not 0 <= paddr < self._total_bytes:
             raise ValueError(f"address {paddr:#x} outside flat space")
-        bshift = self._block_shift
-        sshift = self._subblock_shift
-        block = paddr >> bshift
-        index = (paddr >> sshift) & self._index_mask
+        block = paddr >> _BLOCK_SHIFT
+        index = (paddr >> _SUBBLOCK_SHIFT) & _INDEX_MASK
         bypassing = self._bypass_on and self.balancer.bypassing
         # one predictor index serves the lookup and the training
         pway = None
@@ -158,7 +159,8 @@ class SilcFmScheme(MemoryScheme):
                 if frame.locked or frame.bitvec >> index & 1:
                     in_fm = False
                     plan = AccessPlan(NM, [[Op(
-                        NM, (way << bshift) + (index << sshift),
+                        NM,
+                        (way << _BLOCK_SHIFT) + (index << _SUBBLOCK_SHIFT),
                         SUBBLOCK_BYTES, False)]], [], False, "row1",
                         frame.locked)
                 elif bypassing:
@@ -177,8 +179,9 @@ class SilcFmScheme(MemoryScheme):
                     if self.telemetry is not None:
                         self.telemetry.instant("swap-in", cat="swap", way=way,
                                                block=block, index=index)
-                    slot = (way << bshift) + (index << sshift)
-                    home = (paddr >> sshift << sshift) - self._nm_bytes
+                    slot = (way << _BLOCK_SHIFT) + (index << _SUBBLOCK_SHIFT)
+                    home = ((paddr >> _SUBBLOCK_SHIFT << _SUBBLOCK_SHIFT)
+                            - self._nm_bytes)
                     plan = AccessPlan(
                         FM, [[Op(FM, home, SUBBLOCK_BYTES, False)]],
                         [Op(NM, slot, SUBBLOCK_BYTES, False),  # native out
@@ -235,9 +238,10 @@ class SilcFmScheme(MemoryScheme):
                     plan = self._swap_back(way, index)
             else:
                 in_fm = False
-                plan = AccessPlan(NM, [[Op(NM, paddr >> sshift << sshift,
-                                           SUBBLOCK_BYTES, False)]],
-                                  [], False, "row4", frame.locked)
+                plan = AccessPlan(NM, [[Op(
+                    NM, paddr >> _SUBBLOCK_SHIFT << _SUBBLOCK_SHIFT,
+                    SUBBLOCK_BYTES, False)]], [], False, "row4",
+                    frame.locked)
             if (self._lock_on and not bypassing and not frame.locked
                     and frame.nm_count >= self.monitor.hot_threshold):
                 self._lock_nm(way, plan.background)
@@ -366,23 +370,25 @@ class SilcFmScheme(MemoryScheme):
     def locate(self, paddr: int) -> Tuple[Level, int]:
         if not 0 <= paddr < self._total_bytes:
             raise ValueError(f"address {paddr:#x} outside flat space")
-        bshift = self._block_shift
-        index = (paddr >> self._subblock_shift) & self._index_mask
+        # Most of the flat space is an NM frame with no partner or an FM
+        # block in no frame: both answer before reading the index.
         if paddr < self._nm_bytes:
-            frame = self.frames[paddr >> bshift]
-            if frame.remap is not None and (
-                    frame.bitvec >> index & 1
+            frame = self.frames[paddr >> _BLOCK_SHIFT]
+            if frame.remap is None:
+                return NM, paddr
+            index = paddr >> _SUBBLOCK_SHIFT & _INDEX_MASK
+            if (frame.bitvec >> index & 1
                     or frame.locked and frame.lock_owner == "fm"):
                 # the native subblock is out at the partner's home
                 return FM, (self._fm_home_offset(frame.remap, index)
                             + paddr % SUBBLOCK_BYTES)
             return NM, paddr
-        way = self._frame_of_block.get(paddr >> bshift)
+        way = self._frame_of_block.get(paddr >> _BLOCK_SHIFT)
         if way is not None:
             frame = self.frames[way]
-            if (frame.bitvec >> index & 1
+            if (frame.bitvec >> (paddr >> _SUBBLOCK_SHIFT & _INDEX_MASK) & 1
                     or frame.locked and frame.lock_owner == "fm"):
-                return NM, (way << bshift) + paddr % BLOCK_BYTES
+                return NM, (way << _BLOCK_SHIFT) + paddr % BLOCK_BYTES
         return FM, paddr - self._nm_bytes  # at the block's FM home
 
     # ------------------------------------------------------------------

@@ -208,10 +208,11 @@ class ExchangeLedger:
 
     def check(self, fail: Callable[[str], NoReturn],
               classes: Optional[int] = None) -> None:
-        """Every slot holds an in-space unit and every displaced unit an
-        FM home of its own, never while also in NM.  ``classes`` makes
-        the mapping direct: slot ``s`` and home ``h`` may only hold
-        units congruent to them modulo ``classes``."""
+        """Every slot holds an in-space unit.  Every displaced unit has
+        an FM home of its own, is not also in NM, and its home's own unit
+        has left that home (it is resident or displaced itself).
+        ``classes`` makes the mapping direct: slot ``s`` and home ``h``
+        may only hold units congruent to them modulo ``classes``."""
         present, total = self.present, self._total_units
         if len(present) != self._nm_units:
             fail("slot table size drifted")
@@ -236,6 +237,9 @@ class ExchangeLedger:
                 fail(f"FM home {home} stores both unit {stored_at[home]} "
                      f"and unit {unit}")
             stored_at[home] = unit
+            if home not in resident and home not in self.home_of:
+                fail(f"unit {unit} stored at FM home {home}, which its own "
+                     "unit never left")
 
 
 class MemoryScheme(abc.ABC):

@@ -19,8 +19,10 @@ Every ``check_every`` misses (and once at end of run) a **full check**
 additionally runs :meth:`MemoryScheme.check_invariants` and the
 shadow's own bijection check, then scans the whole flat space: every
 subblock's ``locate`` must round-trip against the shadow — this is the
-bijection proof (no subblock duplicated, none lost).  The scan is one
-``locate`` call and one comparison per subblock: it feeds
+bijection proof (no subblock duplicated, none lost).  The shadow stores
+only displaced subblocks, so its memory and self-check scale with what
+a run moved; the scan does not shrink with it.  It is one ``locate``
+call and one comparison per subblock: it feeds
 ``map(scheme.locate, ...)`` over the ledger's slot order (see
 :meth:`ShadowMemory.placements`) into a C-level comparison with the
 slots themselves.  Only when that comparison fails does the oracle

@@ -21,12 +21,16 @@ in-place demand writes) move nothing.
 
 The ledger numbers every slot in one **position space** — NM slot *s*
 is position *s*, FM slot *s* is position ``nm_slots + s`` — and keeps
-two plain lists over it: ``_ids[position]``, the identity stored there,
-and ``_pos[id]``, the position holding that identity.  Each is the
-other's inverse; an exchange swaps two entries of each.  Both start as
-the identity, and :meth:`ShadowMemory.placements` streams the ledger
-slot by slot, so the oracle's whole-space scan compares it against
-``locate`` without building anything per subblock.
+the permutation sparse: ``_ids`` maps a position to the identity stored
+there and ``_pos`` an identity to the position holding it, each holding
+only *displaced* entries.  Everywhere else the identity holds, so the
+ledger's memory, its construction and its self-check scale with the
+subblocks a run has moved, not with the flat space.  An exchange keeps
+both maps canonical: an identity back at its own position leaves both.
+:meth:`ShadowMemory.placements` streams the ledger slot by slot, as
+identity runs broken at the displaced positions, so the oracle's
+whole-space scan still compares every subblock against ``locate``
+without building anything per subblock.
 
 Cache-style schemes (Alloy) are not bijective: FM is always the home
 and NM holds copies.  ``copy_mode=True`` switches the shadow to copy
@@ -36,8 +40,7 @@ contents stay the identity mapping.
 
 from __future__ import annotations
 
-from itertools import chain, count, repeat
-from operator import eq, mul
+from itertools import chain, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.schemes.base import FM, NM, InvariantViolation, Level, Op
@@ -67,12 +70,10 @@ class ShadowMemory:
             #: NM slot -> logical id of the FM subblock copied there.
             self._nm_copy: Dict[int, int] = {}
         else:
-            ids = list(range(self.nm_slots + self.fm_slots))
-            #: position -> logical id stored there.
-            self._ids: List[int] = ids
-            #: logical id -> position holding it, the inverse of ``_ids``
-            #: (a copy, so the two lists share their int objects).
-            self._pos: List[int] = ids.copy()
+            #: position -> logical id stored there, displaced ids only.
+            self._ids: Dict[int, int] = {}
+            #: logical id -> position holding it, the inverse of ``_ids``.
+            self._pos: Dict[int, int] = {}
         self.exchanges_replayed = 0
 
     # ------------------------------------------------------------------
@@ -93,10 +94,7 @@ class ShadowMemory:
             if self._nm_copy.get(nm_slot) == sid:
                 return NM, nm_slot
             return FM, fm_slot
-        position = self._pos[sid]
-        if position < self.nm_slots:
-            return NM, position
-        return FM, position - self.nm_slots
+        return self._level_slot(self._pos.get(sid, sid))
 
     def id_at(self, level: Level, slot: int) -> Optional[int]:
         """Logical id stored in a slot (copy mode: None = no NM copy)."""
@@ -104,10 +102,16 @@ class ShadowMemory:
             if level is FM:
                 return self.nm_slots + slot
             return self._nm_copy.get(slot)
-        return self._ids[self._position(level, slot)]
+        position = self._position(level, slot)
+        return self._ids.get(position, position)
 
     def _position(self, level: Level, slot: int) -> int:
         return slot if level is NM else self.nm_slots + slot
+
+    def _level_slot(self, position: int) -> Tuple[Level, int]:
+        if position < self.nm_slots:
+            return NM, position
+        return FM, position - self.nm_slots
 
     def placements(self) -> Tuple[Iterable[int],
                                   Iterable[Tuple[Level, int]]]:
@@ -124,10 +128,23 @@ class ShadowMemory:
         if self.copy_mode:
             return (range(nm_bytes, self.space.total_bytes, SUBBLOCK_BYTES),
                     chain.from_iterable(self._copy_runs()))
-        return (map(mul, self._ids, repeat(SUBBLOCK_BYTES)),
+        return (chain.from_iterable(self._address_runs()),
                 chain(zip(repeat(NM, self.nm_slots),
                           range(0, nm_bytes, SUBBLOCK_BYTES)),
                       self._fm_homes(0, self.fm_slots)))
+
+    def _address_runs(self) -> Iterator[Iterable[int]]:
+        """Bijective mode's address stream as runs: the positions up to
+        the next displaced one hold their own ids, then that position
+        holds the id the ledger names."""
+        position = 0
+        for displaced, sid in sorted(self._ids.items()):
+            yield range(position * SUBBLOCK_BYTES, displaced * SUBBLOCK_BYTES,
+                        SUBBLOCK_BYTES)
+            yield (sid * SUBBLOCK_BYTES,)
+            position = displaced + 1
+        yield range(position * SUBBLOCK_BYTES, self.space.total_bytes,
+                    SUBBLOCK_BYTES)
 
     def _copy_runs(self) -> Iterator[Iterable[Tuple[Level, int]]]:
         """Copy mode's placements as runs: FM lines at their homes up to
@@ -157,16 +174,27 @@ class ShadowMemory:
                         f"NM slot {slot} copies line {sid} of a different "
                         "congruence class")
             return
+        # Over the displaced entries, the two maps must be inverses over
+        # one key set, hold no identity entry and stay in space; then,
+        # with the identity everywhere else, the ledger is a bijection.
+        # Every key of either map is an id whose round trip through both
+        # maps is checked, lowest first, so the lowest bad id is named.
         ids, pos = self._ids, self._pos
-        if all(map(eq, map(ids.__getitem__, pos), count())):
-            return
-        for sid, position in enumerate(pos):
-            stored = ids[position]
-            if stored != sid:
-                level, slot = self.location(sid)
-                raise ShadowViolation(
-                    f"ledger corrupt: id {sid} indexed at {level.value} slot "
-                    f"{slot} which holds {stored}")
+        total = self.nm_slots + self.fm_slots
+        for sid in sorted(ids.keys() | pos.keys()):
+            position = pos.get(sid, sid)
+            stored = ids.get(position, position)
+            if not (0 <= sid < total and 0 <= position < total):
+                problem = f"indexed at position {position}, out of space"
+            elif stored != sid:
+                level, slot = self._level_slot(position)
+                problem = (f"indexed at {level.value} slot {slot} which "
+                           f"holds {stored}")
+            elif pos.get(sid) == sid or ids.get(sid) == sid:
+                problem = "has an explicit identity entry"
+            else:
+                continue
+            raise ShadowViolation(f"ledger corrupt: id {sid} {problem}")
 
     # ------------------------------------------------------------------
     # replay
@@ -225,9 +253,17 @@ class ShadowMemory:
         ids, pos = self._ids, self._pos
         pa = self._position(*a)
         pb = self._position(*b)
-        ida, idb = ids[pa], ids[pb]
-        ids[pa], ids[pb] = idb, ida
-        pos[idb], pos[ida] = pa, pb
+        ida = ids.pop(pa, pa)
+        idb = ids.pop(pb, pb)
+        pos.pop(ida, None)
+        pos.pop(idb, None)
+        # an id back at its own position leaves both maps
+        if idb != pa:
+            ids[pa] = idb
+            pos[idb] = pa
+        if ida != pb:
+            ids[pb] = ida
+            pos[ida] = pb
         self.exchanges_replayed += 1
 
     # ------------------------------------------------------------------

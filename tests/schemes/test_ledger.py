@@ -1,6 +1,6 @@
 """Tests for the exchange ledger CAMEO, PoM and HMA keep their moved
 data in: random exchanges keep it a bijection, and its check catches
-the two ways a hand-edited map can break one."""
+the three ways a hand-edited map can break one."""
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +89,22 @@ def test_check_catches_a_displaced_unit_that_is_also_resident(unit_bytes):
     with pytest.raises(InvariantViolation, match="duplication"):
         ledger.check(fail, slots)
     with pytest.raises(InvariantViolation, match="duplication"):
+        ledger.check(fail)
+
+
+@pytest.mark.parametrize("unit_bytes", [SUBBLOCK_BYTES, BLOCK_BYTES],
+                         ids=["line", "block"])
+def test_check_catches_a_home_its_own_unit_never_left(unit_bytes):
+    """The last unit's home entry points at a class-mate's home, whose
+    own unit never left it: both live at one FM home, though no other
+    displaced unit claims that home."""
+    ledger = ExchangeLedger(SPACE, unit_bytes)
+    slots = len(ledger.present)
+    last = SPACE.total_bytes // unit_bytes - 1
+    ledger.home_of[last] = last - slots
+    with pytest.raises(InvariantViolation, match="never left"):
+        ledger.check(fail, slots)
+    with pytest.raises(InvariantViolation, match="never left"):
         ledger.check(fail)
 
 

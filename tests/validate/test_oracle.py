@@ -182,10 +182,20 @@ def test_full_check_catches_metadata_only_swap(build, plant):
     assert oracle.full_scans == 1
 
 
-def _misplace_last_cameo_line(scheme):
-    """The last line's home entry points at a group-mate's home."""
-    last = scheme._total_subblocks - 1
-    scheme.ledger.home_of[last] = last - scheme.num_slots
+def _misreport_last_cameo_line(scheme):
+    """``locate`` answers one line too low for the last line only.  A
+    plant in the metadata that ``check_invariants`` cannot see moves at
+    least two lines, so the scan would name the lower one."""
+    last = scheme.space.total_bytes - SUBBLOCK_BYTES
+    locate = scheme.locate
+
+    def misreport(paddr):
+        level, offset = locate(paddr)
+        if paddr == last:
+            offset -= SUBBLOCK_BYTES
+        return level, offset
+
+    scheme.locate = misreport
 
 
 def _cache_last_alloy_line(scheme):
@@ -195,7 +205,7 @@ def _cache_last_alloy_line(scheme):
 
 
 @pytest.mark.parametrize("build, plant", [
-    (CameoScheme, _misplace_last_cameo_line),
+    (CameoScheme, _misreport_last_cameo_line),
     (AlloyCacheScheme, _cache_last_alloy_line),
 ], ids=["cameo", "alloy"])
 def test_full_check_reaches_the_last_subblock(build, plant):
@@ -208,6 +218,31 @@ def test_full_check_reaches_the_last_subblock(build, plant):
     last = SCAN_SPACE.total_bytes - SUBBLOCK_BYTES
     with pytest.raises(OracleViolation, match=rf"locate\({last:#x}\)"):
         oracle.full_check()
+
+
+@pytest.mark.parametrize("build", [CameoScheme, SilcFmScheme],
+                         ids=["cameo", "silcfm"])
+def test_full_check_locates_every_subblock_once(build):
+    """The ledger stores only displaced subblocks, but the scan still
+    asks ``locate`` about every subblock of the flat space, once."""
+    scheme = build(SCAN_SPACE)
+    oracle = ValidationOracle(scheme, check_every=0)
+    nm_bytes = SCAN_SPACE.nm_bytes
+    for paddr in (nm_bytes, nm_bytes + 3 * SUBBLOCK_BYTES, 5 * BLOCK_BYTES):
+        oracle.before_access(paddr, False)
+        oracle.after_access(paddr, False, scheme.access(paddr, False))
+    assert oracle.shadow._ids  # the swaps displaced something
+    located = []
+    locate = scheme.locate
+
+    def counting(paddr):
+        located.append(paddr)
+        return locate(paddr)
+
+    scheme.locate = counting
+    oracle.full_check()
+    assert sorted(located) == list(range(0, SCAN_SPACE.total_bytes,
+                                         SUBBLOCK_BYTES))
 
 
 def test_full_check_names_the_lowest_address_after_swaps():

@@ -3,13 +3,17 @@
 Each test hand-builds the exact ``Op`` sequences the schemes emit
 (subblock swap triplet, restore quartet, 2 KB migration, Alloy fill)
 and checks the ledger tracks the movement — or stays put for traffic
-that moves nothing.
+that moves nothing.  The sparse ledger is held to a dense two-list
+permutation replaying the same swaps.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.schemes.base import Level, Op
-from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES
+from repro.sim.config import (
+    BLOCK_BYTES, SUBBLOCK_BYTES, SUBBLOCKS_PER_BLOCK, default_config)
 from repro.validate.shadow import ShadowMemory, ShadowViolation
 from repro.xmem.address import AddressSpace
 
@@ -17,6 +21,7 @@ NM_BLOCKS = 4
 FM_BLOCKS = 16
 SPACE = AddressSpace(NM_BLOCKS * BLOCK_BYTES, FM_BLOCKS * BLOCK_BYTES)
 NM_SLOTS = NM_BLOCKS * (BLOCK_BYTES // SUBBLOCK_BYTES)
+SLOTS = SPACE.total_bytes // SUBBLOCK_BYTES
 
 
 def nm_op(slot, write=False, size=SUBBLOCK_BYTES):
@@ -163,9 +168,97 @@ def test_metadata_region_and_partial_slots_are_filtered():
 
 def test_self_bijection_check_detects_ledger_corruption():
     s = shadow()
-    s._ids[0] = s._ids[1] = 1  # duplicate an identity
+    s._ids[0] = 1  # duplicate an identity: position 1 holds it too
     with pytest.raises(ShadowViolation, match="ledger corrupt: id 0 "):
         s.check_self_bijection()
+
+
+def _swap_recorded_in_pos_only(s):
+    """Half an exchange: ids 9 and ``NM_SLOTS + 9`` trade positions in
+    the id -> position map, while the position -> id map still holds
+    the identity."""
+    s._pos[9] = NM_SLOTS + 9
+    s._pos[NM_SLOTS + 9] = 9
+
+
+def _identity_entries(s):
+    """Ids 7 and ``NM_SLOTS + 2`` indexed at their own positions."""
+    for sid in (NM_SLOTS + 2, 7):
+        s._ids[sid] = s._pos[sid] = sid
+
+
+@pytest.mark.parametrize("plant, message", [
+    (_swap_recorded_in_pos_only,
+     "ledger corrupt: id 9 indexed at fm slot 9 which holds "
+     f"{NM_SLOTS + 9}$"),
+    (_identity_entries,
+     "ledger corrupt: id 7 has an explicit identity entry"),
+], ids=["one-sided", "identity"])
+def test_self_bijection_check_rejects_non_canonical_entries(plant, message):
+    """Both maps hold displaced ids only and are each other's inverse; a
+    plant that breaks either names the lowest id it affects."""
+    s = shadow()
+    s.apply([fm_op(5), nm_op(5), nm_op(5, write=True), fm_op(5, write=True)])
+    s.check_self_bijection()
+    plant(s)
+    with pytest.raises(ShadowViolation, match=message):
+        s.check_self_bijection()
+
+
+# ----------------------------------------------------------------------
+# the sparse ledger against a dense permutation
+# ----------------------------------------------------------------------
+def _level_slot(position):
+    if position < NM_SLOTS:
+        return Level.NM, position
+    return Level.FM, position - NM_SLOTS
+
+
+@settings(max_examples=40, deadline=None)
+@given(swaps=st.lists(st.tuples(st.integers(0, NM_SLOTS - 1),
+                                st.integers(0, FM_BLOCKS - 1)),
+                      max_size=40))
+def test_sparse_ledger_matches_a_dense_permutation(swaps):
+    """Random subblock swaps (the SILC-FM triplet, NM slot against the
+    same within-block index of an FM block) replayed into the shadow and
+    into two dense lists: every query, both scan streams and the
+    self-check agree, and the maps hold exactly the displaced ids."""
+    s = shadow()
+    ids = list(range(SLOTS))  # position -> id
+    pos = list(range(SLOTS))  # id -> position
+    slots = [_level_slot(position) for position in range(SLOTS)]
+    for nm_slot, fm_block in swaps:
+        index = nm_slot % SUBBLOCKS_PER_BLOCK
+        fm_slot = fm_block * SUBBLOCKS_PER_BLOCK + index
+        s.apply([fm_op(fm_slot), nm_op(nm_slot),
+                 nm_op(nm_slot, write=True), fm_op(fm_slot, write=True)])
+        a, b = nm_slot, NM_SLOTS + fm_slot
+        ids[a], ids[b] = ids[b], ids[a]
+        pos[ids[a]], pos[ids[b]] = a, b
+
+        assert [s.location(sid) for sid in range(SLOTS)] == [
+            _level_slot(position) for position in pos]
+        assert [s.id_at(*slot) for slot in slots] == ids
+        addresses, placements = s.placements()
+        assert list(addresses) == [sid * SUBBLOCK_BYTES for sid in ids]
+        assert list(placements) == [
+            (level, slot * SUBBLOCK_BYTES) for level, slot in slots]
+        s.check_self_bijection()
+        displaced = sum(sid != position for position, sid in enumerate(ids))
+        assert len(s._ids) == len(s._pos) == displaced
+
+
+def test_ledger_at_eight_times_the_default_capacity_starts_empty():
+    """Construction allocates nothing per slot: 5.2M slots, two empty
+    maps, and the identity at both ends of the space."""
+    config = default_config(16)
+    s = ShadowMemory(AddressSpace(config.nm_bytes, config.fm_bytes))
+    last = (config.nm_bytes + config.fm_bytes) // SUBBLOCK_BYTES - 1
+    assert last + 1 > 5_000_000
+    assert s._ids == {} and s._pos == {}
+    assert s.location(0) == (Level.NM, 0)
+    assert s.location(last) == (Level.FM, s.fm_slots - 1)
+    s.check_self_bijection()
 
 
 # ----------------------------------------------------------------------
