@@ -59,6 +59,7 @@ from repro.sim.config import (  # noqa: E402
     SystemConfig,
     default_config,
 )
+from repro.telemetry import EventTracer  # noqa: E402
 from repro.workloads import (  # noqa: E402
     BENCHMARKS,
     WorkloadModel,
@@ -198,19 +199,27 @@ def grid_digest(scheme: str, workload: str, mshr_entries: int,
                 silcfm: Optional[SilcFmConfig] = None,
                 misses: int = MISSES, spans: bool = False) -> str:
     """sha256 of one grid cell's canonical ``RunResult`` JSON; with
-    ``spans`` the run samples every miss and the JSON carries the whole
-    telemetry snapshot."""
+    ``spans`` the run samples every miss into an ``EventTracer``, the
+    JSON carries the whole telemetry snapshot, and the tracer's events
+    and dropped count are hashed with it."""
     config = dataclasses.replace(
         default_config(SCALE), seed=SEED, mshr_entries=mshr_entries,
         check_interval=check_interval)
     if silcfm is not None:
         config = dataclasses.replace(config, silcfm=silcfm)
+    tracer = None
     if spans:
         config = dataclasses.replace(
             config, telemetry_window=SPAN_TELEMETRY_WINDOW,
             span_sample_rate=SPAN_SAMPLE_RATE)
-    result = run_one(scheme, workload, config, misses_per_core=misses)
-    canonical = json.dumps(result.to_dict(), sort_keys=True)
+        tracer = EventTracer()
+    result = run_one(scheme, workload, config, misses_per_core=misses,
+                     tracer=tracer)
+    payload = result.to_dict()
+    if tracer is not None:
+        payload = {"result": payload, "events": tracer.events(),
+                   "dropped_events": tracer.dropped}
+    canonical = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

@@ -26,8 +26,9 @@ windowed time-series samples and a Chrome-format event trace, and is
 the one writer of the artifact files: ``<scheme>-<workload>.series.json``
 and ``.trace.json`` under ``--telemetry-out`` (default
 ``results/telemetry/``).  The sections computed from telemetry
-(``figure table1``, the predictor ablation) trace their own cells and
-read each snapshot from the cached result.
+(``figure table1``, the predictor ablation) run their own cells with
+telemetry on and read each snapshot — samples, counters and span
+aggregates, never trace events — from the cached result.
 
 ``--span-sample-rate N`` (implies ``--telemetry``) additionally rides a
 :class:`~repro.telemetry.spans.Span` on every Nth memory request,
@@ -72,7 +73,8 @@ from repro.experiments.executor import (
 from repro.experiments.figures import MISSES_PER_CORE
 from repro.experiments.runner import SCHEMES, run_one
 from repro.sim.config import default_config
-from repro.telemetry import DEFAULT_TELEMETRY_WINDOW, write_artifacts
+from repro.telemetry import (DEFAULT_TELEMETRY_WINDOW, EventTracer,
+                             write_artifacts)
 from repro.validate import DEFAULT_CHECK_EVERY
 from repro.stats.report import bar_chart, format_table
 from repro.workloads.spec import BENCHMARKS, MIXES, per_core_spec
@@ -314,8 +316,11 @@ def _report_failures(executor: ExperimentExecutor) -> int:
 
 def _cmd_run(args) -> int:
     config = _config(args.scale, args)
+    # the one tracer: this command is the one writer of a trace file
+    tracer = EventTracer() if config.telemetry_window > 0 else None
     result = run_one(args.scheme, args.workload, config,
-                     misses_per_core=args.misses, seed=args.seed)
+                     misses_per_core=args.misses, seed=args.seed,
+                     tracer=tracer)
     rows = [
         ["execution cycles", f"{result.elapsed_cycles:,.0f}"],
         ["NM access rate", f"{result.access_rate:.3f}"],
@@ -336,11 +341,11 @@ def _cmd_run(args) -> int:
                             misses_per_core=args.misses)
         series, trace = write_artifacts(
             args.telemetry_out, f"{args.scheme}-{args.workload}", snap,
-            meta=meta)
+            tracer, meta=meta)
         print(f"telemetry: {len(snap['samples'])} samples "
               f"({snap['spilled_samples']} spilled), "
-              f"{len(snap['events'])} trace events "
-              f"({snap['dropped_events']} dropped)")
+              f"{len(tracer.events())} trace events "
+              f"({tracer.dropped} dropped)")
         print(f"  series: {series}\n  trace:  {trace}  (open in Perfetto)")
         if "spans" in snap:
             print(f"  spans:  {snap['spans']['spans']} recorded — run "

@@ -35,7 +35,7 @@ from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.schemes.base import MemoryScheme, SchemeStats
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine, SimulationError
-from repro.telemetry import Telemetry
+from repro.telemetry import EventTracer, Telemetry
 from repro.workloads.model import WorkloadModel, WorkloadSpec
 from repro.xmem.address import AddressSpace
 from repro.xmem.translation import FrameAllocator, PageTable
@@ -62,10 +62,11 @@ class RunResult:
     energy: EnergyBreakdown
     edp: float
     extras: Dict[str, float] = field(default_factory=dict)
-    #: telemetry snapshot (:meth:`Telemetry.snapshot`) when the run had
-    #: ``telemetry_window > 0``; None otherwise.  Omitted entirely from
-    #: the JSON round-trip when None so disabled-mode cache entries stay
-    #: bit-identical to pre-telemetry ones.
+    #: telemetry snapshot (:meth:`Telemetry.snapshot`: samples,
+    #: counters and span aggregates, never trace events) when the run
+    #: had ``telemetry_window > 0``; None otherwise.  Omitted entirely
+    #: from the JSON round-trip when None so disabled-mode cache entries
+    #: stay bit-identical to pre-telemetry ones.
     telemetry: Optional[Dict] = None
 
     @property
@@ -134,14 +135,21 @@ class RunResult:
 
 
 class System:
-    """One complete simulated machine."""
+    """One complete simulated machine.
+
+    ``tracer`` receives the run's Chrome trace events (instant events,
+    counter tracks, span slices and flows); it needs
+    ``config.telemetry_window > 0``.  Without one the run keeps its
+    samples, counters and span aggregates and records no events.
+    """
 
     def __init__(self, config: SystemConfig, scheme_factory: SchemeFactory,
                  workloads: List[WorkloadSpec], misses_per_core: int,
                  alloc_policy: str = "interleaved",
                  mode: str = "miss",
                  seed: Optional[int] = None,
-                 warmup_fraction: float = 0.0) -> None:
+                 warmup_fraction: float = 0.0, *,
+                 tracer: Optional[EventTracer] = None) -> None:
         if mode not in ("miss", "reference"):
             raise ValueError(f"unknown trace mode {mode!r}")
         if misses_per_core < 1:
@@ -150,6 +158,8 @@ class System:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if len(workloads) != config.cores:
             raise ValueError("need one workload spec per core")
+        if tracer is not None and config.telemetry_window <= 0:
+            raise ValueError("an event tracer needs telemetry_window > 0")
         self.config = config
         #: one spec per core; the result is named after ``workloads[0]``
         self.workloads = workloads
@@ -222,19 +232,18 @@ class System:
         self.telemetry: Optional[Telemetry] = None
         self.spans = None
         if config.telemetry_window > 0:
-            self._setup_telemetry()
+            self._setup_telemetry(tracer)
         if config.span_sample_rate > 0:
             # config validation guarantees telemetry exists here
             from repro.telemetry.spans import SpanRecorder
 
             self.spans = SpanRecorder(
-                config.span_sample_rate, self.engine,
-                tracer=self.telemetry.tracer)
+                config.span_sample_rate, self.engine, tracer=tracer)
             self.controller.spans = self.spans
             self.mshr.spans = self.spans
 
     # ------------------------------------------------------------------
-    def _setup_telemetry(self) -> None:
+    def _setup_telemetry(self, tracer: Optional[EventTracer]) -> None:
         """Build the hub and register every component's probes.
 
         All probes are pull-based closures over counters the components
@@ -242,7 +251,8 @@ class System:
         periodic sampler event — which reads state and never mutates it,
         keeping the figures of merit identical to an unsampled run.
         """
-        hub = Telemetry(window_cycles=self.config.telemetry_window)
+        hub = Telemetry(window_cycles=self.config.telemetry_window,
+                        tracer=tracer)
         self.telemetry = hub
         self.scheme.attach_telemetry(hub)
         self.controller.attach_telemetry(hub)

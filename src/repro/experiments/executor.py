@@ -139,9 +139,11 @@ class ResultCache:
     sees either no file or one writer's complete bytes.  Unreadable or
     schema-mismatched files are treated as misses.
 
-    A telemetry-enabled result carries its snapshot inside its one
-    file, as ``RunResult.telemetry``; ``repro run`` is what writes a
-    snapshot out as ``.series.json`` / ``.trace.json`` artifacts.  The
+    A telemetry-enabled result carries its snapshot (samples, counters,
+    span aggregates) inside its one file, as ``RunResult.telemetry``.
+    Cells run without an event tracer, so no trace events are cached;
+    ``repro run`` is what writes a run's snapshot and its tracer's
+    events out as ``.series.json`` / ``.trace.json`` artifacts.  The
     telemetry window is part of the config, hence of the cell hash:
     enabled and disabled runs of the same experiment never share a
     cache entry.

@@ -41,6 +41,7 @@ from repro.schemes.hma import HmaScheme
 from repro.schemes.pom import PomScheme
 from repro.schemes.static import StaticScheme
 from repro.sim.config import SystemConfig
+from repro.telemetry import EventTracer
 from repro.workloads.spec import workload_specs
 from repro.xmem.address import AddressSpace
 
@@ -102,7 +103,8 @@ SCHEMES: Dict[str, SchemeSetup] = {
 
 def run_one(scheme_key: str, workload_name: str, config: SystemConfig,
             misses_per_core: int = 20_000, seed: Optional[int] = None,
-            mode: str = "miss", warmup_fraction: float = 0.2) -> RunResult:
+            mode: str = "miss", warmup_fraction: float = 0.2, *,
+            tracer: Optional[EventTracer] = None) -> RunResult:
     """Simulate one (scheme, workload) pair end to end.
 
     ``workload_name`` is a Table III benchmark, run in rate mode (one
@@ -116,6 +118,10 @@ def run_one(scheme_key: str, workload_name: str, config: SystemConfig,
     the first metadata/bijection inconsistency; the executor's result
     cache keys on the whole config, so checked and unchecked runs never
     share cache entries.
+
+    ``tracer`` (it needs ``config.telemetry_window > 0``) receives the
+    run's Chrome trace events; ``result.telemetry`` never holds them.
+    Executor cells pass none: nothing reads a cached cell's events.
     """
     if scheme_key not in SCHEMES:
         raise KeyError(f"unknown scheme {scheme_key!r}; have {sorted(SCHEMES)}")
@@ -129,6 +135,7 @@ def run_one(scheme_key: str, workload_name: str, config: SystemConfig,
         mode=mode,
         seed=seed,
         warmup_fraction=warmup_fraction,
+        tracer=tracer,
     )
     result = system.run()
     result.scheme_name = scheme_key

@@ -4,10 +4,12 @@ traces and per-request spans (see docs/telemetry.md).
 Public surface:
 
 * :class:`Telemetry` — the hub components publish counters/gauges/
-  meters into; samples them on a cycle window into a ring-buffered,
-  spillable time series.
+  meters into; samples them on a cycle window into a ring-buffered
+  time series.
 * :class:`EventTracer` / :func:`validate_chrome_trace` — Chrome-trace
-  event collection and validation (Perfetto-loadable).
+  event collection and validation (Perfetto-loadable).  A tracer is
+  passed in by the caller that writes it out (``run_one(...,
+  tracer=)``); a run without one records no events.
 * :func:`write_artifacts` — the one writer of a run's
   ``.series.json`` / ``.trace.json`` pair (``repro run`` calls it),
   optionally labelled with a :func:`run_metadata` header.

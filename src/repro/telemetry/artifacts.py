@@ -3,13 +3,16 @@
 Two files per telemetry-enabled run, written by :func:`write_artifacts`:
 
 * ``<stem>.series.json`` — the windowed time series (samples, final
-  counters, spill accounting, span aggregates), schema-versioned;
-* ``<stem>.trace.json`` — the Chrome-trace container, loadable in
-  Perfetto / ``chrome://tracing``.
+  counters, dropped-sample count, span aggregates) and the tracer's
+  ``dropped_events``, schema-versioned;
+* ``<stem>.trace.json`` — the tracer's events in the Chrome-trace
+  container, loadable in Perfetto / ``chrome://tracing``.
 
-``repro run`` is their one writer: it names them by (scheme, workload)
-under ``--telemetry-out`` (default ``results/telemetry/``).  A cached
-cell keeps its snapshot inside its result-cache entry instead.
+``repro run`` is their one writer, and the one owner of an
+:class:`~repro.telemetry.tracer.EventTracer`: it names the files by
+(scheme, workload) under ``--telemetry-out`` (default
+``results/telemetry/``).  A cached cell keeps its snapshot, which holds
+no trace events, inside its result-cache entry instead.
 
 Both files can carry a **run-metadata header** (``meta=``, built with
 :func:`run_metadata`): scheme, workload, seed, config hash and schema
@@ -25,6 +28,8 @@ import os
 import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
+
+from repro.telemetry.tracer import EventTracer
 
 PathLike = Union[str, Path]
 
@@ -51,16 +56,18 @@ def run_metadata(scheme: str, workload: str, seed: int,
 
 
 def write_artifacts(directory: PathLike, stem: str, snapshot: Dict,
+                    tracer: EventTracer,
                     meta: Optional[Dict] = None) -> Tuple[Path, Path]:
     """Write one run's two files into ``directory``; returns their paths.
 
-    The series file holds everything in the snapshot except its trace
-    events; the trace file wraps those events in the Chrome-trace
-    container object.  ``meta`` is embedded in both."""
+    The series file holds the snapshot and the count of events the
+    tracer dropped at its cap (``dropped_events``); the trace file wraps
+    the tracer's events in the Chrome-trace container object.  ``meta``
+    is embedded in both."""
     directory = Path(directory)
-    series = {k: v for k, v in snapshot.items() if k != "events"}
+    series = dict(snapshot, dropped_events=tracer.dropped)
     trace = {
-        "traceEvents": snapshot.get("events", []),
+        "traceEvents": tracer.events(),
         "displayTimeUnit": "ms",
         "otherData": {"producer": "repro.telemetry (SILC-FM simulator)"},
     }

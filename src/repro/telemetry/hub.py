@@ -27,15 +27,21 @@ meter
     delta to zero instead of reporting a negative rate.
 
 Samples are flat ``{"t": ..., "dt": ..., "<signal>": value}`` dicts
-held in a bounded ring; when the ring fills, the oldest half either
-spills to a JSON-lines file (``spill_path``) or is dropped (the
-``spilled_samples`` count is kept either way, so a truncated series is
-never mistaken for a complete one).
+held in a bounded ring; when the ring fills, the oldest half is dropped
+and counted (``spilled_samples``), so a truncated series is never
+mistaken for a complete one.
+
+Chrome trace events are the caller's: a hub built with an
+:class:`~repro.telemetry.tracer.EventTracer` emits instant events and
+mirrors ``trace=True`` signals into it as counter events; a hub built
+without one records samples, counters and span aggregates only, and
+its :meth:`Telemetry.instant` returns at once.  ``repro run`` is the
+one caller that passes a tracer, because it is the one writer of a
+trace file.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.engine import Engine
@@ -46,7 +52,9 @@ from repro.telemetry.tracer import EventTracer
 #: v2: snapshots may carry a ``spans`` latency-attribution sub-object
 #: (:mod:`repro.telemetry.spans`) and artifacts a ``run`` metadata
 #: header (:func:`repro.telemetry.artifacts.run_metadata`).
-TELEMETRY_SCHEMA_VERSION = 2
+#: v3: snapshots carry no ``events``, ``dropped_events`` or
+#: ``spill_path``; the trace lives in the caller's ``EventTracer``.
+TELEMETRY_SCHEMA_VERSION = 3
 
 #: default sampling period, in CPU cycles (the ``--telemetry`` flag's
 #: window when ``--telemetry-window`` is not given).
@@ -57,32 +65,25 @@ DEFAULT_RING_CAPACITY = 4096
 
 
 class TimeSeriesRing:
-    """Bounded sample buffer with optional spill-to-disk.
+    """Bounded sample buffer.
 
     Appends are O(1); when the buffer reaches ``capacity`` the oldest
-    half is evicted — to ``spill_path`` as JSON lines when configured,
-    otherwise dropped with only the count retained.
+    half is dropped, and only its count (``spilled``) is kept.
     """
 
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY,
-                 spill_path: Optional[str] = None) -> None:
+    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
         if capacity < 2:
             raise ValueError("ring capacity must be at least 2")
         self.capacity = capacity
-        self.spill_path = spill_path
         self.spilled = 0
         self._samples: List[Dict[str, float]] = []
 
     def append(self, sample: Dict[str, float]) -> None:
         self._samples.append(sample)
         if len(self._samples) >= self.capacity:
-            evicted = self._samples[: self.capacity // 2]
-            self._samples = self._samples[self.capacity // 2:]
-            self.spilled += len(evicted)
-            if self.spill_path is not None:
-                with open(self.spill_path, "a") as fh:
-                    for line in evicted:
-                        fh.write(json.dumps(line) + "\n")
+            half = self.capacity // 2
+            del self._samples[:half]
+            self.spilled += half
 
     def samples(self) -> List[Dict[str, float]]:
         """The in-memory (most recent) samples, oldest first."""
@@ -96,17 +97,20 @@ class Telemetry:
     ----------
     window_cycles:
         Sampling period in CPU cycles.
+    tracer:
+        Where instant events and the ``trace=True`` counter tracks go;
+        None (the default) records no trace events at all.
 
-    The sample ring and the event trace keep their default bounds
-    (:class:`TimeSeriesRing`, :class:`~repro.telemetry.tracer.EventTracer`).
+    The sample ring keeps its default bound (:class:`TimeSeriesRing`).
     """
 
-    def __init__(self, window_cycles: int = DEFAULT_TELEMETRY_WINDOW) -> None:
+    def __init__(self, window_cycles: int = DEFAULT_TELEMETRY_WINDOW, *,
+                 tracer: Optional[EventTracer] = None) -> None:
         if window_cycles <= 0:
             raise ValueError("telemetry window must be a positive cycle count")
         self.window = window_cycles
         self.series = TimeSeriesRing()
-        self.tracer = EventTracer()
+        self.tracer = tracer
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, Callable[[], float]] = {}
         self._meters: Dict[str, Callable[[], float]] = {}
@@ -151,7 +155,10 @@ class Telemetry:
         self._counters[name] = self._counters.get(name, 0.0) + amount
 
     def instant(self, name: str, cat: str = "event", **args: object) -> None:
-        """Emit an instant event into the Chrome trace at sim-now."""
+        """Emit an instant event into the Chrome trace at sim-now; a
+        no-op on a hub without a tracer."""
+        if self.tracer is None:
+            return
         now = self._engine.now if self._engine is not None else 0.0
         self.tracer.instant(name, cat, now, args or None)
 
@@ -208,7 +215,7 @@ class Telemetry:
         self._last_sample_t = now
         self.samples_taken += 1
         self.series.append(sample)
-        if self._traced:
+        if self.tracer is not None and self._traced:
             self.tracer.counter("telemetry", now,
                                 {name: sample[name] for name in self._traced})
         return sample
@@ -217,19 +224,18 @@ class Telemetry:
     # export
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict:
-        """Everything observed, as one JSON-serialisable dict.
+        """The samples and counters, as one JSON-serialisable dict.
 
         This is what rides inside :class:`repro.cpu.system.RunResult`
         (and therefore the executor's result cache) when telemetry is
-        enabled.
+        enabled.  Trace events are not part of it: they stay in the
+        tracer, whose owner writes them out
+        (:func:`repro.telemetry.artifacts.write_artifacts`).
         """
         return {
             "schema": TELEMETRY_SCHEMA_VERSION,
             "window_cycles": self.window,
             "samples": self.series.samples(),
             "spilled_samples": self.series.spilled,
-            "spill_path": self.series.spill_path,
             "counters": dict(self._counters),
-            "events": self.tracer.events(),
-            "dropped_events": self.tracer.dropped,
         }

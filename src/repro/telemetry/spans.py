@@ -21,10 +21,11 @@ and Table I operation rows.  This module adds that axis:
   ``seq % rate == 0``), so a given config samples the same requests on
   every run, and rate 0 (the default) constructs nothing at all:
   golden results are byte-identical to pre-span builds.
-  Sampled spans are also emitted into the :class:`EventTracer` as
-  Perfetto complete ("X") events — one slice per request plus one per
-  pipeline stage — with flow ("s"/"f") events linking every coalesced
-  sibling's join point to the parent's retirement.
+  When the recorder is given an :class:`EventTracer`, sampled spans are
+  also emitted into it as Perfetto complete ("X") events — one slice
+  per request plus one per pipeline stage — with flow ("s"/"f") events
+  linking every coalesced sibling's join point to the parent's
+  retirement.  Without one, the aggregates are all it keeps.
 
 Spans only *observe*: they schedule no events and read timestamps the
 pipeline already produces, so figures of merit are bit-identical with

@@ -17,11 +17,13 @@ from pathlib import Path
 import pytest
 
 import repro.__main__ as cli
-from repro.experiments import report_writer
+from repro.experiments import figures, report_writer
 from repro.experiments.executor import ExperimentExecutor
+from repro.sim.config import default_config
 from repro.workloads.spec import BENCHMARKS, HIGH_MPKI, LOW_MPKI
 
-SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
+ROOT = Path(__file__).resolve().parents[2]
+SCRIPTS = ROOT / "scripts"
 sys.path.insert(0, str(SCRIPTS))
 
 from gen_golden_results import (  # noqa: E402
@@ -94,6 +96,18 @@ def test_report_body_matches_pin(report):
     script recorded (``python scripts/gen_golden_results.py``)."""
     _code, text, _err = report
     assert report_body_digest(text) == REPORT_DIGEST.read_text().strip()
+
+
+def test_committed_report_header_matches_the_code():
+    """The published EXPERIMENTS.md starts with the header the report
+    writer prints today for the default machine and trace lengths: its
+    config digest, sizes and miss counts.  A config change that skipped
+    the regeneration fails here; CI's report job checks the body."""
+    header = report_writer._header(default_config(), figures.MISSES_PER_CORE)
+    committed = (ROOT / "EXPERIMENTS.md").read_text()
+    assert committed.startswith(header + "\n"), (
+        "EXPERIMENTS.md is stale: regenerate it with "
+        "'python -m repro report --jobs 2 --no-cache'")
 
 
 def test_report_mentions_paper_reference_points(report):

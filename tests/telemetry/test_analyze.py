@@ -9,7 +9,7 @@ import pytest
 import repro.__main__ as cli
 from repro.experiments.runner import run_one
 from repro.sim.config import default_config
-from repro.telemetry import run_metadata, write_artifacts
+from repro.telemetry import EventTracer, run_metadata, write_artifacts
 from repro.telemetry.analyze import (AnalyzeError, analyze, load_artifact,
                                      render_report)
 
@@ -22,12 +22,13 @@ def series(tmp_path_factory):
     """The series file of one span-sampled silc/mcf run."""
     config = dataclasses.replace(default_config(scale=0.25),
                                  telemetry_window=5000, span_sample_rate=1)
+    tracer = EventTracer()
     result = run_one("silc", "mcf", config, misses_per_core=MISSES,
-                     seed=SEED)
+                     seed=SEED, tracer=tracer)
     directory = tmp_path_factory.mktemp("artifacts")
     meta = run_metadata("silc", "mcf", SEED, config, misses_per_core=MISSES)
     series, _trace = write_artifacts(directory, "silc-mcf",
-                                     result.telemetry, meta=meta)
+                                     result.telemetry, tracer, meta=meta)
     return series
 
 

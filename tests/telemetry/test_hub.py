@@ -1,13 +1,12 @@
 """Unit tests for the telemetry hub: signal kinds, sampling semantics,
-ring spill/drop accounting, and the engine attachment."""
-
-import json
+ring drop accounting, the optional event tracer, and the engine
+attachment."""
 
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.telemetry import (TELEMETRY_SCHEMA_VERSION, Telemetry,
-                             TimeSeriesRing)
+from repro.telemetry import (TELEMETRY_SCHEMA_VERSION, EventTracer,
+                             Telemetry, TimeSeriesRing)
 
 
 def _hub(window=100):
@@ -103,16 +102,6 @@ def test_ring_drops_oldest_half_when_full():
     assert [s["i"] for s in ring.samples()] == [4, 5, 6, 7]
 
 
-def test_ring_spills_to_jsonl(tmp_path):
-    path = tmp_path / "spill.jsonl"
-    ring = TimeSeriesRing(capacity=4, spill_path=str(path))
-    for i in range(4):
-        ring.append({"i": i})
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [s["i"] for s in lines] == [0, 1]
-    assert ring.spilled == 2
-
-
 def test_ring_minimum_capacity():
     with pytest.raises(ValueError):
         TimeSeriesRing(capacity=1)
@@ -129,6 +118,33 @@ def test_snapshot_reports_spill_accounting():
     assert len(snap["samples"]) + snap["spilled_samples"] == 6
     assert snap["schema"] == TELEMETRY_SCHEMA_VERSION
     assert snap["window_cycles"] == 100
+
+
+# ----------------------------------------------------------------------
+# trace events: only into a tracer the caller passed
+# ----------------------------------------------------------------------
+def test_hub_without_tracer_records_no_events():
+    hub = _hub()
+    hub.gauge("g", lambda: 1.0, trace=True)
+    hub.instant("lock", cat="lock", way=1)
+    assert hub.sample_now()["g"] == 1.0
+    assert hub.tracer is None
+    assert set(hub.snapshot()) == {"schema", "window_cycles", "samples",
+                                   "spilled_samples", "counters"}
+
+
+def test_hub_with_tracer_emits_instants_and_counter_tracks():
+    tracer = EventTracer()
+    hub = Telemetry(window_cycles=100, tracer=tracer)
+    hub.gauge("g", lambda: 1.0, trace=True)
+    hub.gauge("quiet", lambda: 2.0)
+    hub.instant("lock", cat="lock", way=1)
+    hub.sample_now()
+    instant, counter = tracer.events()
+    assert (instant["ph"], instant["name"], instant["args"]) == (
+        "i", "lock", {"way": 1})
+    assert (counter["ph"], counter["args"]) == ("C", {"g": 1.0})
+    assert "events" not in hub.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from repro.experiments.executor import Cell
+from repro.experiments.executor import Cell, ExperimentExecutor
 from repro.experiments.runner import run_one
 from repro.schemes.base import Level, Op
 from repro.sim.config import default_config
@@ -220,15 +220,30 @@ def test_cell_key_changes_when_spans_enabled():
 # ----------------------------------------------------------------------
 # end-to-end: silc on mcf with spans at rate 1
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def span_result():
+def _span_cell():
     # compat file (mshr_entries=0): the Table-I row coverage this
     # fixture pins (bypass + lock rows post-warmup) is a property of
     # the uncoalesced consult stream; MSHR-mode span behaviour has its
     # own fixture below (coalescing_result).
     config = _config(telemetry_window=5000, span_sample_rate=1,
                      mshr_entries=0)
-    return run_one("silc", "mcf", config, misses_per_core=MISSES, seed=SEED)
+    return Cell("silc", "mcf", config, misses_per_core=MISSES, seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def span_run():
+    """(result, tracer) of the span cell run with an event tracer."""
+    cell = _span_cell()
+    tracer = EventTracer()
+    result = run_one(cell.scheme_key, cell.workload_name, cell.config,
+                     misses_per_core=cell.misses_per_core, seed=cell.seed,
+                     tracer=tracer)
+    return result, tracer
+
+
+@pytest.fixture(scope="module")
+def span_result(span_run):
+    return span_run[0]
 
 
 @pytest.fixture(scope="module")
@@ -277,11 +292,24 @@ def test_row_tails_ordered(span_result):
         assert rec["count"] > 0
 
 
-def test_trace_slices_and_validity(span_result):
-    events = span_result.telemetry["events"]
+def test_trace_slices_and_validity(span_run):
+    events = span_run[1].events()
     assert validate_chrome_trace(events) == len(events)
     cats = {e.get("cat") for e in events}
     assert "span.request" in cats and "span.stage" in cats
+
+
+def test_executor_cell_keeps_aggregates_without_events(span_result,
+                                                       tmp_path):
+    """A cell runs without a tracer: its cached snapshot holds no trace
+    events, and everything it does hold equals the traced run's."""
+    result = ExperimentExecutor(jobs=1, cache_dir=tmp_path).run_cell(
+        _span_cell())
+    snap = result.telemetry
+    assert "events" not in snap and "dropped_events" not in snap
+    for key in ("samples", "counters", "spans"):
+        assert snap[key] == span_result.telemetry[key], key
+    assert result.to_dict() == span_result.to_dict()
 
 
 def test_figures_of_merit_unchanged_by_spans(span_result,
@@ -308,11 +336,19 @@ def test_subsampling_counts_arrivals_deterministically():
 # heavy coalescing: 32-entry MSHR, every sibling flow-linked
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def coalescing_result():
+def coalescing_run():
+    """(result, tracer) of a 32-entry-MSHR run at rate 1, no warmup."""
     config = _config(telemetry_window=5000, span_sample_rate=1,
                      mshr_entries=32)
-    return run_one("silc", "mcf", config, misses_per_core=MISSES,
-                   seed=SEED, warmup_fraction=0.0)
+    tracer = EventTracer()
+    result = run_one("silc", "mcf", config, misses_per_core=MISSES,
+                     seed=SEED, warmup_fraction=0.0, tracer=tracer)
+    return result, tracer
+
+
+@pytest.fixture(scope="module")
+def coalescing_result(coalescing_run):
+    return coalescing_run[0]
 
 
 def test_coalesced_siblings_match_mshr_stat(coalescing_result):
@@ -348,13 +384,14 @@ def test_stage_sums_reconcile_under_mshr(coalescing_result):
         + waits["dispatch_wait"], rel=1e-9)
 
 
-def test_every_sibling_has_a_paired_flow(coalescing_result):
-    snap = coalescing_result.telemetry
-    assert snap["dropped_events"] == 0  # nothing truncated at this size
-    assert validate_chrome_trace(snap["events"]) == len(snap["events"])
-    flows = [e for e in snap["events"] if e.get("cat") == "span.flow"]
+def test_every_sibling_has_a_paired_flow(coalescing_run):
+    result, tracer = coalescing_run
+    events = tracer.events()
+    assert tracer.dropped == 0  # nothing truncated at this size
+    assert validate_chrome_trace(events) == len(events)
+    flows = [e for e in events if e.get("cat") == "span.flow"]
     starts = [e["id"] for e in flows if e["ph"] == "s"]
     finishes = [e["id"] for e in flows if e["ph"] == "f"]
-    assert len(starts) == snap["spans"]["coalesced_siblings"]
+    assert len(starts) == result.telemetry["spans"]["coalesced_siblings"]
     assert sorted(starts) == sorted(finishes)
     assert len(set(starts)) == len(starts)  # ids are unique

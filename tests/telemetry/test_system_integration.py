@@ -9,18 +9,34 @@ import dataclasses
 
 import pytest
 
-from repro.cpu.system import RunResult
-from repro.experiments.runner import run_one
+from repro.cpu.system import RunResult, System
+from repro.experiments.runner import SCHEMES, run_one
 from repro.sim.config import default_config
-from repro.telemetry import TELEMETRY_SCHEMA_VERSION, validate_chrome_trace
+from repro.telemetry import (TELEMETRY_SCHEMA_VERSION, EventTracer,
+                             validate_chrome_trace)
+from repro.workloads.spec import workload_specs
 
 MISSES = 4000
 
 
 @pytest.fixture(scope="module")
-def telemetry_result():
+def traced_run():
+    """(result, tracer) of one telemetry run that records trace events."""
     config = dataclasses.replace(default_config(), telemetry_window=5000)
-    return run_one("silc", "mcf", config, misses_per_core=MISSES, seed=7)
+    tracer = EventTracer()
+    result = run_one("silc", "mcf", config, misses_per_core=MISSES, seed=7,
+                     tracer=tracer)
+    return result, tracer
+
+
+@pytest.fixture(scope="module")
+def telemetry_result(traced_run):
+    return traced_run[0]
+
+
+@pytest.fixture(scope="module")
+def events(traced_run):
+    return traced_run[1].events()
 
 
 @pytest.fixture(scope="module")
@@ -40,16 +56,24 @@ def test_series_is_non_empty(telemetry_result):
     assert "scheme.misses" in sample
 
 
-def test_bypass_and_lock_events_present(telemetry_result):
-    names = {e["name"] for e in telemetry_result.telemetry["events"]}
-    # ISSUE acceptance: >= 1 bypass-mode transition and >= 1 lock event
+def test_bypass_and_lock_events_present(events):
+    names = {e["name"] for e in events}
+    # >= 1 bypass-mode transition and >= 1 lock event
     assert names & {"bypass-on", "bypass-off"}
     assert "lock" in names
 
 
-def test_events_form_valid_chrome_trace(telemetry_result):
-    count = validate_chrome_trace(telemetry_result.telemetry["events"])
-    assert count == len(telemetry_result.telemetry["events"])
+def test_events_form_valid_chrome_trace(events):
+    count = validate_chrome_trace(events)
+    assert count == len(events)
+
+
+def test_tracer_needs_telemetry():
+    """A tracer on a run with no hub would silently stay empty."""
+    config = default_config(scale=0.25)
+    with pytest.raises(ValueError, match="telemetry_window"):
+        System(config, SCHEMES["silc"].factory,
+               workload_specs("mcf", config), 10, tracer=EventTracer())
 
 
 def test_figures_of_merit_unchanged_by_telemetry(telemetry_result,

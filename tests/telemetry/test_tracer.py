@@ -133,45 +133,56 @@ def test_validate_rejects_non_trace_payload():
 # artifact files
 # ----------------------------------------------------------------------
 def _snapshot():
-    tracer = _tracer()
-    tracer.instant("lock", "lock", cycles=10.0)
     return {
         "schema": 1,
         "window_cycles": 100,
         "samples": [{"t": 100.0, "dt": 100.0, "g": 1.0}],
         "spilled_samples": 0,
-        "spill_path": None,
         "counters": {},
-        "events": tracer.events(),
-        "dropped_events": 0,
     }
+
+
+def _lock_tracer(**kwargs):
+    tracer = _tracer(**kwargs)
+    tracer.instant("lock", "lock", cycles=10.0)
+    return tracer
 
 
 def test_write_series_strips_events(tmp_path):
     snapshot = _snapshot()
-    series, _ = write_artifacts(tmp_path, "stem", snapshot)
+    series, _ = write_artifacts(tmp_path, "stem", snapshot, _lock_tracer())
     data = json.loads(series.read_text())
-    assert data == {k: v for k, v in snapshot.items() if k != "events"}
+    assert data == dict(snapshot, dropped_events=0)
     assert data["samples"][0]["g"] == 1.0
     assert data["schema"] == 1
 
 
+def test_series_carries_the_tracers_dropped_count(tmp_path):
+    tracer = _lock_tracer(max_events=1)
+    tracer.instant("unlock", "lock", cycles=20.0)
+    tracer.instant("lock", "lock", cycles=30.0)
+    series, trace = write_artifacts(tmp_path, "stem", _snapshot(), tracer)
+    assert json.loads(series.read_text())["dropped_events"] == 2
+    assert validate_chrome_trace(str(trace)) == 1
+
+
 def test_write_trace_is_valid_chrome_trace(tmp_path):
-    _, trace = write_artifacts(tmp_path, "stem", _snapshot())
+    _, trace = write_artifacts(tmp_path, "stem", _snapshot(), _lock_tracer())
     assert validate_chrome_trace(str(trace)) == 1
 
 
 def test_container_wraps_events(tmp_path):
-    snapshot = _snapshot()
-    _, trace = write_artifacts(tmp_path, "stem", snapshot)
+    tracer = _lock_tracer()
+    _, trace = write_artifacts(tmp_path, "stem", _snapshot(), tracer)
     container = json.loads(trace.read_text())
-    assert container["traceEvents"] == snapshot["events"]
+    assert container["traceEvents"] == tracer.events()
     assert container["displayTimeUnit"] == "ms"
     assert "producer" in container["otherData"]
 
 
 def test_write_artifacts_names_both_files(tmp_path):
-    series, trace = write_artifacts(tmp_path / "sub", "stem", _snapshot())
+    series, trace = write_artifacts(tmp_path / "sub", "stem", _snapshot(),
+                                    _lock_tracer())
     assert series.name == "stem.series.json"
     assert trace.name == "stem.trace.json"
     assert series.exists() and trace.exists()
@@ -185,7 +196,8 @@ def test_run_metadata_header_embedded_in_both_files(tmp_path):
     meta = run_metadata("silc", "mcf", 7, config, misses_per_core=4000)
     assert meta["schema"] == TELEMETRY_SCHEMA_VERSION
     assert meta["config_digest"] == config_digest(config)
-    series, trace = write_artifacts(tmp_path, "stem", _snapshot(), meta=meta)
+    series, trace = write_artifacts(tmp_path, "stem", _snapshot(),
+                                    _lock_tracer(), meta=meta)
     series_run = json.loads(series.read_text())["run"]
     trace_run = json.loads(trace.read_text())["otherData"]["run"]
     for run in (series_run, trace_run):
@@ -197,7 +209,8 @@ def test_run_metadata_header_embedded_in_both_files(tmp_path):
 
 
 def test_artifacts_without_meta_carry_no_run_header(tmp_path):
-    series, trace = write_artifacts(tmp_path, "stem", _snapshot())
+    series, trace = write_artifacts(tmp_path, "stem", _snapshot(),
+                                    _lock_tracer())
     assert "run" not in json.loads(series.read_text())
     assert "run" not in json.loads(trace.read_text())["otherData"]
 
