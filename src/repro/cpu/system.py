@@ -144,11 +144,11 @@ class System:
     """
 
     def __init__(self, config: SystemConfig, scheme_factory: SchemeFactory,
-                 workloads: List[WorkloadSpec], misses_per_core: int,
+                 workloads: List[WorkloadSpec], misses_per_core: int, *,
                  alloc_policy: str = "interleaved",
                  mode: str = "miss",
                  seed: Optional[int] = None,
-                 warmup_fraction: float = 0.0, *,
+                 warmup_fraction: float = 0.0,
                  tracer: Optional[EventTracer] = None) -> None:
         if mode not in ("miss", "reference"):
             raise ValueError(f"unknown trace mode {mode!r}")

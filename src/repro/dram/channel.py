@@ -99,7 +99,6 @@ class Channel:
         self._bus_free: float = 0.0
         self._inflight = 0
         self._picks = 0
-        self.refreshes = 0
         self.stats = ChannelStats()
         #: conversion factor and per-size burst durations, cached off the
         #: timing properties — the formulas are pure in ``size``.
@@ -112,24 +111,6 @@ class Channel:
         #: completion callback bound once — a ``schedule_at`` call site
         #: builds a fresh bound method per event otherwise.
         self._complete_bound = self._complete
-        if timings.t_refi > 0:
-            engine.schedule(timings.t_refi * self._cpm, self._refresh)
-
-    def _refresh(self) -> None:
-        """All-bank refresh: every bank precharges and is unavailable
-        for tRFC (only modelled when the device enables t_refi).
-
-        Note: the refresh chain reschedules itself forever, so an
-        engine driving a refresh-enabled device never drains — run it
-        with a horizon (``engine.run(until=...)``) or via ``System.run``
-        (which stops when the cores finish)."""
-        cpm = self._cpm
-        done = self._engine.now + self._t.t_rfc * cpm
-        for bank in self._banks:
-            bank.open_row = None
-            bank.ready = max(bank.ready, done)
-        self.refreshes += 1
-        self._engine.schedule(self._t.t_refi * cpm, self._refresh)
 
     @property
     def queue_depth(self) -> int:

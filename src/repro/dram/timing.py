@@ -48,13 +48,6 @@ class DRAMTimings:
     t_ras: int = 28
     #: column-to-column command gap (CAS pipelining floor)
     t_ccd: int = 4
-    #: refresh interval in memory cycles (0 = refresh disabled).  Real
-    #: devices refresh every ~7.8 us; the run lengths simulated here are
-    #: short enough that refresh is a second-order effect, so it is off
-    #: by default and available for sensitivity studies.
-    t_refi: int = 0
-    #: refresh cycle time (all banks unavailable) in memory cycles.
-    t_rfc: int = 88
 
     def __post_init__(self) -> None:
         if self.bus_bits % 8:

@@ -1,6 +1,6 @@
 """Parallel, resumable experiment execution.
 
-Reproducing Figs. 6-9 means sweeping ~11 schemes across the Table III
+Reproducing Figs. 6-9 means sweeping 10 schemes across the Table III
 workloads — hundreds of independent (scheme, workload, config) *cells*
 that the runner previously replayed serially and from scratch.  This
 module turns each cell into a unit of work that is

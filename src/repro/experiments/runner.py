@@ -11,7 +11,6 @@ allocation policy (static schemes differ *only* in allocation policy):
 key        meaning
 =========  ==========================================================
 nonm       baseline: no die-stacked DRAM (all pages in FM)
-alloy      NM as a hardware cache (Alloy-style; FM-only address space)
 rand       Random static placement over NM+FM
 hma        epoch-based OS migration (HMA)
 cam        CAMEO (64 B congruence-group swap)
@@ -35,7 +34,6 @@ from typing import Callable, Dict, Optional
 from repro.core.silcfm import SilcFmScheme
 from repro.cpu.system import RunResult, System
 from repro.schemes.base import MemoryScheme
-from repro.schemes.alloycache import AlloyCacheScheme
 from repro.schemes.cameo import CameoPrefetchScheme, CameoScheme
 from repro.schemes.hma import HmaScheme
 from repro.schemes.pom import PomScheme
@@ -94,16 +92,12 @@ SCHEMES: Dict[str, SchemeSetup] = {
     "silc-assoc": SchemeSetup(
         "silc-assoc", "SILC-FM +associativity",
         _silc_factory(enable_bypass=False)),
-    "alloy": SchemeSetup(
-        "alloy", "Alloy cache (NM as cache)",
-        lambda space, cfg: AlloyCacheScheme(space),
-        alloc_policy="fm_only"),
 }
 
 
-def run_one(scheme_key: str, workload_name: str, config: SystemConfig,
+def run_one(scheme_key: str, workload_name: str, config: SystemConfig, *,
             misses_per_core: int = 20_000, seed: Optional[int] = None,
-            mode: str = "miss", warmup_fraction: float = 0.2, *,
+            mode: str = "miss", warmup_fraction: float = 0.2,
             tracer: Optional[EventTracer] = None) -> RunResult:
     """Simulate one (scheme, workload) pair end to end.
 

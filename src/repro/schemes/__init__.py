@@ -1,7 +1,6 @@
 """Flat-memory organisations: the comparison schemes and the protocol
 they share with SILC-FM."""
 
-from repro.schemes.alloycache import AlloyCacheScheme
 from repro.schemes.base import AccessPlan, Level, MemoryScheme, Op, SchemeStats
 from repro.schemes.cameo import CameoPrefetchScheme, CameoScheme
 from repro.schemes.hma import HmaScheme
@@ -10,7 +9,6 @@ from repro.schemes.static import StaticScheme
 
 __all__ = [
     "AccessPlan",
-    "AlloyCacheScheme",
     "CameoPrefetchScheme",
     "CameoScheme",
     "HmaScheme",

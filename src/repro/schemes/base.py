@@ -246,11 +246,6 @@ class MemoryScheme(abc.ABC):
     """Base class for all flat-memory organisations."""
 
     name: str = "abstract"
-    #: True when the scheme maintains the part-of-memory bijection (data
-    #: *moves*, position-for-position, and every flat subblock lives in
-    #: exactly one slot).  Cache-style schemes (Alloy) set this False:
-    #: FM is always the home and NM holds copies.
-    bijective: bool = True
     #: telemetry hub (:mod:`repro.telemetry`), set by
     #: :meth:`attach_telemetry`; None in normal runs, so event probes in
     #: subclasses reduce to one ``is None`` check on the hot path.

@@ -69,7 +69,7 @@ class ValidationOracle:
         self.scheme = scheme
         self.space = scheme.space
         self.check_every = max(0, int(check_every))
-        self.shadow = ShadowMemory(self.space, copy_mode=not scheme.bijective)
+        self.shadow = ShadowMemory(self.space)
         self.accesses_checked = 0
         self.full_scans = 0
         self._expected_note: Optional[str] = None
@@ -186,8 +186,7 @@ class ValidationOracle:
         second time gets through the rescan, and that is a violation
         too."""
         shadow = self.shadow
-        start = shadow.nm_slots if shadow.copy_mode else 0
-        for sid in range(start, shadow.nm_slots + shadow.fm_slots):
+        for sid in range(shadow.nm_slots + shadow.fm_slots):
             self._check_locate(sid * SUBBLOCK_BYTES)
         raise OracleViolation(
             f"{self.scheme.name}: the whole-space scan disagreed with the "

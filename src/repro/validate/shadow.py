@@ -9,8 +9,10 @@ identity mapping — flat subblock *k* in slot *k*) and replays each
 plan's operations, so at any instant it knows, independently of any
 scheme's bookkeeping, which data each physical slot holds.
 
-Replay interprets the one movement primitive every part-of-memory
-scheme in this repository uses: the **position-for-position exchange**.
+Every scheme in this repository keeps each subblock in exactly one NM
+or FM slot (the paper's flat part-of-memory premise), and replay
+interprets the one movement primitive they all use: the
+**position-for-position exchange**.
 A subblock swap, a 2 KB migration, a restore or a batch install all
 decompose into pairs of 64 B slots — one NM, one FM, at the same
 within-block index — that are each read *and* written inside one plan;
@@ -31,17 +33,12 @@ both maps canonical: an identity back at its own position leaves both.
 identity runs broken at the displaced positions, so the oracle's
 whole-space scan still compares every subblock against ``locate``
 without building anything per subblock.
-
-Cache-style schemes (Alloy) are not bijective: FM is always the home
-and NM holds copies.  ``copy_mode=True`` switches the shadow to copy
-tracking — an NM write paired with an FM read records a fill; FM
-contents stay the identity mapping.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.schemes.base import FM, NM, InvariantViolation, Level, Op
 from repro.sim.config import SUBBLOCK_BYTES, SUBBLOCKS_PER_BLOCK
@@ -57,23 +54,18 @@ class ShadowMemory:
 
     Identities are global flat-space subblock numbers (``addr // 64``).
     NM slot *s* is device-local offset ``s * 64`` of the NM data region;
-    FM slot *s* likewise on the FM device.  In bijective mode NM slot *s*
-    is ledger position *s* and FM slot *s* is position ``nm_slots + s``.
+    FM slot *s* likewise on the FM device.  NM slot *s* is ledger
+    position *s* and FM slot *s* is position ``nm_slots + s``.
     """
 
-    def __init__(self, space: AddressSpace, copy_mode: bool = False) -> None:
+    def __init__(self, space: AddressSpace) -> None:
         self.space = space
-        self.copy_mode = copy_mode
         self.nm_slots = space.nm_bytes // SUBBLOCK_BYTES
         self.fm_slots = space.fm_bytes // SUBBLOCK_BYTES
-        if copy_mode:
-            #: NM slot -> logical id of the FM subblock copied there.
-            self._nm_copy: Dict[int, int] = {}
-        else:
-            #: position -> logical id stored there, displaced ids only.
-            self._ids: Dict[int, int] = {}
-            #: logical id -> position holding it, the inverse of ``_ids``.
-            self._pos: Dict[int, int] = {}
+        #: position -> logical id stored there, displaced ids only.
+        self._ids: Dict[int, int] = {}
+        #: logical id -> position holding it, the inverse of ``_ids``.
+        self._pos: Dict[int, int] = {}
         self.exchanges_replayed = 0
 
     # ------------------------------------------------------------------
@@ -83,25 +75,10 @@ class ShadowMemory:
         """(level, slot) currently holding logical subblock ``sid``."""
         if not 0 <= sid < self.nm_slots + self.fm_slots:
             raise ValueError(f"subblock id {sid} out of space")
-        if self.copy_mode:
-            # FM is always the home; an NM copy shadows it when present.
-            fm_slot = sid - self.nm_slots
-            if fm_slot < 0:
-                raise ValueError(
-                    f"subblock id {sid} is NM-native; a copy-mode scheme "
-                    "exposes only FM capacity")
-            nm_slot = fm_slot % self.nm_slots
-            if self._nm_copy.get(nm_slot) == sid:
-                return NM, nm_slot
-            return FM, fm_slot
         return self._level_slot(self._pos.get(sid, sid))
 
-    def id_at(self, level: Level, slot: int) -> Optional[int]:
-        """Logical id stored in a slot (copy mode: None = no NM copy)."""
-        if self.copy_mode:
-            if level is FM:
-                return self.nm_slots + slot
-            return self._nm_copy.get(slot)
+    def id_at(self, level: Level, slot: int) -> int:
+        """Logical id stored in a slot."""
         position = self._position(level, slot)
         return self._ids.get(position, position)
 
@@ -118,25 +95,22 @@ class ShadowMemory:
         """Two streams in step, for a whole-space scan: the flat address
         of every tracked subblock, and the ``(level, device byte offset)``
         the ledger holds it at — what ``locate`` of that address must
-        return.  Bijective mode walks the positions (NM slots, then FM
-        slots) with the address of the id each holds; copy mode walks the
-        FM lines in address order, each at its NM copy when it has one.
-        Both are lazy: a scan builds no list per subblock.  The address
-        stream names every id exactly once only while the ledger is a
-        bijection, so scan after :meth:`check_self_bijection`."""
-        nm_bytes = self.space.nm_bytes
-        if self.copy_mode:
-            return (range(nm_bytes, self.space.total_bytes, SUBBLOCK_BYTES),
-                    chain.from_iterable(self._copy_runs()))
+        return.  The scan walks the positions (NM slots, then FM slots)
+        with the address of the id each holds, lazily: it builds no list
+        per subblock.  The address stream names every id exactly once
+        only while the ledger is a bijection, so scan after
+        :meth:`check_self_bijection`."""
+        space = self.space
         return (chain.from_iterable(self._address_runs()),
                 chain(zip(repeat(NM, self.nm_slots),
-                          range(0, nm_bytes, SUBBLOCK_BYTES)),
-                      self._fm_homes(0, self.fm_slots)))
+                          range(0, space.nm_bytes, SUBBLOCK_BYTES)),
+                      zip(repeat(FM, self.fm_slots),
+                          range(0, space.fm_bytes, SUBBLOCK_BYTES))))
 
     def _address_runs(self) -> Iterator[Iterable[int]]:
-        """Bijective mode's address stream as runs: the positions up to
-        the next displaced one hold their own ids, then that position
-        holds the id the ledger names."""
+        """The address stream as runs: the positions up to the next
+        displaced one hold their own ids, then that position holds the id
+        the ledger names."""
         position = 0
         for displaced, sid in sorted(self._ids.items()):
             yield range(position * SUBBLOCK_BYTES, displaced * SUBBLOCK_BYTES,
@@ -146,34 +120,9 @@ class ShadowMemory:
         yield range(position * SUBBLOCK_BYTES, self.space.total_bytes,
                     SUBBLOCK_BYTES)
 
-    def _copy_runs(self) -> Iterator[Iterable[Tuple[Level, int]]]:
-        """Copy mode's placements as runs: FM lines at their homes up to
-        the next copied line, then that line at its NM copy."""
-        line = 0
-        for copied, slot in sorted((sid - self.nm_slots, slot)
-                                   for slot, sid in self._nm_copy.items()):
-            yield self._fm_homes(line, copied)
-            yield ((NM, slot * SUBBLOCK_BYTES),)
-            line = copied + 1
-        yield self._fm_homes(line, self.fm_slots)
-
-    @staticmethod
-    def _fm_homes(first: int, end: int) -> Iterable[Tuple[Level, int]]:
-        """FM slots ``[first, end)``, each at its own offset."""
-        return zip(repeat(FM, end - first),
-                   range(first * SUBBLOCK_BYTES, end * SUBBLOCK_BYTES,
-                         SUBBLOCK_BYTES))
-
     def check_self_bijection(self) -> None:
         """The ledger itself must stay a bijection (exchange replay
         preserves it by construction; this guards the replay code)."""
-        if self.copy_mode:
-            for slot, sid in self._nm_copy.items():
-                if (sid - self.nm_slots) % self.nm_slots != slot:
-                    raise ShadowViolation(
-                        f"NM slot {slot} copies line {sid} of a different "
-                        "congruence class")
-            return
         # Over the displaced entries, the two maps must be inverses over
         # one key set, hold no identity entry and stay in space; then,
         # with the identity everywhere else, the ledger is a bijection.
@@ -212,9 +161,6 @@ class ShadowMemory:
     def apply(self, ops: Iterable[Op]) -> None:
         """Replay one plan's operations (critical path first, then
         background, in issue order), updating the ledger."""
-        if self.copy_mode:
-            self._apply_copy_mode(list(ops))
-            return
         # (level, slot) -> [read, written, queued-for-pairing]
         marks: Dict[Tuple[Level, int], List[bool]] = {}
         # within-block index -> completed slots awaiting a partner, in
@@ -249,7 +195,7 @@ class ShadowMemory:
 
     def _exchange(self, a: Tuple[Level, int], b: Tuple[Level, int]) -> None:
         """Position-for-position content swap between an NM and an FM
-        slot (the single movement primitive of every bijective scheme)."""
+        slot (the single movement primitive of every scheme)."""
         ids, pos = self._ids, self._pos
         pa = self._position(*a)
         pb = self._position(*b)
@@ -265,28 +211,3 @@ class ShadowMemory:
             ids[pb] = ida
             pos[ida] = pb
         self.exchanges_replayed += 1
-
-    # ------------------------------------------------------------------
-    def _apply_copy_mode(self, ops: List[Op]) -> None:
-        """Alloy-style fill tracking: an NM data write paired with an FM
-        read at the same within-block index installs a copy; everything
-        else (tag probes, dirty victim writebacks, in-place writeback
-        writes) leaves the ledger alone."""
-        fm_reads: Dict[int, List[int]] = {}
-        for op in ops:
-            if op.level is FM and not op.is_write:
-                for slot in self.data_slots(op):
-                    fm_reads.setdefault(slot % SUBBLOCKS_PER_BLOCK,
-                                        []).append(self.nm_slots + slot)
-        for op in ops:
-            if op.level is not NM or not op.is_write:
-                continue
-            for slot in self.data_slots(op):
-                sources = fm_reads.get(slot % SUBBLOCKS_PER_BLOCK, [])
-                if len(sources) > 1:
-                    raise ShadowViolation(
-                        f"ambiguous fill: NM slot {slot} written while "
-                        f"{len(sources)} FM lines of its index were read")
-                if sources:
-                    self._nm_copy[slot] = sources[0]
-                # no FM read: in-place write (LLC writeback) — keep copy

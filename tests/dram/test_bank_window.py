@@ -2,15 +2,13 @@
 fused FR-FCFS loop, must time exactly like the same accesses applied one
 at a time through :meth:`Bank.prepare` and the bus recurrence.
 
-``Channel._try_issue`` keeps the bus chain, in-flight count and float
-stat accumulators in locals across a drain and writes them back once;
-the contract is *bit-identity* with per-access updates, so equality
-assertions here are exact (``==``), never approx.  The bank's own
-timing state — the ``(open_row, ready, _activated_at)`` triple that the
-channel's all-bank refresh rewrites in place — is pinned alongside.
+``Channel._try_issue`` reads and writes the bus chain, in-flight count
+and float stat accumulators on the channel once per pick; the contract
+is *bit-identity* with per-access updates, so equality assertions here
+are exact (``==``), never approx.  The bank's own timing state — the
+``(open_row, ready, _activated_at)`` triple — is pinned alongside.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -92,7 +90,7 @@ def _assert_matches_sequential(timings, batches):
 
 
 # ---------------------------------------------------------------------------
-# bank timing state: complete, and rewritten exactly by refresh
+# bank timing state: complete
 # ---------------------------------------------------------------------------
 def test_snapshot_restore_roundtrip_is_exact(timings):
     """The triple is the bank's whole mutable timing state: writing a
@@ -109,46 +107,6 @@ def test_snapshot_restore_roundtrip_is_exact(timings):
 
     bank.open_row, bank.ready, bank._activated_at = state
     assert {k: v for k, v in vars(bank).items() if k != "stats"} == captured
-
-
-def test_restored_bank_times_identically(timings):
-    """An all-bank refresh restores a bank to the closed state: its next
-    access times exactly like a fresh bank's that became ready when the
-    refresh ended, whatever rows it had open before."""
-    refreshing = dataclasses.replace(timings, t_refi=500)
-    engine = Engine()
-    channel = Channel(engine, refreshing)
-    bank = channel.bank(BANK)
-    for row, now in [(1, 0.0), (2, 50.0), (2, 60.0)]:
-        bank.prepare(row, now)
-    ready_before = bank.ready
-    channel._refresh()
-    refresh_end = refreshing.t_rfc * refreshing.cpu_cycles_per_mem
-    assert bank.open_row is None
-    assert bank.ready == max(ready_before, refresh_end)
-
-    fresh = Bank(refreshing)
-    fresh.ready = bank.ready
-    assert bank.prepare(9, 75.0) == fresh.prepare(9, 75.0)
-    assert bank.prepare(4, 80.0) == fresh.prepare(4, 80.0)  # conflict
-
-
-def test_snapshot_excludes_counters(timings):
-    """Refresh rewrites timing state only: a refresh is not an access,
-    so the row-buffer counters carry across it unchanged."""
-    refreshing = dataclasses.replace(timings, t_refi=500)
-    channel = Channel(Engine(), refreshing)
-    bank = channel.bank(BANK)
-    bank.prepare(1, 0.0)
-    bank.prepare(1, 1.0)
-    counters = dict(bank.stats.__dict__)
-    channel._refresh()
-    assert bank.stats.__dict__ == counters
-    assert channel.refreshes == 1
-    # the next access to the same row now finds the bank closed
-    bank.prepare(1, 2.0)
-    assert bank.stats.row_closed == counters["row_closed"] + 1
-    assert bank.stats.row_hits == counters["row_hits"]
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ def test_fig6_stage_configs_are_cumulative():
 def test_static_scheme_alloc_policies():
     assert SCHEMES["nonm"].alloc_policy == "fm_only"
     assert SCHEMES["rand"].alloc_policy == "random"
-    assert SCHEMES["alloy"].alloc_policy == "fm_only"
 
 
 def test_run_one_respects_seed(config):

@@ -13,7 +13,7 @@ import pytest
 from repro.experiments.runner import run_one
 from repro.sim.config import default_config
 
-SCHEMES = ["nonm", "silc", "cam", "pom", "hma", "alloy"]
+SCHEMES = ["nonm", "silc", "cam", "pom", "hma"]
 
 
 def _checked_config(mshr_entries):

@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import re
+from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -29,7 +33,6 @@ def test_every_public_module_importable():
         "repro.core.bypass",
         "repro.schemes", "repro.schemes.base", "repro.schemes.static",
         "repro.schemes.cameo", "repro.schemes.pom", "repro.schemes.hma",
-        "repro.schemes.alloycache",
         "repro.dram", "repro.dram.timing", "repro.dram.bank",
         "repro.dram.channel", "repro.dram.device", "repro.dram.mapping",
         "repro.cache", "repro.cache.cache", "repro.cache.hierarchy",
@@ -66,3 +69,41 @@ def test_public_classes_documented():
 def test_scheme_registry_labels_unique():
     labels = [s.label for s in repro.SCHEMES.values()]
     assert len(labels) == len(set(labels))
+
+
+API_DOC = Path(__file__).resolve().parents[1] / "docs" / "api.md"
+
+
+def _parameters(function):
+    """``(name, kind, default)`` of each parameter: the kind carries the
+    keyword-only split."""
+    return [(p.name, p.kind, p.default)
+            for p in inspect.signature(function).parameters.values()]
+
+
+def _documented_parameters(call):
+    """The parameters docs/api.md shows for ``call(...)``, read as the
+    parameter list of a Python function."""
+    text = API_DOC.read_text()
+    start = text.index(call + "(") + len(call) + 1
+    namespace = {}
+    exec(f"def documented({text[start:text.index(')', start)]}): pass",
+         namespace)
+    return _parameters(namespace["documented"])
+
+
+@pytest.mark.parametrize("call, function", [
+    ("repro.run_one", repro.run_one),
+    ("repro.System", repro.System),
+], ids=["run_one", "System"])
+def test_documented_signature_matches_the_code(call, function):
+    """docs/api.md's parameter list is the code's: names, order, the
+    keyword-only split and every default."""
+    assert _documented_parameters(call) == _parameters(function)
+
+
+def test_documented_registry_lists_every_scheme():
+    match = re.search(r"`repro\.SCHEMES` — the registry: ``([^`]+)``",
+                      API_DOC.read_text())
+    assert match, "docs/api.md lost its registry line"
+    assert match.group(1).split() == list(repro.SCHEMES)

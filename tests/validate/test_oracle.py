@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.silcfm import SilcFmScheme
 from repro.cpu.system import System
-from repro.schemes.alloycache import AlloyCacheScheme
 from repro.schemes.base import InvariantViolation, Level
 from repro.schemes.cameo import CameoScheme
 from repro.schemes.hma import HmaScheme
@@ -154,20 +153,12 @@ def _migrate_hma_page(scheme):
     return 0
 
 
-def _fill_alloy_lines(scheme):
-    """FM lines 0 and 1 claim NM copies that were never filled."""
-    scheme._slot[0] = (0, False)
-    scheme._slot[1] = (1, False)
-    return scheme.space.nm_bytes
-
-
 @pytest.mark.parametrize("build, plant", [
     (CameoScheme, _swap_cameo_line),
     (SilcFmScheme, _interleave_silcfm_subblock),
     (PomScheme, _migrate_pom_block),
     (HmaScheme, _migrate_hma_page),
-    (AlloyCacheScheme, _fill_alloy_lines),
-], ids=["cameo", "silcfm", "pom", "hma", "alloy"])
+], ids=["cameo", "silcfm", "pom", "hma"])
 def test_full_check_catches_metadata_only_swap(build, plant):
     """A move recorded in metadata without any device traffic leaves the
     shadow behind; the whole-space scan must notice, and name the lower
@@ -198,16 +189,9 @@ def _misreport_last_cameo_line(scheme):
     scheme.locate = misreport
 
 
-def _cache_last_alloy_line(scheme):
-    """The last line's slot claims a copy that was never filled."""
-    line = scheme.space.fm_bytes // SUBBLOCK_BYTES - 1
-    scheme._slot[line % scheme.num_slots] = (line, False)
-
-
 @pytest.mark.parametrize("build, plant", [
     (CameoScheme, _misreport_last_cameo_line),
-    (AlloyCacheScheme, _cache_last_alloy_line),
-], ids=["cameo", "alloy"])
+], ids=["cameo"])
 def test_full_check_reaches_the_last_subblock(build, plant):
     """Only the flat space's last subblock changes its ``locate``: a scan
     that stops one subblock short passes this plant."""

@@ -1,9 +1,9 @@
 """Unit tests for the shadow-memory exchange-matching replay.
 
 Each test hand-builds the exact ``Op`` sequences the schemes emit
-(subblock swap triplet, restore quartet, 2 KB migration, Alloy fill)
-and checks the ledger tracks the movement — or stays put for traffic
-that moves nothing.  The sparse ledger is held to a dense two-list
+(subblock swap triplet, restore quartet, 2 KB migration) and checks
+the ledger tracks the movement — or stays put for traffic that moves
+nothing.  The sparse ledger is held to a dense two-list
 permutation replaying the same swaps.
 """
 
@@ -259,58 +259,3 @@ def test_ledger_at_eight_times_the_default_capacity_starts_empty():
     assert s.location(0) == (Level.NM, 0)
     assert s.location(last) == (Level.FM, s.fm_slots - 1)
     s.check_self_bijection()
-
-
-# ----------------------------------------------------------------------
-# copy mode (Alloy)
-# ----------------------------------------------------------------------
-def test_copy_mode_fill_installs_a_copy():
-    s = ShadowMemory(SPACE, copy_mode=True)
-    line = 2 * NM_SLOTS + 7  # FM line congruent to NM slot 7
-    slot = line % NM_SLOTS
-    sid = NM_SLOTS + line
-    assert s.location(sid) == (Level.FM, line)
-    s.apply([
-        Op(Level.NM, slot * SUBBLOCK_BYTES, SUBBLOCK_BYTES + 8, False),  # tag
-        fm_op(line),                                                     # fill read
-        Op(Level.NM, slot * SUBBLOCK_BYTES, SUBBLOCK_BYTES + 8, True),   # install
-    ])
-    assert s.location(sid) == (Level.NM, slot)
-    assert s.id_at(Level.NM, slot) == sid
-    s.check_self_bijection()
-
-
-def test_copy_mode_dirty_victim_writeback_is_not_a_fill():
-    s = ShadowMemory(SPACE, copy_mode=True)
-    old_line, new_line = 7, NM_SLOTS + 7
-    slot = 7
-    s.apply([fm_op(old_line), Op(Level.NM, slot * SUBBLOCK_BYTES, 72, True)])
-    assert s.location(NM_SLOTS + old_line) == (Level.NM, slot)
-    # miss on new_line: dirty victim written back to FM, new line filled
-    s.apply([
-        Op(Level.NM, slot * SUBBLOCK_BYTES, 72, False),  # tag probe
-        fm_op(new_line),                                 # fill read
-        fm_op(old_line, write=True),                     # victim writeback
-        Op(Level.NM, slot * SUBBLOCK_BYTES, 72, True),   # install
-    ])
-    assert s.location(NM_SLOTS + new_line) == (Level.NM, slot)
-    assert s.location(NM_SLOTS + old_line) == (Level.FM, old_line)
-
-
-def test_copy_mode_in_place_writeback_keeps_the_copy():
-    s = ShadowMemory(SPACE, copy_mode=True)
-    s.apply([fm_op(3), Op(Level.NM, 3 * SUBBLOCK_BYTES, 72, True)])
-    s.apply([nm_op(3, write=True)])  # LLC writeback to the cached copy
-    assert s.location(NM_SLOTS + 3) == (Level.NM, 3)
-
-
-def test_copy_mode_ambiguous_fill_is_a_violation():
-    s = ShadowMemory(SPACE, copy_mode=True)
-    with pytest.raises(ShadowViolation):
-        s.apply([fm_op(3), fm_op(NM_SLOTS + 3), nm_op(3, write=True)])
-
-
-def test_copy_mode_rejects_nm_native_ids():
-    s = ShadowMemory(SPACE, copy_mode=True)
-    with pytest.raises(ValueError):
-        s.location(0)
