@@ -96,6 +96,7 @@ class SilcFmScheme(MemoryScheme):
         self.meta_cache_hits = 0
         self.meta_cache_misses = 0
         # What the frozen config and address space fix, read once here.
+        self._nm_blocks = space.nm_blocks
         self._lock_on = config.enable_locking
         self._bypass_on = config.enable_bypass
         self._predict_on = config.enable_predictor
@@ -367,16 +368,17 @@ class SilcFmScheme(MemoryScheme):
                 "bypass-on" if bypassing else "bypass-off",
                 cat="bypass", window_rate=round(rate, 4))
 
-    def locate(self, paddr: int) -> Tuple[Level, int]:
-        if not 0 <= paddr < self._total_bytes:
-            raise ValueError(f"address {paddr:#x} outside flat space")
-        # Most of the flat space is an NM frame with no partner or an FM
-        # block in no frame: both answer before reading the index.
+    def at_home(self, block: int) -> bool:
+        """An NM frame with no partner, or an FM block in no frame —
+        most of the flat space."""
+        if block < self._nm_blocks:
+            return self.frames[block].remap is None
+        return block not in self._frame_of_block
+
+    def locate_moved(self, paddr: int) -> Tuple[Level, int]:
+        index = paddr >> _SUBBLOCK_SHIFT & _INDEX_MASK
         if paddr < self._nm_bytes:
             frame = self.frames[paddr >> _BLOCK_SHIFT]
-            if frame.remap is None:
-                return NM, paddr
-            index = paddr >> _SUBBLOCK_SHIFT & _INDEX_MASK
             if (frame.bitvec >> index & 1
                     or frame.locked and frame.lock_owner == "fm"):
                 # the native subblock is out at the partner's home
@@ -386,7 +388,7 @@ class SilcFmScheme(MemoryScheme):
         way = self._frame_of_block.get(paddr >> _BLOCK_SHIFT)
         if way is not None:
             frame = self.frames[way]
-            if (frame.bitvec >> (paddr >> _SUBBLOCK_SHIFT & _INDEX_MASK) & 1
+            if (frame.bitvec >> index & 1
                     or frame.locked and frame.lock_owner == "fm"):
                 return NM, (way << _BLOCK_SHIFT) + paddr % BLOCK_BYTES
         return FM, paddr - self._nm_bytes  # at the block's FM home

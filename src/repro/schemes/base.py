@@ -20,7 +20,11 @@ timing is deferred to the plan.  :meth:`MemoryScheme.locate` exposes the
 current storage location of any flat address so the test-suite can check
 the fundamental part-of-memory invariant: **the mapping from flat
 addresses to storage slots is a bijection** (no duplication, no loss —
-unlike a cache, NM data is the only copy).
+unlike a cache, NM data is the only copy).  ``locate`` is one method for
+every scheme: a scheme says which 2 KB blocks are wholly at home
+(:meth:`MemoryScheme.at_home`) and where the data of the others lives
+(:meth:`MemoryScheme.locate_moved`), so the oracle's bijection scan can
+settle an unmoved block with one call.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
+from repro.sim.config import BLOCK_BYTES
 from repro.xmem.address import AddressSpace
 
 
@@ -259,7 +264,7 @@ class MemoryScheme(abc.ABC):
     def __init__(self, space: AddressSpace) -> None:
         self.space = space
         self.stats = SchemeStats()
-        #: the flat-space bounds ``locate`` reads on every call
+        #: the flat-space bounds :meth:`locate` reads on every call
         self._nm_bytes = space.nm_bytes
         self._total_bytes = space.total_bytes
 
@@ -268,10 +273,38 @@ class MemoryScheme(abc.ABC):
     def access(self, paddr: int, is_write: bool, pc: int = 0) -> AccessPlan:
         """Handle one LLC miss at flat physical address ``paddr``."""
 
-    @abc.abstractmethod
     def locate(self, paddr: int) -> Tuple[Level, int]:
         """Current storage slot (level, device-local byte offset) holding
-        the data of flat address ``paddr`` — at subblock granularity."""
+        the data of flat address ``paddr`` — at subblock granularity.
+
+        Schemes do not override this: the data of a block
+        :meth:`at_home` vouches for is at its own address (NM holds the
+        low flat addresses, FM the high ones), and the oracle's
+        bijection scan relies on exactly that.  Every other answer is
+        :meth:`locate_moved`'s."""
+        if not 0 <= paddr < self._total_bytes:
+            raise ValueError(f"address {paddr:#x} outside flat space")
+        if not self.at_home(paddr // BLOCK_BYTES):
+            return self.locate_moved(paddr)
+        if paddr < self._nm_bytes:
+            return NM, paddr
+        return FM, paddr - self._nm_bytes
+
+    @abc.abstractmethod
+    def at_home(self, block: int) -> bool:
+        """True when every subblock of 2 KB flat block ``block`` is at
+        its own address.  False is always safe (the block is then asked
+        of :meth:`locate_moved`, subblock by subblock); True is a
+        promise the oracle checks against its shadow."""
+
+    def locate_moved(self, paddr: int) -> Tuple[Level, int]:
+        """Where the data of in-space ``paddr`` lives, for a block
+        :meth:`at_home` does not vouch for.  A scheme whose ``at_home``
+        can answer False overrides this; its answer must be right for
+        any in-space address, moved or not."""
+        raise NotImplementedError(
+            f"{self.name}: block {paddr // BLOCK_BYTES} is not at home "
+            "but the scheme has no locate_moved")
 
     # ------------------------------------------------------------------
     def writeback(self, paddr: int) -> AccessPlan:

@@ -19,11 +19,12 @@ low-associativity-tolerant workloads are its weakness (Section II-B).
 
 from __future__ import annotations
 
+from operator import eq
 from typing import List, Tuple
 
 from repro.schemes.base import (
     FM, NM, AccessPlan, ExchangeLedger, Level, MemoryScheme, Op)
-from repro.sim.config import SUBBLOCK_BYTES
+from repro.sim.config import SUBBLOCK_BYTES, SUBBLOCKS_PER_BLOCK
 from repro.xmem.address import AddressSpace
 
 #: 64 B data + 8 B line-location metadata fetched in one extended burst.
@@ -76,7 +77,21 @@ class CameoScheme(MemoryScheme):
         ]
 
     # ------------------------------------------------------------------
-    def locate(self, paddr: int) -> Tuple[Level, int]:
+    def at_home(self, block: int) -> bool:
+        """Every line of an NM block in its own slot; no line of an FM
+        block in NM or stored at another line's home.  A block's lines
+        fall in consecutive groups, so one slice of the slot table
+        covers them."""
+        first = block * SUBBLOCKS_PER_BLOCK
+        lines = range(first, first + SUBBLOCKS_PER_BLOCK)
+        group = first % self.num_slots
+        held = self.ledger.present[group:group + SUBBLOCKS_PER_BLOCK]
+        if first < self.num_slots:
+            return held == list(lines)
+        return (not any(map(eq, held, lines))
+                and self.ledger.home_of.keys().isdisjoint(lines))
+
+    def locate_moved(self, paddr: int) -> Tuple[Level, int]:
         sb = paddr // SUBBLOCK_BYTES
         within = paddr % SUBBLOCK_BYTES
         group = sb % self.num_slots

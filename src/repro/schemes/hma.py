@@ -168,7 +168,15 @@ class HmaScheme(MemoryScheme):
         ]
 
     # ------------------------------------------------------------------
-    def locate(self, paddr: int) -> Tuple[Level, int]:
+    def at_home(self, block: int) -> bool:
+        """An NM page in its own frame, or an FM page in no frame and
+        not stored at another page's home."""
+        if block < self.num_frames:
+            return self._frame_of.get(block) == block
+        return (block not in self._frame_of
+                and block not in self.ledger.home_of)
+
+    def locate_moved(self, paddr: int) -> Tuple[Level, int]:
         block = paddr // BLOCK_BYTES
         within = paddr % BLOCK_BYTES
         frame = self._frame_of.get(block)

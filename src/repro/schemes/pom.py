@@ -124,7 +124,16 @@ class PomScheme(MemoryScheme):
         ]
 
     # ------------------------------------------------------------------
-    def locate(self, paddr: int) -> Tuple[Level, int]:
+    def at_home(self, block: int) -> bool:
+        """An NM block in its own frame, or an FM block neither in its
+        frame nor stored at another block's home."""
+        present = self.ledger.present
+        if block < self.num_frames:
+            return present[block] == block
+        return (present[block % self.num_frames] != block
+                and block not in self.ledger.home_of)
+
+    def locate_moved(self, paddr: int) -> Tuple[Level, int]:
         block = paddr // BLOCK_BYTES
         within = paddr % BLOCK_BYTES
         frame = block % self.num_frames

@@ -13,9 +13,7 @@ for the part-of-memory bijection tests.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from repro.schemes.base import FM, NM, AccessPlan, Level, MemoryScheme, Op
+from repro.schemes.base import FM, NM, AccessPlan, MemoryScheme, Op
 from repro.xmem.address import AddressSpace
 
 
@@ -44,12 +42,8 @@ class StaticScheme(MemoryScheme):
         return AccessPlan(FM, [[Op(FM, offset - offset % 64, 64, is_write)]],
                           [], False, "static")
 
-    def locate(self, paddr: int) -> Tuple[Level, int]:
-        if not 0 <= paddr < self._total_bytes:
-            raise ValueError(f"address {paddr:#x} outside flat space")
-        if paddr < self._nm_bytes:
-            return NM, paddr
-        return FM, paddr - self._nm_bytes
+    def at_home(self, block: int) -> bool:
+        return True
 
     def attach_telemetry(self, hub) -> None:
         """Static placement moves nothing, so beyond the base signals
@@ -62,13 +56,6 @@ class StaticScheme(MemoryScheme):
                            if self.stats.misses else 0.0))
 
     def check_invariants(self) -> None:
-        """The identity mapping carries no mutable metadata; verify the
-        address-space split itself is coherent (the oracle's shadow
-        covers the rest)."""
-        if (self.space.nm_bytes + self.space.fm_bytes
-                != self.space.total_bytes):
-            self._fail("NM+FM regions do not tile the flat space")
-        if self.locate(0) != (NM, 0):
-            self._fail("flat address 0 must be NM-resident, offset 0")
-        if self.locate(self.space.nm_bytes) != (FM, 0):
-            self._fail("first FM address must map to FM offset 0")
+        """The identity mapping carries no metadata to check: every block
+        is at home, where :meth:`MemoryScheme.locate` answers it (the
+        oracle's shadow covers the data)."""

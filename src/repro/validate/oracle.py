@@ -20,14 +20,19 @@ additionally runs :meth:`MemoryScheme.check_invariants` and the
 shadow's own bijection check, then scans the whole flat space: every
 subblock's ``locate`` must round-trip against the shadow — this is the
 bijection proof (no subblock duplicated, none lost).  The shadow stores
-only displaced subblocks, so its memory and self-check scale with what
-a run moved; the scan does not shrink with it.  It is one ``locate``
-call and one comparison per subblock: it feeds
-``map(scheme.locate, ...)`` over the ledger's slot order (see
-:meth:`ShadowMemory.placements`) into a C-level comparison with the
-slots themselves.  Only when that comparison fails does the oracle
-rescan in address order, one :meth:`ValidationOracle._check_locate` at
-a time, so the violation names the lowest failing address.
+only displaced subblocks, and the scan shrinks with them too.
+``locate`` is :meth:`MemoryScheme.locate` for every scheme (the oracle
+refuses one that overrides it): a block ``at_home`` vouches for is
+answered at its own addresses.  So the scan asks ``at_home`` once per
+2 KB block, and a block that neither the scheme (``at_home`` False)
+nor the shadow (:meth:`ShadowMemory.displaced_blocks`) reports moved
+agrees on both sides without a ``locate`` call.  Every subblock of
+every other block is compared, in address order, one C-level
+comparison per block: ``locate_moved`` (what ``locate`` returns there)
+or ``locate`` against :meth:`ShadowMemory.placement`.  Only when a
+comparison fails does the oracle rescan those blocks one
+:meth:`ValidationOracle._check_locate` at a time, so the violation
+names the lowest failing address.
 
 The oracle is pure observation: it never mutates scheme state, so a
 checked run's figures of merit are identical to an unchecked run's
@@ -36,18 +41,25 @@ checked run's figures of merit are identical to an unchecked run's
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from operator import eq
-from typing import Iterable, List, NoReturn, Optional
+from typing import Iterable, List, NoReturn, Optional, Set, Tuple
 
 from repro.core.silcfm import SilcFmScheme
 from repro.schemes.base import AccessPlan, InvariantViolation, MemoryScheme, Op
-from repro.sim.config import SUBBLOCK_BYTES
+from repro.sim.config import BLOCK_BYTES, SUBBLOCK_BYTES
 from repro.validate.shadow import ShadowMemory
 
 #: default full-scan period (in checked misses); the scan costs one
-#: ``locate`` per subblock of the flat space, so it is the expensive half
-#: of the oracle.
+#: ``at_home`` per 2 KB block of the flat space and one ``locate`` per
+#: subblock of a moved block, so it is the expensive half of the oracle.
 DEFAULT_CHECK_EVERY = 10_000
+
+
+def _subblock_addresses(block: int) -> range:
+    """The flat address of each subblock of 2 KB block ``block``."""
+    return range(block * BLOCK_BYTES, (block + 1) * BLOCK_BYTES,
+                 SUBBLOCK_BYTES)
 
 
 class OracleViolation(InvariantViolation):
@@ -66,6 +78,12 @@ class ValidationOracle:
 
     def __init__(self, scheme: MemoryScheme,
                  check_every: int = DEFAULT_CHECK_EVERY) -> None:
+        if (type(scheme).locate is not MemoryScheme.locate
+                or "locate" in vars(scheme)):
+            raise TypeError(
+                f"{scheme.name}: overrides locate, but the bijection scan "
+                "rests on MemoryScheme.locate; implement at_home and "
+                "locate_moved instead")
         self.scheme = scheme
         self.space = scheme.space
         self.check_every = max(0, int(check_every))
@@ -149,24 +167,21 @@ class ValidationOracle:
     # checks
     # ------------------------------------------------------------------
     def _check_locate(self, paddr: int) -> None:
-        sid = paddr // SUBBLOCK_BYTES
-        slevel, sslot = self.shadow.location(sid)
-        llevel, loffset = self.scheme.locate(paddr)
-        if (llevel is not slevel or loffset // SUBBLOCK_BYTES != sslot
-                or loffset % SUBBLOCK_BYTES != paddr % SUBBLOCK_BYTES):
+        answer = self.scheme.locate(paddr)
+        expected = self.shadow.placement(paddr)
+        if answer != expected:
+            (llevel, loffset), (slevel, soffset) = answer, expected
             raise OracleViolation(
                 f"{self.scheme.name}: locate({paddr:#x}) = "
                 f"({llevel.value}, {loffset:#x}) but the shadow holds the "
-                f"data at {slevel.value} slot {sslot}")
+                f"data at {slevel.value} slot {soffset // SUBBLOCK_BYTES}")
 
     def full_check(self) -> None:
         """Scheme self-consistency plus the whole-space bijection scan."""
         self.scheme.check_invariants()
         self.shadow.check_self_bijection()
-        addresses, placements = self.shadow.placements()
         try:
-            agreed = all(map(eq, map(self.scheme.locate, addresses),
-                             placements))
+            agreed = self._moved_blocks_agree()
         except Exception:
             # locate itself raised: the rescan raises it again, for the
             # lowest address it fails at
@@ -179,15 +194,39 @@ class ValidationOracle:
                                    scan=self.full_scans,
                                    accesses_checked=self.accesses_checked)
 
+    def _scanned_blocks(self) -> Tuple[List[int], Set[int]]:
+        """The blocks either side reports moved, ascending, and the set
+        the scheme reports (``at_home`` asked once per block).  Every
+        other block is at its own addresses on both sides."""
+        moved = set(filterfalse(self.scheme.at_home,
+                                range(self.space.total_blocks)))
+        return sorted(moved.union(self.shadow.displaced_blocks())), moved
+
+    def _moved_blocks_agree(self) -> bool:
+        """Each subblock of each scanned block, in address order: the
+        scheme's answer against the shadow's, one C-level comparison per
+        block and nothing built per subblock."""
+        scheme, placement = self.scheme, self.shadow.placement
+        blocks, moved = self._scanned_blocks()
+        for block in blocks:
+            addresses = _subblock_addresses(block)
+            # locate_moved is what locate answers in a block the scheme
+            # reports moved; elsewhere locate answers the block's home
+            answer = scheme.locate_moved if block in moved else scheme.locate
+            if not all(map(eq, map(answer, addresses),
+                           map(placement, addresses))):
+                return False
+        return True
+
     def _raise_first_disagreement(self) -> NoReturn:
-        """The scan saw a disagreement: rescan in address order so the
-        violation is the one :meth:`_check_locate` raises for the lowest
-        failing address.  Only a ``locate`` that answers differently the
-        second time gets through the rescan, and that is a violation
-        too."""
-        shadow = self.shadow
-        for sid in range(shadow.nm_slots + shadow.fm_slots):
-            self._check_locate(sid * SUBBLOCK_BYTES)
+        """The scan saw a disagreement: rescan the same blocks in address
+        order so the violation is the one :meth:`_check_locate` raises
+        for the lowest failing address.  Only a scheme that answers
+        differently the second time gets through the rescan, and that is
+        a violation too."""
+        for block in self._scanned_blocks()[0]:
+            for paddr in _subblock_addresses(block):
+                self._check_locate(paddr)
         raise OracleViolation(
             f"{self.scheme.name}: the whole-space scan disagreed with the "
             "shadow but an address-order rescan did not (locate is not "

@@ -29,16 +29,16 @@ only *displaced* entries.  Everywhere else the identity holds, so the
 ledger's memory, its construction and its self-check scale with the
 subblocks a run has moved, not with the flat space.  An exchange keeps
 both maps canonical: an identity back at its own position leaves both.
-:meth:`ShadowMemory.placements` streams the ledger slot by slot, as
-identity runs broken at the displaced positions, so the oracle's
-whole-space scan still compares every subblock against ``locate``
-without building anything per subblock.
+:meth:`ShadowMemory.displaced_blocks` names the 2 KB blocks holding a
+displaced subblock, from the displaced entries alone, and
+:meth:`ShadowMemory.placement` is what ``locate`` of one address must
+answer, so the oracle's bijection scan compares subblock by subblock
+only the blocks that moved.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.schemes.base import FM, NM, InvariantViolation, Level, Op
 from repro.sim.config import SUBBLOCK_BYTES, SUBBLOCKS_PER_BLOCK
@@ -62,6 +62,7 @@ class ShadowMemory:
         self.space = space
         self.nm_slots = space.nm_bytes // SUBBLOCK_BYTES
         self.fm_slots = space.fm_bytes // SUBBLOCK_BYTES
+        self._nm_bytes = space.nm_bytes
         #: position -> logical id stored there, displaced ids only.
         self._ids: Dict[int, int] = {}
         #: logical id -> position holding it, the inverse of ``_ids``.
@@ -90,35 +91,20 @@ class ShadowMemory:
             return NM, position
         return FM, position - self.nm_slots
 
-    def placements(self) -> Tuple[Iterable[int],
-                                  Iterable[Tuple[Level, int]]]:
-        """Two streams in step, for a whole-space scan: the flat address
-        of every tracked subblock, and the ``(level, device byte offset)``
-        the ledger holds it at — what ``locate`` of that address must
-        return.  The scan walks the positions (NM slots, then FM slots)
-        with the address of the id each holds, lazily: it builds no list
-        per subblock.  The address stream names every id exactly once
-        only while the ledger is a bijection, so scan after
-        :meth:`check_self_bijection`."""
-        space = self.space
-        return (chain.from_iterable(self._address_runs()),
-                chain(zip(repeat(NM, self.nm_slots),
-                          range(0, space.nm_bytes, SUBBLOCK_BYTES)),
-                      zip(repeat(FM, self.fm_slots),
-                          range(0, space.fm_bytes, SUBBLOCK_BYTES))))
+    def placement(self, paddr: int) -> Tuple[Level, int]:
+        """``(level, device byte offset)`` holding the data of in-space
+        flat address ``paddr`` — what ``locate(paddr)`` must return."""
+        sid = paddr // SUBBLOCK_BYTES
+        offset = (self._pos.get(sid, sid) * SUBBLOCK_BYTES
+                  + paddr % SUBBLOCK_BYTES)
+        if offset < self._nm_bytes:
+            return NM, offset
+        return FM, offset - self._nm_bytes
 
-    def _address_runs(self) -> Iterator[Iterable[int]]:
-        """The address stream as runs: the positions up to the next
-        displaced one hold their own ids, then that position holds the id
-        the ledger names."""
-        position = 0
-        for displaced, sid in sorted(self._ids.items()):
-            yield range(position * SUBBLOCK_BYTES, displaced * SUBBLOCK_BYTES,
-                        SUBBLOCK_BYTES)
-            yield (sid * SUBBLOCK_BYTES,)
-            position = displaced + 1
-        yield range(position * SUBBLOCK_BYTES, self.space.total_bytes,
-                    SUBBLOCK_BYTES)
+    def displaced_blocks(self) -> List[int]:
+        """The 2 KB flat blocks, ascending, holding a subblock that is
+        not at its own position.  Every other block is wholly at home."""
+        return sorted({sid // SUBBLOCKS_PER_BLOCK for sid in self._pos})
 
     def check_self_bijection(self) -> None:
         """The ledger itself must stay a bijection (exchange replay

@@ -88,13 +88,6 @@ class AddressSpace:
             raise ValueError(f"{addr:#x} is not an NM address")
         return addr // BLOCK_BYTES
 
-    # device-local offsets -------------------------------------------------
-    def fm_offset(self, addr: int) -> int:
-        """Device-local byte offset within the FM device."""
-        if not self.is_fm(addr):
-            raise ValueError(f"{addr:#x} is not an FM address")
-        return addr - self.nm_bytes
-
     # ------------------------------------------------------------------
     # congruence sets
     # ------------------------------------------------------------------

@@ -37,10 +37,8 @@ class ScriptedScheme(MemoryScheme):
         self.record_plan(plan)
         return plan
 
-    def locate(self, paddr):
-        if self.space.is_nm(paddr):
-            return Level.NM, paddr
-        return Level.FM, paddr - self.space.nm_bytes
+    def at_home(self, block):
+        return True
 
     def epoch_period_cycles(self):
         return self._epoch_period

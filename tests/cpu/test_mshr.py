@@ -37,10 +37,8 @@ class CountingScheme(MemoryScheme):
         self.record_plan(plan)
         return plan
 
-    def locate(self, paddr):
-        if self.space.is_nm(paddr):
-            return Level.NM, paddr
-        return Level.FM, paddr - self.space.nm_bytes
+    def at_home(self, block):
+        return True
 
     def check_invariants(self):
         pass

@@ -55,7 +55,7 @@ def test_swap_is_an_exchange_not_a_copy():
     scheme.access(fm_member, False)
     level, offset = scheme.locate(nm_native)
     assert level is Level.FM
-    assert offset == space.fm_offset(fm_member)
+    assert offset == fm_member - space.nm_bytes
 
 
 def test_native_line_returns_home():
@@ -66,7 +66,7 @@ def test_native_line_returns_home():
     scheme.access(fm_member, False)          # native displaced
     scheme.access(nm_native, False)          # native swaps back
     assert scheme.locate(nm_native) == (Level.NM, nm_native)
-    assert scheme.locate(fm_member) == (Level.FM, space.fm_offset(fm_member))
+    assert scheme.locate(fm_member) == (Level.FM, fm_member - space.nm_bytes)
 
 
 def test_direct_mapped_conflicts_thrash():

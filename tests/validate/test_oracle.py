@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.silcfm import SilcFmScheme
 from repro.cpu.system import System
+from repro.experiments.runner import SCHEMES
 from repro.schemes.base import InvariantViolation, Level
 from repro.schemes.cameo import CameoScheme
 from repro.schemes.hma import HmaScheme
@@ -174,19 +175,22 @@ def test_full_check_catches_metadata_only_swap(build, plant):
 
 
 def _misreport_last_cameo_line(scheme):
-    """``locate`` answers one line too low for the last line only.  A
-    plant in the metadata that ``check_invariants`` cannot see moves at
-    least two lines, so the scan would name the lower one."""
+    """``at_home`` gives up the last block, and ``locate_moved`` answers
+    one line too low for the last line only.  A plant in the metadata
+    that ``check_invariants`` cannot see moves at least two lines, so the
+    scan would name the lower one."""
     last = scheme.space.total_bytes - SUBBLOCK_BYTES
-    locate = scheme.locate
+    at_home, locate_moved = scheme.at_home, scheme.locate_moved
 
     def misreport(paddr):
-        level, offset = locate(paddr)
+        level, offset = locate_moved(paddr)
         if paddr == last:
             offset -= SUBBLOCK_BYTES
         return level, offset
 
-    scheme.locate = misreport
+    last_block = last // BLOCK_BYTES
+    scheme.at_home = lambda block: block != last_block and at_home(block)
+    scheme.locate_moved = misreport
 
 
 @pytest.mark.parametrize("build, plant", [
@@ -194,7 +198,7 @@ def _misreport_last_cameo_line(scheme):
 ], ids=["cameo"])
 def test_full_check_reaches_the_last_subblock(build, plant):
     """Only the flat space's last subblock changes its ``locate``: a scan
-    that stops one subblock short passes this plant."""
+    that stops one block short passes this plant."""
     scheme = build(SCAN_SPACE)
     oracle = ValidationOracle(scheme, check_every=1)
     plant(scheme)
@@ -204,34 +208,120 @@ def test_full_check_reaches_the_last_subblock(build, plant):
         oracle.full_check()
 
 
+def _count_scan_calls(scheme):
+    """Record the blocks the scan asks ``at_home`` about and the
+    addresses it asks ``locate`` or ``locate_moved`` about, in order."""
+    asked, located = [], []
+
+    def counting(method, calls):
+        def count(arg):
+            calls.append(arg)
+            return method(arg)
+        return count
+
+    scheme.at_home = counting(scheme.at_home, asked)
+    scheme.locate_moved = counting(scheme.locate_moved, located)
+    scheme.locate = counting(scheme.locate, located)
+    return asked, located
+
+
+def _subblocks(blocks):
+    return [paddr for block in blocks
+            for paddr in range(block * BLOCK_BYTES, (block + 1) * BLOCK_BYTES,
+                               SUBBLOCK_BYTES)]
+
+
 @pytest.mark.parametrize("build", [CameoScheme, SilcFmScheme],
                          ids=["cameo", "silcfm"])
-def test_full_check_locates_every_subblock_once(build):
-    """The ledger stores only displaced subblocks, but the scan still
-    asks ``locate`` about every subblock of the flat space, once."""
+def test_full_check_locates_each_moved_subblock_once(build):
+    """After swaps the scan asks ``at_home`` about every block once, and
+    asks about every subblock of each block either side reports moved
+    once, in address order — and about no other subblock."""
     scheme = build(SCAN_SPACE)
     oracle = ValidationOracle(scheme, check_every=0)
     nm_bytes = SCAN_SPACE.nm_bytes
     for paddr in (nm_bytes, nm_bytes + 3 * SUBBLOCK_BYTES, 5 * BLOCK_BYTES):
         oracle.before_access(paddr, False)
         oracle.after_access(paddr, False, scheme.access(paddr, False))
+    blocks = range(SCAN_SPACE.total_blocks)
+    moved = sorted({block for block in blocks if not scheme.at_home(block)}
+                   | set(oracle.shadow.displaced_blocks()))
     assert oracle.shadow._ids  # the swaps displaced something
-    located = []
-    locate = scheme.locate
-
-    def counting(paddr):
-        located.append(paddr)
-        return locate(paddr)
-
-    scheme.locate = counting
+    assert 0 < len(moved) < len(blocks) // 4
+    asked, located = _count_scan_calls(scheme)
     oracle.full_check()
-    assert sorted(located) == list(range(0, SCAN_SPACE.total_bytes,
-                                         SUBBLOCK_BYTES))
+    assert asked == list(blocks)
+    assert located == _subblocks(moved)
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMES))
+def test_full_check_of_an_identity_state_locates_nothing(key):
+    """With nothing moved on either side, every registered scheme's scan
+    is one ``at_home`` call per block and no ``locate`` call."""
+    scheme = SCHEMES[key].factory(SCAN_SPACE, small_config(0))
+    oracle = ValidationOracle(scheme, check_every=0)
+    asked, located = _count_scan_calls(scheme)
+    oracle.full_check()
+    assert asked == list(range(SCAN_SPACE.total_blocks))
+    assert located == []
+    assert oracle.full_scans == 1
+
+
+def test_full_check_catches_an_at_home_that_lies():
+    """A replayed swap exchanges subblock 3 of the first FM block with
+    subblock 3 of the frame it is installed in.  An ``at_home`` that
+    vouches for every block makes ``locate`` answer both at home, and
+    the scan names the lower: the frame's."""
+    scheme = SilcFmScheme(SCAN_SPACE)
+    oracle = ValidationOracle(scheme, check_every=0)
+    paddr = SCAN_SPACE.nm_bytes + 3 * SUBBLOCK_BYTES
+    oracle.before_access(paddr, False)
+    oracle.after_access(paddr, False, scheme.access(paddr, False))
+    oracle.full_check()
+    way = scheme.way_of_block(paddr // BLOCK_BYTES)
+    assert oracle.shadow.displaced_blocks() == [way, paddr // BLOCK_BYTES]
+    scheme.at_home = lambda block: True
+    lowest = way * BLOCK_BYTES + 3 * SUBBLOCK_BYTES
+    with pytest.raises(OracleViolation, match=rf"locate\({lowest:#x}\)"):
+        oracle.full_check()
+    assert oracle.full_scans == 1
+
+
+def test_full_check_passes_an_at_home_that_vouches_for_nothing():
+    """``at_home`` False is always safe: blocks nothing moved are then
+    compared subblock by subblock, and agree."""
+    scheme = CameoScheme(SCAN_SPACE)
+    oracle = ValidationOracle(scheme, check_every=0)
+    scheme.at_home = lambda block: False
+    __, located = _count_scan_calls(scheme)
+    oracle.full_check()
+    assert located == _subblocks(range(SCAN_SPACE.total_blocks))
+    assert oracle.full_scans == 1
+
+
+class _OverridesLocate(CameoScheme):
+    """Answers as CAMEO does, but through its own ``locate``."""
+
+    def locate(self, paddr):
+        return super().locate(paddr)
+
+
+def test_oracle_refuses_a_scheme_that_overrides_locate():
+    """The scan proves the bijection for ``MemoryScheme.locate``; a
+    scheme with its own ``locate``, on its class or on the instance,
+    would escape it."""
+    with pytest.raises(TypeError, match="overrides locate"):
+        ValidationOracle(_OverridesLocate(SCAN_SPACE))
+    scheme = CameoScheme(SCAN_SPACE)
+    scheme.locate = scheme.locate_moved
+    with pytest.raises(TypeError, match="overrides locate"):
+        ValidationOracle(scheme)
 
 
 def test_full_check_names_the_lowest_address_after_swaps():
-    """Once replayed swaps permute the ledger, the scan meets a higher
-    address first; the violation still names the lowest failing one."""
+    """Once a replayed swap permutes the ledger, a metadata-only swap
+    back makes two lines in two blocks fail; the violation names the
+    lower one."""
     scheme = CameoScheme(SCAN_SPACE)
     oracle = ValidationOracle(scheme, check_every=0)
     line = scheme.num_slots  # FM line of group 0
@@ -241,30 +331,33 @@ def test_full_check_names_the_lowest_address_after_swaps():
     assert oracle.shadow.id_at(Level.NM, 0) == line
     oracle.full_check()
     # swap line 0 back in metadata only: line 0 (FM slot 0 per the
-    # shadow) and the line in NM slot 0 both fail, the higher one first
-    # in slot order
+    # shadow) and the line in NM slot 0 both fail
     scheme.ledger.exchange(0, 0)
     with pytest.raises(OracleViolation, match=r"locate\(0x0\)"):
         oracle.full_check()
 
 
 class _FlakyLocate(CameoScheme):
-    """``locate`` misbehaves on its first call for the last line only:
-    it answers wrong, or raises."""
+    """``at_home`` gives up the last block, and ``locate_moved``
+    misbehaves on its first call for the last line only: it answers
+    wrong, or raises."""
 
     def __init__(self, space, raises):
         super().__init__(space)
         self.raises = raises
         self.flaked = False
 
-    def locate(self, paddr):
+    def at_home(self, block):
+        return block != self.space.total_blocks - 1 and super().at_home(block)
+
+    def locate_moved(self, paddr):
         last = self.space.total_bytes - SUBBLOCK_BYTES
         if paddr == last and not self.flaked:
             self.flaked = True
             if self.raises:
                 raise ValueError("transient")
             return Level.NM, 0
-        return super().locate(paddr)
+        return super().locate_moved(paddr)
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["wrong", "raises"])

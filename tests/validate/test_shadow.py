@@ -221,8 +221,9 @@ def _level_slot(position):
 def test_sparse_ledger_matches_a_dense_permutation(swaps):
     """Random subblock swaps (the SILC-FM triplet, NM slot against the
     same within-block index of an FM block) replayed into the shadow and
-    into two dense lists: every query, both scan streams and the
-    self-check agree, and the maps hold exactly the displaced ids."""
+    into two dense lists: every query, every address's placement, the
+    displaced blocks and the self-check agree, and the maps hold exactly
+    the displaced ids."""
     s = shadow()
     ids = list(range(SLOTS))  # position -> id
     pos = list(range(SLOTS))  # id -> position
@@ -239,10 +240,14 @@ def test_sparse_ledger_matches_a_dense_permutation(swaps):
         assert [s.location(sid) for sid in range(SLOTS)] == [
             _level_slot(position) for position in pos]
         assert [s.id_at(*slot) for slot in slots] == ids
-        addresses, placements = s.placements()
-        assert list(addresses) == [sid * SUBBLOCK_BYTES for sid in ids]
-        assert list(placements) == [
-            (level, slot * SUBBLOCK_BYTES) for level, slot in slots]
+        # every subblock, each at a different byte within it
+        assert [s.placement(sid * SUBBLOCK_BYTES + sid % SUBBLOCK_BYTES)
+                for sid in range(SLOTS)] == [
+            (level, slot * SUBBLOCK_BYTES + sid % SUBBLOCK_BYTES)
+            for sid, (level, slot) in enumerate(map(_level_slot, pos))]
+        assert s.displaced_blocks() == sorted({
+            sid // SUBBLOCKS_PER_BLOCK
+            for sid, position in enumerate(pos) if sid != position})
         s.check_self_bijection()
         displaced = sum(sid != position for position, sid in enumerate(ids))
         assert len(s._ids) == len(s._pos) == displaced

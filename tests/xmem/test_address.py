@@ -44,12 +44,6 @@ def test_block_and_subblock_arithmetic(space):
     assert space.subblock_index(addr) == 5
 
 
-def test_device_offsets(space):
-    assert space.fm_offset(NM + 100) == 100
-    with pytest.raises(ValueError):
-        space.fm_offset(100)
-
-
 @pytest.mark.parametrize("assoc,expected_sets", [(1, 64), (2, 32), (4, 16)])
 def test_num_sets(space, assoc, expected_sets):
     assert space.num_sets(assoc) == expected_sets
