@@ -194,6 +194,23 @@ def grid_cells() -> Iterator[
                    0.0, None, MISSES, True)
 
 
+def grid_config(mshr_entries: int, check_interval: float = 0.0,
+                silcfm: Optional[SilcFmConfig] = None) -> SystemConfig:
+    """The system of one grid cell, at the grid's scale and seed."""
+    config = dataclasses.replace(
+        default_config(SCALE), seed=SEED, mshr_entries=mshr_entries,
+        check_interval=check_interval)
+    if silcfm is not None:
+        config = dataclasses.replace(config, silcfm=silcfm)
+    return config
+
+
+def payload_digest(payload: dict) -> str:
+    """sha256 of a payload's canonical (key-sorted) JSON."""
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def grid_digest(scheme: str, workload: str, mshr_entries: int,
                 check_interval: float = 0.0,
                 silcfm: Optional[SilcFmConfig] = None,
@@ -202,11 +219,7 @@ def grid_digest(scheme: str, workload: str, mshr_entries: int,
     ``spans`` the run samples every miss into an ``EventTracer``, the
     JSON carries the whole telemetry snapshot, and the tracer's events
     and dropped count are hashed with it."""
-    config = dataclasses.replace(
-        default_config(SCALE), seed=SEED, mshr_entries=mshr_entries,
-        check_interval=check_interval)
-    if silcfm is not None:
-        config = dataclasses.replace(config, silcfm=silcfm)
+    config = grid_config(mshr_entries, check_interval, silcfm)
     tracer = None
     if spans:
         config = dataclasses.replace(
@@ -219,8 +232,7 @@ def grid_digest(scheme: str, workload: str, mshr_entries: int,
     if tracer is not None:
         payload = {"result": payload, "events": tracer.events(),
                    "dropped_events": tracer.dropped}
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return payload_digest(payload)
 
 
 def trace_streams() -> Iterator[Tuple[str, WorkloadSpec, int, str, int]]:

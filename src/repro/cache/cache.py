@@ -9,7 +9,7 @@ schemes see; its writeback stream becomes the background write traffic.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 
@@ -37,11 +37,6 @@ class AccessOutcome:
     writeback_addr: Optional[int] = None
 
 
-@dataclass
-class _Line:
-    dirty: bool = False
-
-
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -49,8 +44,8 @@ def _is_power_of_two(n: int) -> bool:
 class Cache:
     """A single cache level.
 
-    Each set is an :class:`OrderedDict` from tag to line state; ordering
-    encodes LRU (last item = most recently used).
+    Each set is an :class:`OrderedDict` from tag to the line's dirty
+    flag; ordering encodes LRU (last item = most recently used).
     """
 
     def __init__(self, size_bytes: int, ways: int, line_bytes: int = 64,
@@ -77,21 +72,20 @@ class Cache:
         """Look up ``addr``; on miss, allocate (evicting LRU)."""
         index, tag = self._index_tag(addr)
         cache_set = self._sets[index]
-        line = cache_set.get(tag)
-        if line is not None:
+        if tag in cache_set:
             cache_set.move_to_end(tag)
             if is_write:
-                line.dirty = True
+                cache_set[tag] = True
             self.stats.hits += 1
             return AccessOutcome(hit=True)
 
         self.stats.misses += 1
         writeback = None
         if len(cache_set) >= self.ways:
-            victim_tag, victim = cache_set.popitem(last=False)
-            if victim.dirty:
+            victim_tag, dirty = cache_set.popitem(last=False)
+            if dirty:
                 self.stats.writebacks += 1
                 victim_line = victim_tag * self.num_sets + index
                 writeback = victim_line * self.line_bytes
-        cache_set[tag] = _Line(dirty=is_write)
+        cache_set[tag] = is_write
         return AccessOutcome(hit=False, writeback_addr=writeback)

@@ -183,7 +183,6 @@ class FlatMemoryController:
             (self._nm if op.level is NM else self._fm).access(
                 op.addr, op.size, op.is_write, DEMAND, txn.fast_done, span)
             return
-        txn.stage_index = -1
         self._advance(txn, now)
 
     def handle_writeback(self, paddr: int) -> None:

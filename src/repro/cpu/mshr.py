@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List
 
 from repro.sim.config import SUBBLOCK_BYTES
 from repro.sim.engine import Engine
@@ -77,7 +77,9 @@ class MemoryRequest:
     Carries what the controller's stage walk needs — the plan's stages,
     the current stage index, the count of outstanding ops in that stage,
     and the issue and dispatch timestamps — as plain fields, so the walk
-    allocates nothing per stage.
+    allocates nothing per stage.  :meth:`MSHRFile.issue` builds one per
+    allocated miss; it is dropped once :meth:`MSHRFile.release` has woken
+    its waiters.
     """
 
     __slots__ = ("paddr", "is_write", "pc",
@@ -87,7 +89,8 @@ class MemoryRequest:
                  "span")
 
     def __init__(self, paddr: int, is_write: bool, pc: int,
-                 issue_time: float) -> None:
+                 issue_time: float, line: int, mshr: "MSHRFile",
+                 on_done: Callable[[float], None]) -> None:
         self.paddr = paddr
         self.is_write = is_write
         self.pc = pc
@@ -102,9 +105,9 @@ class MemoryRequest:
         #: ``on_done(when)`` callbacks woken at completion; the first is
         #: the issuing core's, the rest are coalesced same-subblock
         #: misses.
-        self.waiters: List[Callable[[float], None]] = []
-        self.line = -1
-        self.mshr: Optional["MSHRFile"] = None
+        self.waiters: List[Callable[[float], None]] = [on_done]
+        self.line = line
+        self.mshr = mshr
         self.controller = None
 
     # ------------------------------------------------------------------
@@ -151,8 +154,7 @@ class MSHRFile:
     way a miss reaches it.  ``entries = 0`` is the compat file, which
     never fills and never coalesces."""
 
-    def __init__(self, engine: Engine, entries: int, controller,
-                 subblock_bytes: int = SUBBLOCK_BYTES) -> None:
+    def __init__(self, engine: Engine, entries: int, controller) -> None:
         if entries < 0:
             raise ValueError("an MSHR file needs entries >= 0 (0 = compat)")
         self._engine = engine
@@ -160,7 +162,7 @@ class MSHRFile:
         #: entries that may be occupied at once; a compat file never fills.
         self._capacity = entries if entries else math.inf
         self._controller = controller
-        self._shift = subblock_bytes.bit_length() - 1
+        self._shift = SUBBLOCK_BYTES.bit_length() - 1
         #: occupied entries.  A plain counter: reads register in
         #: ``_reads`` for coalescing, writes hold an entry anonymously
         #: (nothing may coalesce onto them), so a dict of all in-flight
@@ -173,9 +175,6 @@ class MSHRFile:
         #: FIFO of transactions that arrived while the file was full.
         self._pending: Deque[MemoryRequest] = deque()
         self._draining = False
-        #: recycled transactions.  One is built only when the pool is
-        #: empty, so the pool never outgrows the peak count of live ones.
-        self._pool: List[MemoryRequest] = []
         self.stats = MSHRStats()
         #: span recorder (:class:`repro.telemetry.spans.SpanRecorder`)
         #: when span tracing is enabled; None keeps the hot path to one
@@ -236,19 +235,8 @@ class MSHRFile:
                 if spans is not None:
                     spans.coalesce(txn)
                 return
-        now = self._engine.now
-        pool = self._pool
-        if pool:
-            txn = pool.pop()
-            txn.paddr = paddr
-            txn.is_write = is_write
-            txn.pc = pc
-            txn.issue_time = now
-        else:
-            txn = MemoryRequest(paddr, is_write, pc, now)
-            txn.mshr = self
-        txn.line = line
-        txn.waiters.append(on_done)
+        txn = MemoryRequest(paddr, is_write, pc, self._engine.now, line,
+                            self, on_done)
         if spans is not None and spans.arrival():
             txn.span = spans.start(paddr, is_write)
         if coalescable:
@@ -280,18 +268,12 @@ class MSHRFile:
         self._occupied -= 1
         if not txn.is_write and self._reads.get(txn.line) is txn:
             del self._reads[txn.line]
-        waiters = txn.waiters
-        for waiter in waiters:
+        for waiter in txn.waiters:
             waiter(when)
         if self._pending and not self._draining:
             # a nested completion during admission skips this: the outer
             # drain loop re-checks capacity itself.
             self._drain_pending()
-        # nothing holds a completed transaction past this point (device
-        # completions are scheduled, never synchronous, so no event can
-        # still carry a stale reference): recycle it
-        waiters.clear()
-        self._pool.append(txn)
 
     def _drain_pending(self) -> None:
         """Admit queued transactions (FIFO) into freed entries."""

@@ -316,10 +316,11 @@ class System:
         the engine's watchdog semantics: exactly ``max_events``
         dispatches are allowed, dispatching one more raises.
 
-        Cyclic garbage collection is suspended for the run: the data
-        plane recycles its hot objects, so collector passes over the
-        event loop are pure overhead (reference counting still frees
-        everything, and no simulation state observes the collector).
+        Cyclic garbage collection is suspended for the run: per-miss
+        objects (transactions, DRAM requests, event tuples) form no
+        cycles and die by reference counting when they complete, so
+        collector passes over the event loop are pure overhead (and no
+        simulation state observes the collector).
         """
         import gc
 
@@ -373,7 +374,8 @@ class System:
         energy_model = EnergyModel()
         energy = energy_model.breakdown(
             nm_stats.bytes_total, fm_stats.bytes_total, elapsed)
-        edp = energy.total_joules * energy_model.cycles_to_seconds(elapsed)
+        edp = energy_model.edp(
+            nm_stats.bytes_total, fm_stats.bytes_total, elapsed)
         extras = {
             "nm_utilization": self.nm_device.utilization(elapsed),
             "fm_utilization": self.fm_device.utilization(elapsed),

@@ -17,10 +17,10 @@ Every DRAM transfer of a run passes through here, so the data plane is
 written for the interpreter.  An idle channel's transfer skips the
 queue altogether: :meth:`repro.dram.device.MemoryDevice.access` starts
 its burst directly (the FR-FCFS pick of a one-entry queue is that
-entry).  A busy channel's transfer queues a request from a small free
-pool; the request goes back to the pool the moment it issues, because
-its completion event carries the payload.  Either way the burst ends
-in the one completion method, :meth:`Channel._complete`.
+entry).  A busy channel's transfer queues a request, dropped the moment
+it issues, because its completion event carries the payload.  Either
+way the burst ends in the one completion method,
+:meth:`Channel._complete`.
 """
 
 from __future__ import annotations
@@ -87,8 +87,6 @@ class Channel:
     #: ordinary backlog (row batching is what keeps conflict-heavy
     #: streams from spiralling).
     starvation_cap = 2500.0
-    #: recycled DRAMRequest objects kept per channel.
-    _REQ_POOL_CAP = 64
 
     def __init__(self, engine: Engine, timings: DRAMTimings) -> None:
         self._engine = engine
@@ -104,10 +102,6 @@ class Channel:
         #: timing properties — the formulas are pure in ``size``.
         self._cpm = timings.cpu_cycles_per_mem
         self._burst_cpu_cycles: dict = {}
-        #: request free pool: ``_try_issue`` recycles,
-        #: ``MemoryDevice.access`` re-acquires.  A request is dead once
-        #: it issues — its completion event carries the payload.
-        self._req_pool: list = []
         #: completion callback bound once — a ``schedule_at`` call site
         #: builds a fresh bound method per event otherwise.
         self._complete_bound = self._complete
@@ -152,8 +146,8 @@ class Channel:
 
         A call almost always makes exactly one pick, so channel state is
         read and written on ``self`` per pick rather than cached in
-        locals for the loop.  The issued request goes back to the pool
-        at once: its completion event carries the payload.
+        locals for the loop.  The issued request is dropped at once: its
+        completion event carries the payload.
         """
         dq = self._demand_queue
         bq = self._background_queue
@@ -203,12 +197,8 @@ class Channel:
                 # (bank preparation, bus contention, scheduler backlog)
                 # is queueing, the burst itself is service
                 span.add_dram(wait, burst)
-                best.span = None
             self._engine.schedule_at(completion, self._complete_bound, size,
                                      best.is_write, best.priority, on_complete)
-            best.on_complete = None
-            if len(self._req_pool) < self._REQ_POOL_CAP:
-                self._req_pool.append(best)
 
     def _complete(self, size: int, is_write: bool, priority: Priority,
                   on_complete) -> None:

@@ -5,7 +5,7 @@ that land on successive channels; the completion callback fires when the
 last chunk finishes.  This is how a 2 KB PoM migration naturally spreads
 over (and saturates) all channels.  Every chunk takes the same path:
 :meth:`MemoryDevice.access` maps it inline and either starts its burst
-on an idle channel or queues a recycled request on a busy one.
+on an idle channel or queues a request on a busy one.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ class MemoryDevice:
         past ``metadata_base``, all sharing one countdown.  Each transfer
         is mapped in this frame; an idle channel (nothing queued,
         pipeline room) starts its burst at once, because its FR-FCFS
-        pick would be this transfer, and a busy one queues a recycled
-        request.
+        pick would be this transfer, and a busy one queues a request.
         """
         end = addr + size
         if addr < 0 or size <= 0 or end > self.capacity_bytes:
@@ -126,22 +125,8 @@ class MemoryDevice:
             chunk = chunk_end - addr
             if (channel._demand_queue or channel._background_queue
                     or channel._inflight >= channel.pipeline_depth):
-                pool = channel._req_pool
-                if pool:
-                    request = pool.pop()
-                    request.addr = addr
-                    request.size = chunk
-                    request.is_write = is_write
-                    request.priority = priority
-                    request.arrival = now
-                    request.bank = bank
-                    request.row = row
-                    request.on_complete = on_complete
-                    request.span = span
-                else:
-                    request = DRAMRequest(addr, chunk, is_write, priority, now,
-                                          bank, row, on_complete, span)
-                channel.submit(request)
+                channel.submit(DRAMRequest(chunk, is_write, priority, now,
+                                           bank, row, on_complete, span))
             else:
                 stats = channel.stats
                 if stats.max_queue_depth < 1:

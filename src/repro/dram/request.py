@@ -22,19 +22,18 @@ DEMAND = Priority.DEMAND
 BACKGROUND = Priority.BACKGROUND
 
 
-#: ``eq=False``: requests compare by identity, so two queued requests
-#: with equal fields stay distinct to ``deque.remove`` and ``in``.
+#: ``eq=False``: requests compare by identity, so two queued transfers
+#: with equal fields are still two transfers.
 @dataclass(slots=True, eq=False)
 class DRAMRequest:
     """One queued channel-level transfer (at most one interleave unit,
     64 B, or one metadata entry) at ``(bank, row)`` of its channel.
 
-    The channel recycles a request the moment it issues it: the
-    completion event carries the payload (size, direction, priority,
-    callback), so nothing reads the request afterwards.
+    A request lives from its queueing to its issue: the completion event
+    carries the payload (size, direction, priority, callback), so the
+    channel drops the request the moment it issues it.
     """
 
-    addr: int
     size: int
     is_write: bool
     priority: Priority

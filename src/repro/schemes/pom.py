@@ -43,20 +43,16 @@ class PomScheme(MemoryScheme):
     SPAN_ROWS = ("nm-hit", "fm", "fm-migrate")
 
     def __init__(self, space: AddressSpace,
-                 threshold: int = DEFAULT_MIGRATION_THRESHOLD,
-                 remap_cache_entries: int = DEFAULT_REMAP_CACHE_ENTRIES) -> None:
+                 threshold: int = DEFAULT_MIGRATION_THRESHOLD) -> None:
         super().__init__(space)
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
-        if remap_cache_entries < 1:
-            raise ValueError("remap cache must have at least one entry")
         self.threshold = threshold
         self.num_frames = space.nm_blocks
         #: LRU set of frames whose remap entry is cached in SRAM; a miss
         #: costs a metadata fetch from the NM metadata region before the
         #: data access can be routed.
         self._remap_cache: "OrderedDict[int, None]" = OrderedDict()
-        self._remap_cache_entries = remap_cache_entries
         self.remap_cache_hits = 0
         self.remap_cache_misses = 0
         self._meta_base = space.nm_bytes
@@ -103,7 +99,7 @@ class PomScheme(MemoryScheme):
             return []
         self.remap_cache_misses += 1
         self._remap_cache[frame] = None
-        if len(self._remap_cache) > self._remap_cache_entries:
+        if len(self._remap_cache) > DEFAULT_REMAP_CACHE_ENTRIES:
             self._remap_cache.popitem(last=False)
         return [[Op(NM, self._meta_base + frame * METADATA_ENTRY_BYTES,
                     METADATA_ENTRY_BYTES, False)]]

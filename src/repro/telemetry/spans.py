@@ -301,14 +301,13 @@ class SpanRecorder:
     """
 
     def __init__(self, sample_rate: int, engine,
-                 tracer: Optional[EventTracer] = None,
-                 collector: Optional[SpanCollector] = None) -> None:
+                 tracer: Optional[EventTracer] = None) -> None:
         if sample_rate < 1:
             raise ValueError("span sample rate must be >= 1")
         self.sample_rate = sample_rate
         self._engine = engine
         self.tracer = tracer
-        self.collector = collector if collector is not None else SpanCollector()
+        self.collector = SpanCollector()
         self._seq = 0      # new-transaction arrivals seen
         self._spans = 0    # spans started
         self._retired = 0  # spans retired (never reset; see unretired)
@@ -335,7 +334,6 @@ class SpanRecorder:
     def retire(self, txn, when: float) -> None:
         """Transaction completed: close, aggregate, and emit its span."""
         span = txn.span
-        txn.span = None
         span.end_stage(when)  # a one-op plan's stage; walks close in _advance
         span.finish_t = when
         self._retired += 1

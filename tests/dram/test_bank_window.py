@@ -44,7 +44,7 @@ def _through_channel(timings, batches):
     def submit(row, count):
         for _ in range(count):
             channel.submit(DRAMRequest(
-                0, SIZE, False, Priority.DEMAND, engine.now, BANK, row,
+                SIZE, False, Priority.DEMAND, engine.now, BANK, row,
                 done.append))
 
     for now, row, count in batches:

@@ -4,7 +4,7 @@ Every transfer of a run takes one of two paths:
 
 * ``MemoryDevice.access`` maps each 64 B chunk inline and, on an idle
   channel, starts its burst without a queued request object;
-* on a busy channel the chunk queues a recycled request, and
+* on a busy channel the chunk queues a fresh ``DRAMRequest``, and
   ``Channel.submit`` → ``_try_issue`` issues it by FR-FCFS.
 
 Three properties pin them against references written independently here:
@@ -114,7 +114,7 @@ def _assert_channel_equivalent(prefix, window, now):
 
     def issue(index, item, on_complete):
         bank, row, size = item
-        fused.submit(DRAMRequest(index, size, False, Priority.DEMAND,
+        fused.submit(DRAMRequest(size, False, Priority.DEMAND,
                                  engine.now, bank, row, on_complete))
 
     got = _run_window(engine, issue, window, now)
@@ -234,7 +234,7 @@ def _per_chunk_reference(engine, device, mapper, addr, size, is_write,
             on_complete(when)
 
     for channel, chunk_addr, chunk_size, bank, row in chunks:
-        channel.submit(DRAMRequest(chunk_addr, chunk_size, is_write,
+        channel.submit(DRAMRequest(chunk_size, is_write,
                                    priority, engine.now, bank, row,
                                    chunk_done))
 
@@ -362,7 +362,7 @@ def _assert_fr_fcfs_matches(arrivals):
     got = {}
     for index, (t, bank, row, priority) in enumerate(arrivals):
         engine.schedule_at(t, channel.submit, DRAMRequest(
-            index, 64, False, priority, t, bank, row,
+            64, False, priority, t, bank, row,
             lambda when, index=index: got.__setitem__(index, when)))
     engine.run()
     done, (bus_free, busy, qwait, max_depth), banks, starved = \

@@ -17,7 +17,7 @@ def request(engine, addr, priority=Priority.DEMAND, order=None):
     mapper = AddressMapper(DDR3_TIMINGS)
     # map through channel-local coordinates like the device would
     coords = mapper.map(addr * DDR3_TIMINGS.channels)
-    req = DRAMRequest(addr=addr, size=64, is_write=False, priority=priority,
+    req = DRAMRequest(size=64, is_write=False, priority=priority,
                       arrival=engine.now, bank=coords.bank, row=coords.row,
                       on_complete=(lambda t: order.append(addr))
                       if order is not None else None)

@@ -23,7 +23,9 @@ Six layers, from broad to anchored:
   oracle);
 * two **HMA epoch cells** — 4,000 misses per core cross HMA's OS epoch,
   whose bulk 2 KB block migrations build the deepest DRAM channel
-  queues of any cell (compat file and the default MSHR file);
+  queues of any cell (compat file and the default MSHR file); the
+  compat cell also runs under the oracle, whose full scans then see
+  blocks a real epoch moved;
 * six **span-traced cells** — silc and cam on mcf with every miss
   sampled, at MSHR 0, 8 and 128, digested with the whole telemetry
   snapshot (span aggregates, samples, trace events): span tracing rides
@@ -45,7 +47,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import SCHEMES
+from repro.experiments.runner import SCHEMES, run_one
 
 SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
 sys.path.insert(0, str(SCRIPTS))
@@ -55,7 +57,8 @@ from gen_golden_results import (  # noqa: E402
     EPOCH_MISSES, EPOCH_MSHR_ENTRIES, GOLDEN_DIR, GRID_DIGESTS,
     GRID_MSHR_ENTRIES, GRID_WORKLOADS, SCHEMES as GOLDEN_SCHEMES,
     SPAN_MSHR_ENTRIES, SPAN_SCHEMES, WORKLOAD as GOLDEN_WORKLOAD,
-    aged_cell_id, epoch_cell_id, grid_cells, grid_digest, span_cell_id)
+    aged_cell_id, epoch_cell_id, grid_cells, grid_config, grid_digest,
+    payload_digest, span_cell_id)
 
 PINNED = json.loads(GRID_DIGESTS.read_text())
 #: the MSHR size ``default_config`` ships (the ``{scheme}-mcf.json``
@@ -107,6 +110,23 @@ def test_hma_epoch_run(mshr_entries):
     _assert_pinned(epoch_cell_id(mshr_entries),
                    grid_digest("hma", GOLDEN_WORKLOAD, mshr_entries,
                                misses=EPOCH_MISSES))
+
+
+def test_oracle_checked_hma_epoch_run():
+    """The oracle across HMA's OS epoch: ``after_epoch`` and the full
+    scans that follow it see blocks a real migration moved (``at_home``
+    and ``locate_moved`` off the identity), and pass.  Set aside the two
+    ``oracle_*`` extras and the checked run is the unchecked epoch pin:
+    ``--check`` is observation-only here too."""
+    result = run_one("hma", GOLDEN_WORKLOAD, grid_config(0, CHECK_INTERVAL),
+                     misses_per_core=EPOCH_MISSES)
+    assert result.extras["oracle_full_scans"] > 0
+    assert result.scheme_stats.block_migrations > 0
+    payload = result.to_dict()
+    payload["extras"] = {key: value
+                         for key, value in payload["extras"].items()
+                         if not key.startswith("oracle_")}
+    _assert_pinned(epoch_cell_id(0), payload_digest(payload))
 
 
 @pytest.mark.parametrize("mshr_entries", SPAN_MSHR_ENTRIES)

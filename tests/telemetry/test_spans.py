@@ -121,9 +121,7 @@ def test_retire_aggregates_and_emits_slices():
     span.begin_stage("fm_data", 3.0)
     span.end_stage(9.0)
     span.join(5.0)
-    txn = _txn(span)
-    recorder.retire(txn, 9.0)
-    assert txn.span is None
+    recorder.retire(_txn(span), 9.0)
     assert recorder.unretired == 0
     assert recorder.collector.spans_recorded == 1
     by_ph = {}
